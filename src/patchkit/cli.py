@@ -4,7 +4,7 @@ Every command reads one declarative JSON config (plus ``--set`` overrides),
 writes its artifacts under the output directory, and echoes the resolved
 configuration into ``run-<stage>.json`` so a run can be reproduced exactly.
 Exit codes: 0 success, 2 config error, 3 missing stage dependency,
-4 numerical failure.
+4 numerical failure, 5 call budget exceeded or predictor contract violated.
 """
 from __future__ import annotations
 
@@ -19,7 +19,9 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import (
+    BudgetExceededError,
     ConfigError,
+    ContractViolationError,
     DependencyError,
     EmptyCohortError,
     InvalidArgumentError,
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEPENDENCY = 3
 EXIT_NUMERICAL = 4
+EXIT_GUARD = 5  # call budget exceeded or predictor contract violated
 
 
 def _manifest_path(cfg: RunConfig) -> Path:
@@ -423,6 +426,9 @@ def main(argv=None) -> int:
     except (NumericalFailureError, EmptyCohortError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (BudgetExceededError, ContractViolationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except PatchkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -395,40 +395,53 @@ def save_checkpoint(path, params: PatchNetParams, extra: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
+    """Read a PNC1 checkpoint, rejecting truncated or extended files and any
+    tensor whose stored shape differs from the one its config builds."""
     raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise InvalidArgumentError(f"{path}: bad checkpoint magic {raw[:4]!r}")
-    off = 4
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(raw):
+            raise InvalidArgumentError(
+                f"{path}: checkpoint truncated, {len(raw)} bytes but byte {off + n} needed"
+            )
+        off += n
+        return raw[off - n : off]
+
+    def u32() -> int:
+        return int.from_bytes(take(4), "little")
+
+    magic = take(4)
+    if magic != CHECKPOINT_MAGIC:
+        raise InvalidArgumentError(f"{path}: bad checkpoint magic {magic!r}")
+    version = u32()
     if version != CHECKPOINT_VERSION:
         raise InvalidArgumentError(f"{path}: unsupported checkpoint version {version}")
-    (blob_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    blob = json.loads(raw[off : off + blob_len].decode("utf-8"))
-    off += blob_len
-    (n_tensors,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    try:
+        blob = json.loads(take(u32()).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidArgumentError(f"{path}: unreadable config blob: {exc}") from exc
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arrays[name] = np.frombuffer(raw, dtype="<f4", count=count, offset=off).reshape(dims).copy()
-        off += 4 * count
+    for _ in range(u32()):
+        name = take(u32()).decode("utf-8", errors="replace")
+        dims = tuple(u32() for _ in range(u32()))
+        arrays[name] = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+    if off != len(raw):
+        raise InvalidArgumentError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
     cfg = PatchNetConfig.from_json(blob["net"])
     params = init_params(cfg)
     target = params.named_arrays()
-    missing = set(target) - set(arrays)
-    if missing:
-        raise InvalidArgumentError(f"{path}: checkpoint missing tensors {sorted(missing)}")
+    if set(arrays) != set(target):
+        raise InvalidArgumentError(
+            f"{path}: checkpoint tensors differ from the config: missing "
+            f"{sorted(set(target) - set(arrays))}, unexpected {sorted(set(arrays) - set(target))}"
+        )
     for name, arr in target.items():
+        if arrays[name].shape != arr.shape:
+            raise InvalidArgumentError(
+                f"{path}: tensor {name} has shape {arrays[name].shape}, expected {arr.shape}"
+            )
         arr[...] = arrays[name]
     for b in params.blocks:
         b.gsi_bn.stats.ready = True

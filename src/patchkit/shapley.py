@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -256,14 +257,6 @@ def sibling_shapley(
     return _shapley_from_readouts(readouts, n)
 
 
-@dataclass
-class _Node:
-    region: Region
-    level: int
-    value: float
-    children: list[int] | None = None
-
-
 def _rule_fires(rule: str, value: float, tau: float) -> bool:
     if rule == "refine_below":
         return value < tau
@@ -285,11 +278,15 @@ def recursive_attribution(
 ) -> AttributionMap:
     """Hierarchical perturbation attribution down to a uniform leaf grid.
 
-    The volume is split into octree halves (level 1) and a sibling Shapley game
-    is played among them. A node is split further when the refinement rule
-    fires on its value, it is coarser than ``leaf_edge``, and its level is
-    below ``max_depth``; its children then play their own sibling game. Each
-    final leaf inherits the value of the deepest computed node containing it.
+    The octree splits the patch grid, not the voxels: a node is a block of
+    leaf indices, halved per axis by ``octree_children``, and a sibling Shapley
+    game is played among the voxel regions its children cover (level 1 splits
+    the whole grid). A node is split further when it holds more than one leaf,
+    the refinement rule fires on its value and its level is below
+    ``max_depth``. Each leaf inherits the value of the deepest computed node
+    containing it. A one-leaf grid plays a one-player game on that leaf.
+    Remainder voxels past the last whole patch belong to no node and are never
+    zero-filled.
 
     ``tau`` may be +/-inf (forcing one rule to always or never fire); NaN is
     rejected. Exceeding ``budget`` predictor calls aborts the whole map.
@@ -300,57 +297,38 @@ def recursive_attribution(
         raise InvalidArgumentError("max_depth must be >= 1")
     _rule_fires(rule, 0.0, 0.0)  # validate rule name early
     grid = make_grid(volume.dims, leaf_edge)
+    nx, ny, nz = grid.counts
+    values = np.empty((nz, ny, nx), dtype=np.float64)
+    refined = np.zeros((nz, ny, nx), dtype=bool)
+    leaf = (1, 1, 1)
 
     evaluations = 0
-    nodes: list[_Node] = []
-
-    def play_game(siblings: list[Region], level: int) -> list[int]:
-        nonlocal evaluations
-        cost = 1 << len(siblings)
+    levels = 0
+    # Nodes whose children play the next game, in breadth-first order, so a
+    # child's values overwrite its parent's.
+    queue = deque([(Region((0, 0, 0), grid.counts), 1)])
+    while queue:
+        node, level = queue.popleft()
+        children = octree_children(node) if node.size != leaf else [node]
+        cost = 1 << len(children)
         if evaluations + cost > budget:
             raise BudgetExceededError(
                 f"attribution would need more than {budget} predictor calls"
             )
-        values = sibling_shapley(predictor, volume, siblings, threads=threads)
+        siblings = [
+            Region([o * leaf_edge for o in c.origin], [s * leaf_edge for s in c.size])
+            for c in children
+        ]
+        game = sibling_shapley(predictor, volume, siblings, threads=threads)
         evaluations += cost
-        ids = []
-        for region, value in zip(siblings, values):
-            nodes.append(_Node(region=region, level=level, value=float(value)))
-            ids.append(len(nodes) - 1)
-        return ids
-
-    level1 = play_game(octree_children(volume.bounding_region()), level=1)
-    queue = list(level1)
-    while queue:
-        idx = queue.pop(0)
-        node = nodes[idx]
-        refinable = (
-            node.level < max_depth
-            and max(node.region.size) > leaf_edge
-            and any(s >= 2 for s in node.region.size)
-        )
-        if refinable and _rule_fires(rule, node.value, tau):
-            child_ids = play_game(octree_children(node.region), level=node.level + 1)
-            node.children = child_ids
-            queue.extend(child_ids)
-
-    values = np.empty(len(grid), dtype=np.float64)
-    refined = np.zeros(len(grid), dtype=bool)
-    for i, leaf in enumerate(grid.regions):
-        holder = next((nodes[j] for j in level1 if nodes[j].region.contains(leaf)), None)
-        if holder is None:
-            # Leaf straddles a top-level split boundary (non-dyadic dims);
-            # fall back to the best-overlapping top node.
-            holder = max((nodes[j] for j in level1), key=lambda n: n.region.overlap_voxels(leaf))
-        while holder.children:
-            nxt = next(
-                (nodes[c] for c in holder.children if nodes[c].region.contains(leaf)), None
-            )
-            if nxt is None:
-                break
-            holder = nxt
-        values[i] = holder.value
-        refined[i] = holder.region == leaf
+        levels = level
+        for child, value in zip(children, game):
+            (x0, y0, z0), (x1, y1, z1) = child.origin, child.end
+            is_leaf = child.size == leaf
+            values[z0:z1, y0:y1, x0:x1] = value
+            refined[z0:z1, y0:y1, x0:x1] = is_leaf
+            if not is_leaf and level < max_depth and _rule_fires(rule, value, tau):
+                queue.append((child, level + 1))
     return AttributionMap(
         grid=grid,
         values=values,
@@ -358,7 +336,7 @@ def recursive_attribution(
         refined_mask=refined,
         tau=tau,
         rule=rule,
-        levels=max(n.level for n in nodes),
+        levels=levels,
     )
 
 

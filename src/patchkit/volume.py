@@ -57,16 +57,6 @@ class Region:
             for a in range(3)
         )
 
-    def overlap_voxels(self, other: "Region") -> int:
-        n = 1
-        for a in range(3):
-            lo = max(self.origin[a], other.origin[a])
-            hi = min(self.end[a], other.end[a])
-            if hi <= lo:
-                return 0
-            n *= hi - lo
-        return n
-
     def to_json(self) -> dict:
         return {"origin": list(self.origin), "size": list(self.size)}
 
@@ -250,9 +240,6 @@ def octree_children(r: Region) -> list[Region]:
     ]
 
 
-_ONES_CACHE: dict[int, np.ndarray] = {}
-
-
 def patch_means(v: Volume, grid: PatchGrid) -> np.ndarray:
     """Mean intensity of every grid patch, in grid order, as float64.
 
@@ -268,10 +255,7 @@ def patch_means(v: Volume, grid: PatchGrid) -> np.ndarray:
     p = grid.patch_edge
     nx, ny, nz = grid.counts
     arr = v.as_array()[: nz * p, : ny * p, : nx * p]
-    ones = _ONES_CACHE.get(p)
-    if ones is None:
-        ones = _ONES_CACHE.setdefault(p, np.ones(p, dtype=np.float32))
-    xsum = np.ascontiguousarray(arr).reshape(-1, p) @ ones
+    xsum = np.ascontiguousarray(arr).reshape(-1, p) @ np.ones(p, dtype=np.float32)
     s = xsum.reshape(nz * p, ny, p, nx).sum(axis=2, dtype=np.float64)
     s = s.reshape(nz, p, ny, nx).sum(axis=1)
     return (s / float(p**3)).reshape(-1)
@@ -284,7 +268,7 @@ def write_vol(path, v: Volume) -> None:
 
 
 def read_vol(path) -> Volume:
-    """Read a VOL1 file, rejecting wrong magic or truncated payloads."""
+    """Read a VOL1 file, rejecting wrong magic and payloads of the wrong length."""
     raw = Path(path).read_bytes()
     if len(raw) < _VOL1_HEADER.size:
         raise InvalidArgumentError(f"{path}: file too short for a VOL1 header")
@@ -295,6 +279,10 @@ def read_vol(path) -> Volume:
     if len(raw) < expected:
         raise InvalidArgumentError(
             f"{path}: payload truncated, {len(raw)} bytes < {expected} expected"
+        )
+    if len(raw) > expected:
+        raise InvalidArgumentError(
+            f"{path}: {len(raw) - expected} trailing bytes after the {expected}-byte payload"
         )
     voxels = np.frombuffer(raw, dtype="<f4", count=w * h * d, offset=_VOL1_HEADER.size)
     return Volume((w, h, d), voxels)

@@ -144,6 +144,13 @@ class TestErrors:
         assert run(cfg, "gen") == 2
         assert "phantom.lesion_delta" in capsys.readouterr().err
 
+    def test_budget_exceeded_exits_5(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"explainer.budget": 10})
+        for stage in ("gen", "surrogate"):
+            assert run(cfg, stage) == 0
+        assert run(cfg, "explain") == 5
+        assert "more than 10 predictor calls" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "absent.json")]) == 2
 

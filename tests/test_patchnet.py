@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,50 @@ class TestCheckpoint:
         path = tmp_path / "bad.pnc"
         path.write_bytes(b"XXXX" + bytes(16))
         with pytest.raises(InvalidArgumentError):
+            load_checkpoint(path)
+
+    def test_every_truncation_and_trailing_bytes_rejected(self, tmp_path):
+        _, params, _ = self._trained_params()
+        path = tmp_path / "model.pnc"
+        save_checkpoint(path, params, extra={"note": 1})
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: checkpoint truncated")):
+                load_checkpoint(path)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(InvalidArgumentError, match="1 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_tensor_rejected(self, tmp_path):
+        cfg = PatchNetConfig(patch_edge=4, patch_count=4, embed_dim=8, depth=1, seed=3)
+        params = init_params(cfg)
+        path = tmp_path / "model.pnc"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        # Rewrite the projection record (64, 8) as a (1,) record, which numpy
+        # would otherwise broadcast into the whole matrix.
+        record = b"projection"
+        start = raw.index(record) + len(record)
+        end = start + 4 + 2 * 4 + 4 * 64 * 8
+        assert raw[start:start + 4] == (2).to_bytes(4, "little")
+        path.write_bytes(
+            raw[:start] + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")
+            + np.float32(0.5).tobytes() + raw[end:]
+        )
+        with pytest.raises(InvalidArgumentError, match=r"projection has shape \(1,\)"):
+            load_checkpoint(path)
+
+    def test_corrupt_blob_and_renamed_tensor_rejected(self, tmp_path):
+        _, params, _ = self._trained_params()
+        path = tmp_path / "model.pnc"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:12] + b"\xff" + raw[13:])  # first byte of the JSON blob
+        with pytest.raises(InvalidArgumentError, match="unreadable config blob"):
+            load_checkpoint(path)
+        path.write_bytes(raw.replace(b"pos_embed", b"pos_embez"))
+        with pytest.raises(InvalidArgumentError, match=r"missing \['pos_embed'\], unexpected \['pos_embez'\]"):
             load_checkpoint(path)
 
 

@@ -306,6 +306,30 @@ class TestRecursiveAttribution:
             assert len(leaf_ids) == 1
             assert amap.values[leaf_ids[0]] == expected
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_full_refinement_is_exact_on_any_shape(self, data):
+        # The octree splits the leaf grid, so non-dyadic grid counts and
+        # remainder voxels past the last patch still give one exact value per
+        # leaf at the depth that reaches single leaves.
+        edge = data.draw(st.integers(1, 6), label="leaf_edge")
+        dims = tuple(data.draw(st.integers(edge, 6 * edge), label="dim") for _ in range(3))
+        grid = pk.make_grid(dims, edge)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
+        weights = rng.normal(0, 0.3, len(grid))
+        probe = pk.additive_probe(weights, 0.1, grid)
+        amap = pk.recursive_attribution(
+            probe,
+            v,
+            leaf_edge=edge,
+            tau=math.inf,
+            rule="refine_below",
+            max_depth=max(1, (max(grid.counts) - 1).bit_length()),
+        )
+        assert np.all(amap.refined_mask)
+        assert np.allclose(amap.values, weights * pk.patch_means(v, grid), rtol=0, atol=1e-9)
+
     def test_infinite_tau_survives_json_round_trip(self, tmp_path):
         dims = (8, 8, 8)
         grid = pk.make_grid(dims, 4)

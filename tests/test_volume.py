@@ -215,9 +215,11 @@ class TestVol1Format:
         v = pk.Volume((2, 2, 2), np.ones(8, dtype=np.float32))
         path = tmp_path / "short.vol"
         pk.write_vol(path, v)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(InvalidArgumentError, match="truncated"):
-            pk.read_vol(path)
+        raw = path.read_bytes()
+        for payload, match in ((raw[:-5], "truncated"), (raw + b"junk", "4 trailing bytes")):
+            path.write_bytes(payload)
+            with pytest.raises(InvalidArgumentError, match=match):
+                pk.read_vol(path)
 
 
 class TestVolumeInvariants:
