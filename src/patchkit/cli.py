@@ -3,8 +3,9 @@
 Every command reads one declarative JSON config (plus ``--set`` overrides),
 writes its artifacts under the output directory, and echoes the resolved
 configuration into ``run-<stage>.json`` so a run can be reproduced exactly.
-Exit codes: 0 success, 2 config error, 3 missing stage dependency,
-4 numerical failure, 5 call budget exceeded or predictor contract violated.
+Exit codes: 0 success, 2 config error or unreadable input artifact, 3 missing
+stage dependency, 4 numerical failure, 5 call budget exceeded or predictor
+contract violated.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .config import RunConfig, load_config
 from .errors import (
     BudgetExceededError,
@@ -79,9 +81,7 @@ def _load_manifest(cfg: RunConfig) -> DatasetManifest:
 
 def _write_run_echo(cfg: RunConfig, stage: str, artifacts: dict) -> None:
     payload = {"stage": stage, "config": cfg.to_dict(), "artifacts": artifacts}
-    (_out_dir(cfg) / f"run-{stage}.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True)
-    )
+    write_json(_out_dir(cfg) / f"run-{stage}.json", payload)
 
 
 def _schedule(cfg: RunConfig) -> TrainSchedule:
@@ -251,7 +251,7 @@ def cmd_train(cfg: RunConfig) -> int:
         "aborted": result.aborted,
         "split_sizes": {"train": len(train_idx), "val": len(val_idx), "test": len(test_idx)},
     }
-    (out / "train_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    write_json(out / "train_summary.json", summary)
     _write_run_echo(cfg, "train", {
         "checkpoint": str(ckpt),
         "log": str(out / "train_log.jsonl"),
@@ -343,7 +343,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             })
     verdict = _qualitative_verdict(rows, cfg.compare.m_values)
     payload = {"rows": rows, "qualitative": verdict}
-    (out / "compare.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    write_json(out / "compare.json", payload)
     _write_run_echo(cfg, "compare", {"compare": str(out / "compare.json")})
     print(f"{'method':<8}{'M':>6}{'ACC':>10}{'AUC':>10}{'lesion_recall':>16}")
     for r in rows:

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .phantom import PhantomSpec
@@ -154,10 +155,7 @@ def _build_section(cls, values: dict, path: str):
     for key in values:
         if key not in known:
             raise ConfigError(f"{path}.{key}", "unknown field")
-    try:
-        return cls(**values)
-    except TypeError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return cls(**values)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -226,13 +224,53 @@ def _assign_path(tree: dict, dotted: str, raw_value: str) -> None:
     node[parts[-1]] = value
 
 
+# field type -> (accepted JSON value types, description); bool only fits bool fields
+_SCALAR_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
+    dict: ((dict,), "an object"),
+}
+
+
+def _check_type(value, hint, path: str) -> None:
+    """Raise ConfigError at ``path`` unless ``value`` fits the field type hint
+    (a scalar above, ``list[X]`` checked per element, or ``X | None``)."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_type(item, args[0], f"{path}[{i}]")
+        return
+    if type(None) in args:
+        if value is None:
+            return
+        (hint,) = [a for a in args if a is not type(None)]
+    accepted, name = _SCALAR_TYPES[hint]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(path, f"must be {name}, got {value!r}")
+
+
+def _check_types(obj, prefix: str = "") -> None:
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            _check_types(value, f"{prefix}{f.name}.")
+        else:
+            _check_type(value, hints[f.name], prefix + f.name)
+
+
 def validate_config(cfg: RunConfig) -> None:
     def check(cond: bool, path: str, message: str) -> None:
         if not cond:
             raise ConfigError(path, message)
 
+    _check_types(cfg)
     ph = cfg.phantom
-    check(len(ph.dims) == 3 and all(isinstance(v, int) and v >= 1 for v in ph.dims),
+    check(len(ph.dims) == 3 and all(v >= 1 for v in ph.dims),
           "phantom.dims", "must be three integers >= 1")
     check(ph.n_per_class >= 1, "phantom.n_per_class", "must be >= 1")
     check(0.0 < ph.lesion_delta <= 1.0, "phantom.lesion_delta", "must be in (0, 1]")
@@ -240,14 +278,13 @@ def validate_config(cfg: RunConfig) -> None:
     check(ph.smooth_radius >= 0, "phantom.smooth_radius", "must be >= 0")
     check(len(ph.lesion_regions) >= 1, "phantom.lesion_regions", "must list at least one region")
     for i, r in enumerate(ph.lesion_regions):
-        ok = (
-            isinstance(r, dict)
-            and len(r.get("origin", [])) == 3
-            and len(r.get("size", [])) == 3
-            and all(int(r["origin"][a]) >= 0 and int(r["size"][a]) >= 1 for a in range(3))
-            and all(int(r["origin"][a]) + int(r["size"][a]) <= ph.dims[a] for a in range(3))
-        )
-        check(ok, f"phantom.lesion_regions[{i}]", "must lie inside dims with size >= 1")
+        path = f"phantom.lesion_regions[{i}]"
+        for key in ("origin", "size"):
+            _check_type(r.get(key), list[int], f"{path}.{key}")
+            check(len(r[key]) == 3, f"{path}.{key}", "must be three integers")
+        origin, size = r["origin"], r["size"]
+        check(all(origin[a] >= 0 and size[a] >= 1 and origin[a] + size[a] <= ph.dims[a]
+                  for a in range(3)), path, "must lie inside dims with size >= 1")
     check(cfg.grid.patch_edge >= 1, "grid.patch_edge", "must be >= 1")
     check(cfg.grid.patch_edge <= min(ph.dims), "grid.patch_edge",
           "must not exceed the smallest volume dimension")
@@ -281,7 +318,6 @@ def validate_config(cfg: RunConfig) -> None:
     cm = cfg.compare
     check(len(cm.m_values) >= 1, "compare.m_values", "must list at least one M")
     for i, m in enumerate(cm.m_values):
-        check(isinstance(m, int) and m >= 1 and math.isqrt(m) ** 2 == m,
+        check(m >= 1 and math.isqrt(m) ** 2 == m,
               f"compare.m_values[{i}]", "every M must be a perfect square")
-    check(isinstance(cfg.seed, int), "seed", "must be an integer")
-    check(isinstance(cfg.threads, int) and cfg.threads >= 1, "threads", "must be an integer >= 1")
+    check(cfg.threads >= 1, "threads", "must be >= 1")

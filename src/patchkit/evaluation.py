@@ -6,13 +6,13 @@ there are no positives (negatives) to score.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import InvalidArgumentError, UndefinedMetricError
 
 
@@ -53,7 +53,7 @@ class EvalReport:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
+        write_json(path, self.to_json())
 
 
 def _check_labels_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
@@ -68,10 +68,10 @@ def _check_labels_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     return labels, scores
 
 
-def metrics(labels, scores, threshold: float = 0.5) -> tuple[ConfusionCounts, float, float, float]:
-    """Confusion counts plus ACC/SEN/SPE at the given score threshold."""
+def metrics(labels, scores) -> tuple[ConfusionCounts, float, float, float]:
+    """Confusion counts plus ACC/SEN/SPE at score threshold 0.5."""
     labels, scores = _check_labels_scores(labels, scores)
-    pred = scores >= threshold
+    pred = scores >= 0.5
     pos = labels == 1
     counts = ConfusionCounts(
         tp=int(np.sum(pred & pos)),

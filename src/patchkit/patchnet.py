@@ -15,10 +15,12 @@ without adding anything the pointwise stage does not already provide.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -70,19 +72,11 @@ class PatchNetConfig:
         return self.patch_edge**3
 
     def to_json(self) -> dict:
-        return {
-            "patch_edge": self.patch_edge,
-            "patch_count": self.patch_count,
-            "embed_dim": self.embed_dim,
-            "depth": self.depth,
-            "class_count": self.class_count,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "PatchNetConfig":
-        return cls(**{k: int(obj[k]) for k in (
-            "patch_edge", "patch_count", "embed_dim", "depth", "class_count", "seed")})
+        return cls(**{f.name: int(obj[f.name]) for f in fields(cls)})
 
 
 @dataclass
@@ -148,62 +142,20 @@ class PatchNetParams:
             if "running_" not in name
         }
 
+    def batch_norms(self) -> Iterator[BatchNormParams]:
+        """Every batch norm in the network, block by block (spatial, then channel)."""
+        for b in self.blocks:
+            yield b.gsi_bn
+            yield b.lpi_bn
+
     def with_tensors(self, leaves: dict[str, Tensor]) -> "PatchNetParams":
         """View with learnable arrays replaced by graph tensors; BN stats shared."""
-
-        def bn_view(prefix: str, bn: BatchNormParams) -> BatchNormParams:
-            return BatchNormParams(
-                gamma=leaves[prefix + ".gamma"], beta=leaves[prefix + ".beta"], stats=bn.stats
-            )
-
-        blocks = [
-            BlockParams(
-                gsi_kernel=leaves[f"blocks.{i}.gsi_kernel"],
-                gsi_bias=leaves[f"blocks.{i}.gsi_bias"],
-                gsi_bn=bn_view(f"blocks.{i}.gsi_bn", b.gsi_bn),
-                lpi_weight=leaves[f"blocks.{i}.lpi_weight"],
-                lpi_bias=leaves[f"blocks.{i}.lpi_bias"],
-                lpi_bn=bn_view(f"blocks.{i}.lpi_bn", b.lpi_bn),
-            )
-            for i, b in enumerate(self.blocks)
-        ]
-        return PatchNetParams(
-            config=self.config,
-            projection=leaves["projection"],
-            pos_embed=leaves["pos_embed"],
-            blocks=blocks,
-            classifier_w=leaves["classifier_w"],
-            classifier_b=leaves["classifier_b"],
-        )
+        memo = {id(arr): leaves[name] for name, arr in self.learnable_arrays().items()}
+        memo.update((id(bn.stats), bn.stats) for bn in self.batch_norms())
+        return copy.deepcopy(self, memo)
 
     def copy(self) -> "PatchNetParams":
-        def bn_copy(bn: BatchNormParams) -> BatchNormParams:
-            return BatchNormParams(
-                gamma=bn.gamma.copy(),
-                beta=bn.beta.copy(),
-                stats=BNStats(
-                    bn.stats.running_mean.copy(), bn.stats.running_var.copy(), bn.stats.ready
-                ),
-            )
-
-        return PatchNetParams(
-            config=self.config,
-            projection=self.projection.copy(),
-            pos_embed=self.pos_embed.copy(),
-            blocks=[
-                BlockParams(
-                    gsi_kernel=b.gsi_kernel.copy(),
-                    gsi_bias=b.gsi_bias.copy(),
-                    gsi_bn=bn_copy(b.gsi_bn),
-                    lpi_weight=b.lpi_weight.copy(),
-                    lpi_bias=b.lpi_bias.copy(),
-                    lpi_bn=bn_copy(b.lpi_bn),
-                )
-                for b in self.blocks
-            ],
-            classifier_w=self.classifier_w.copy(),
-            classifier_b=self.classifier_b.copy(),
-        )
+        return copy.deepcopy(self)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -429,7 +381,10 @@ def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
         arrays[name] = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
     if off != len(raw):
         raise InvalidArgumentError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
-    cfg = PatchNetConfig.from_json(blob["net"])
+    try:
+        cfg = PatchNetConfig.from_json(blob["net"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{path}: config blob has no valid 'net' entry: {exc!r}") from exc
     params = init_params(cfg)
     target = params.named_arrays()
     if set(arrays) != set(target):
@@ -443,9 +398,8 @@ def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
                 f"{path}: tensor {name} has shape {arrays[name].shape}, expected {arr.shape}"
             )
         arr[...] = arrays[name]
-    for b in params.blocks:
-        b.gsi_bn.stats.ready = True
-        b.lpi_bn.stats.ready = True
+    for bn in params.batch_norms():
+        bn.stats.ready = True
     return params, blob.get("extra", {})
 
 

@@ -9,13 +9,13 @@ fixed spec: the noise stream for volume index i is derived from (seed, i).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import uniform_filter
 
+from .artifacts import read_json, write_json
 from .errors import InvalidArgumentError
 from .volume import PatchGrid, Region, Volume, patch_means, read_vol, write_vol
 
@@ -111,12 +111,12 @@ class DatasetManifest:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         path = Path(path)
-        return cls.from_json(json.loads(path.read_text()), root=path.parent)
+        return cls.from_json(read_json(path), root=path.parent)
 
 
 def base_anatomy(dims: tuple[int, int, int]) -> np.ndarray:

@@ -12,17 +12,16 @@ results are bit-stable regardless of worker count.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
@@ -114,11 +113,11 @@ class AttributionMap:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "AttributionMap":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
 
 
 def is_perfect_square(m: int) -> bool:
@@ -157,11 +156,11 @@ class SelectionResult:
         return cls(obj["chosen"], obj["method"], np.array(obj["scores"], dtype=np.float64))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "SelectionResult":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
 
 
 def _coalition_readouts(
@@ -217,18 +216,18 @@ def exact_shapley(
     regions: list[Region],
     *,
     threads: int = 1,
-    max_regions: int = EXACT_SHAPLEY_MAX_REGIONS,
 ) -> np.ndarray:
     """Brute-force Shapley values over ``regions`` with a zero-fill baseline.
 
-    Costs exactly 2^n predictor calls; refused above ``max_regions``.
+    Costs exactly 2^n predictor calls; refused above ``EXACT_SHAPLEY_MAX_REGIONS``.
     """
     n = len(regions)
     if n == 0:
         raise InvalidArgumentError("at least one region is required")
-    if n > max_regions:
+    if n > EXACT_SHAPLEY_MAX_REGIONS:
         raise BudgetExceededError(
-            f"exact Shapley over {n} regions needs 2^{n} predictor calls (cap {max_regions})"
+            f"exact Shapley over {n} regions needs 2^{n} predictor calls "
+            f"(cap {EXACT_SHAPLEY_MAX_REGIONS})"
         )
     for r in regions:
         if not volume.contains(r):

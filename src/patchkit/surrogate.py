@@ -8,13 +8,12 @@ patch i is simply weight_i * patch_mean_i.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .errors import InvalidArgumentError
 from .phantom import DatasetManifest
 from .volume import PatchGrid, Volume, patch_means
@@ -75,11 +74,11 @@ class SurrogatePredictor:
         return cls(SurrogateParams(np.array(obj["weights"]), float(obj["bias"]), obj["link"]), grid)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "SurrogatePredictor":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
 
 
 def additive_probe(weights, bias: float, grid: PatchGrid) -> SurrogatePredictor:
@@ -97,23 +96,19 @@ def surrogate_features(manifest: DatasetManifest, grid: PatchGrid) -> tuple[np.n
 def surrogate_train(
     manifest: DatasetManifest,
     grid: PatchGrid,
-    link: str = "logistic",
     *,
-    lr: float = 0.5,
     max_iter: int = 2000,
-    tol: float = 1e-6,
 ) -> tuple[SurrogatePredictor, dict]:
     """Fit the surrogate by full-batch gradient descent on mean cross-entropy.
 
     Features are mean-centered while fitting (otherwise gradient descent leaks
     the intercept into bright-but-uninformative patches, which corrupts the
     attribution maps downstream); the centering is folded back into the bias,
-    so the returned model is a plain sigma(w . x + b). Stops when the gradient
-    infinity-norm falls below ``tol``; otherwise warns and returns the best
-    (lowest-loss) iterate seen.
+    so the returned model is a plain sigma(w . x + b). Steps at rate 0.5 and
+    stops when the gradient infinity-norm falls below 1e-6; otherwise warns and
+    returns the best (lowest-loss) iterate seen.
     """
-    if link != "logistic":
-        raise InvalidArgumentError("only the logistic link is trainable")
+    lr, tol = 0.5, 1e-6
     x, y = surrogate_features(manifest, grid)
     if np.sum(y == 0) < 2 or np.sum(y == 1) < 2:
         raise InvalidArgumentError("need >= 2 samples per class to train the surrogate")

@@ -54,6 +54,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
+                # The closure refers back to node: drop it so refcounting frees the graph.
+                node._backward = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.grad is not None})"

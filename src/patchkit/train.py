@@ -98,9 +98,8 @@ def train_patchnet(
             if result.best_epoch < 0:
                 # Diverged before any validation pass: serve the init-state
                 # checkpoint, whose 0/1 running stats are the identity map.
-                for blk in result.params.blocks:
-                    blk.gsi_bn.stats.ready = True
-                    blk.lpi_bn.stats.ready = True
+                for bn in result.params.batch_norms():
+                    bn.stats.ready = True
             return result
         train_acc = accuracy(params, x_train, y_train)
         val_acc = accuracy(params, x_val, y_val) if len(x_val) else train_acc
@@ -124,19 +123,16 @@ def extract_selected_patches(
     manifest: DatasetManifest,
     grid: PatchGrid,
     selection: SelectionResult,
-    indices=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature tensor (N, M, p^3) of the selected patches plus the label vector.
 
     Patch order follows the selection ranking, so position embedding slot i
     always corresponds to the i-th ranked patch.
     """
-    if indices is None:
-        indices = range(len(manifest.entries))
     regions = [grid.regions[i] for i in selection.chosen]
     feats = []
     labels = []
-    for i in indices:
+    for i in range(len(manifest.entries)):
         vol = manifest.load_volume(i)
         feats.append(np.stack([extract_patch(vol, r) for r in regions]))
         labels.append(manifest.entries[i][1])

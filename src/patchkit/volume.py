@@ -36,11 +36,6 @@ class Region:
             raise InvalidArgumentError(f"region size must be >= 1 per axis, got {self.size}")
 
     @property
-    def voxel_count(self) -> int:
-        sx, sy, sz = self.size
-        return sx * sy * sz
-
-    @property
     def end(self) -> tuple[int, int, int]:
         """Exclusive upper corner (x0+sx, y0+sy, z0+sz)."""
         return tuple(o + s for o, s in zip(self.origin, self.size))
@@ -135,10 +130,6 @@ class PatchGrid:
     patch_edge: int
     counts: tuple[int, int, int]
     regions: tuple[Region, ...]
-
-    @property
-    def patch_size(self) -> tuple[int, int, int]:
-        return (self.patch_edge,) * 3
 
     def __len__(self) -> int:
         return len(self.regions)

@@ -139,10 +139,30 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg), "--set", "grid.nope=3"]) == 2
         assert "grid.nope" in capsys.readouterr().err
 
-    def test_invalid_field_value_exits_2_with_path(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, **{"phantom.lesion_delta": 1.5})
+    @pytest.mark.parametrize("key, value, path", [
+        ("phantom.lesion_delta", 1.5, "phantom.lesion_delta"),
+        ("phantom.n_per_class", "abc", "phantom.n_per_class"),
+        ("train.epochs", "5", "train.epochs"),
+        ("explainer.tau", "x", "explainer.tau"),
+        ("compare.m_values", 4, "compare.m_values"),
+        ("grid.patch_edge", 2.5, "grid.patch_edge"),
+        ("phantom.lesion_regions", [{"origin": ["a", 0, 0], "size": [6, 6, 6]}],
+         "phantom.lesion_regions[0].origin"),
+    ])
+    def test_invalid_field_value_exits_2_with_path(self, tmp_path, capsys, key, value, path):
+        cfg = write_config(tmp_path, **{key: value})
         assert run(cfg, "gen") == 2
-        assert "phantom.lesion_delta" in capsys.readouterr().err
+        assert path in capsys.readouterr().err
+
+    def test_unreadable_attribution_exits_2(self, pipeline_dir, tmp_path, capsys):
+        text = (pipeline_dir[0] / "out" / "attribution.json").read_text()
+        cfg = write_config(tmp_path)
+        attribution = tmp_path / "out" / "attribution.json"
+        attribution.parent.mkdir()
+        for broken in (text[: len(text) // 2], "[1, 2]"):
+            attribution.write_text(broken)
+            assert run(cfg, "select") == 2
+            assert str(attribution) in capsys.readouterr().err
 
     def test_budget_exceeded_exits_5(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"explainer.budget": 10})

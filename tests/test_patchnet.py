@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -223,6 +224,45 @@ class TestLossAndGrad:
         assert set(grads) == set(params.learnable_arrays())
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
+    def test_train_mode_updates_original_batch_norms_through_the_view(self):
+        cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=18)
+        params = init_params(cfg)
+        arrays = {name: arr.copy() for name, arr in params.learnable_arrays().items()}
+        stats = [(bn.stats.running_mean.copy(), bn.stats.running_var.copy())
+                 for bn in params.batch_norms()]
+        assert len(stats) == 2 * cfg.depth
+        assert not any(bn.stats.ready for bn in params.batch_norms())
+        rng = np.random.default_rng(19)
+        loss_and_grad(rng.normal(0, 1, (4, 4, 8)), np.array([0, 1, 1, 0]), params, mode="train")
+        for bn, (rm, rv) in zip(params.batch_norms(), stats):
+            assert bn.stats.ready
+            assert not np.array_equal(bn.stats.running_mean, rm)
+            assert not np.array_equal(bn.stats.running_var, rv)
+        for name, arr in params.learnable_arrays().items():
+            assert type(arr) is np.ndarray
+            assert np.array_equal(arr, arrays[name])
+
+
+class TestParamsCopy:
+    def test_copy_is_independent_of_the_original(self):
+        cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=22)
+        params = init_params(cfg)
+        dup = params.copy()
+        assert dup.config == cfg
+        for name, arr in params.named_arrays().items():
+            assert np.array_equal(dup.named_arrays()[name], arr)
+        dup.projection[0, 0] += 1.0
+        dup.blocks[1].lpi_bias[:] = 2.0
+        first = next(dup.batch_norms())
+        first.gamma[:] = 3.0
+        first.stats.running_mean[:] = 4.0
+        for bn in dup.batch_norms():
+            bn.stats.ready = True
+        fresh = init_params(cfg)
+        for name, arr in params.named_arrays().items():
+            assert np.array_equal(arr, fresh.named_arrays()[name]), name
+        assert not any(bn.stats.ready for bn in params.batch_norms())
+
 
 class TestCheckpoint:
     def _trained_params(self):
@@ -303,6 +343,14 @@ class TestCheckpoint:
         path.write_bytes(raw.replace(b"pos_embed", b"pos_embez"))
         with pytest.raises(InvalidArgumentError, match=r"missing \['pos_embed'\], unexpected \['pos_embez'\]"):
             load_checkpoint(path)
+        blob_len = int.from_bytes(raw[8:12], "little")
+        net = json.loads(raw[12:12 + blob_len])["net"]
+        for blob in ({}, {"net": net | {"depth": "x"}, "extra": {}}, [1]):
+            encoded = json.dumps(blob).encode()
+            path.write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded
+                             + raw[12 + blob_len:])
+            with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: config blob")):
+                load_checkpoint(path)
 
 
 class TestOpCountReport:
