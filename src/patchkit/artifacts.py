@@ -1,8 +1,10 @@
-"""JSON artifact files, pretty-printed with sorted keys so reruns are byte-identical."""
+"""JSON artifact files, pretty-printed with sorted keys so reruns are byte-identical,
+and the type checks shared by artifact loaders and the run configuration."""
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import get_args, get_origin
 
 from .errors import InvalidArgumentError
 
@@ -20,3 +22,62 @@ def read_json(path) -> dict:
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"{path}: top level is a {type(obj).__name__}, not a JSON object")
     return obj
+
+
+def load_artifact(path, from_json):
+    """``from_json(read_json(path))``; any InvalidArgumentError it raises names the file."""
+    obj = read_json(path)
+    try:
+        return from_json(obj)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
+
+
+# type hint -> (accepted JSON value types, description); bool only fits bool hints
+_SCALAR_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
+    dict: ((dict,), "an object"),
+}
+
+
+def type_mismatch(value, hint, path: str) -> tuple[str, str] | None:
+    """``(path, message)`` for the first part of ``value`` that does not fit the
+    type hint (a scalar above, ``list[X]`` checked per element, or ``X | None``);
+    None when it fits."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        if not isinstance(value, list):
+            return path, f"must be a list, got {value!r}"
+        for i, item in enumerate(value):
+            mismatch = type_mismatch(item, args[0], f"{path}[{i}]")
+            if mismatch is not None:
+                return mismatch
+        return None
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    accepted, name = _SCALAR_TYPES[hint]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        return path, f"must be {name}, got {value!r}"
+    return None
+
+
+_REQUIRED = object()
+
+
+def typed(obj: dict, key: str, hint, default=_REQUIRED):
+    """``obj[key]`` once it fits ``hint``; InvalidArgumentError naming the key
+    when it does not, or when it is missing and there is no ``default``."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise InvalidArgumentError(f"missing key {key!r}")
+        return default
+    mismatch = type_mismatch(obj[key], hint, key)
+    if mismatch is not None:
+        where, problem = mismatch
+        raise InvalidArgumentError(f"{where}: {problem}")
+    return obj[key]

@@ -9,8 +9,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
+from .artifacts import type_mismatch
 from .errors import ConfigError
 from .phantom import PhantomSpec
 from .volume import Region
@@ -224,33 +225,11 @@ def _assign_path(tree: dict, dotted: str, raw_value: str) -> None:
     node[parts[-1]] = value
 
 
-# field type -> (accepted JSON value types, description); bool only fits bool fields
-_SCALAR_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    bool: ((bool,), "a boolean"),
-    dict: ((dict,), "an object"),
-}
-
-
 def _check_type(value, hint, path: str) -> None:
-    """Raise ConfigError at ``path`` unless ``value`` fits the field type hint
-    (a scalar above, ``list[X]`` checked per element, or ``X | None``)."""
-    args = get_args(hint)
-    if get_origin(hint) is list:
-        if not isinstance(value, list):
-            raise ConfigError(path, f"must be a list, got {value!r}")
-        for i, item in enumerate(value):
-            _check_type(item, args[0], f"{path}[{i}]")
-        return
-    if type(None) in args:
-        if value is None:
-            return
-        (hint,) = [a for a in args if a is not type(None)]
-    accepted, name = _SCALAR_TYPES[hint]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
-        raise ConfigError(path, f"must be {name}, got {value!r}")
+    """Raise ConfigError at ``path`` unless ``value`` fits the field type hint."""
+    mismatch = type_mismatch(value, hint, path)
+    if mismatch is not None:
+        raise ConfigError(*mismatch)
 
 
 def _check_types(obj, prefix: str = "") -> None:

@@ -27,6 +27,7 @@ from typing import Any
 import numpy as np
 
 from . import tensor as T
+from .artifacts import typed
 from .errors import InvalidArgumentError, InvalidStateError
 from .shapley import is_perfect_square
 from .tensor import Tensor
@@ -76,7 +77,7 @@ class PatchNetConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PatchNetConfig":
-        return cls(**{f.name: int(obj[f.name]) for f in fields(cls)})
+        return cls(**{f.name: typed(obj, f.name, int) for f in fields(cls)})
 
 
 @dataclass
@@ -193,6 +194,26 @@ def init_params(cfg: PatchNetConfig) -> PatchNetParams:
     classifier_w = _glorot(rng, d, cfg.class_count, (d, cfg.class_count))
     classifier_b = np.zeros(cfg.class_count, dtype=np.float32)
     return PatchNetParams(cfg, projection, pos_embed, blocks, classifier_w, classifier_b)
+
+
+def tensor_shapes(cfg: PatchNetConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor ``init_params(cfg)`` builds, in
+    ``named_arrays`` order, computed without allocating any of them."""
+    d, m = cfg.embed_dim, cfg.side
+    shapes = {"projection": (cfg.patch_len, d), "pos_embed": (cfg.patch_count, d)}
+    for i in range(cfg.depth):
+        p = f"blocks.{i}."
+        shapes[p + "gsi_kernel"] = (d, m, m)
+        for name in ("gsi_bias", "gsi_bn.gamma", "gsi_bn.beta", "gsi_bn.running_mean",
+                     "gsi_bn.running_var"):
+            shapes[p + name] = (d,)
+        shapes[p + "lpi_weight"] = (d, d)
+        for name in ("lpi_bias", "lpi_bn.gamma", "lpi_bn.beta", "lpi_bn.running_mean",
+                     "lpi_bn.running_var"):
+            shapes[p + name] = (d,)
+    shapes["classifier_w"] = (d, cfg.class_count)
+    shapes["classifier_b"] = (cfg.class_count,)
+    return shapes
 
 
 def _batchnorm(x: Tensor, bn: BatchNormParams, mode: str) -> Tensor:
@@ -348,7 +369,11 @@ def save_checkpoint(path, params: PatchNetParams, extra: dict | None = None) -> 
 
 def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
     """Read a PNC1 checkpoint, rejecting truncated or extended files and any
-    tensor whose stored shape differs from the one its config builds."""
+    tensor whose stored shape differs from the one its config builds.
+
+    Names and shapes are checked before the network is built, so a config
+    blob cannot make the loader allocate more than the file stores.
+    """
     raw = Path(path).read_bytes()
     off = 0
 
@@ -385,18 +410,19 @@ def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
         cfg = PatchNetConfig.from_json(blob["net"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"{path}: config blob has no valid 'net' entry: {exc!r}") from exc
-    params = init_params(cfg)
-    target = params.named_arrays()
-    if set(arrays) != set(target):
+    shapes = tensor_shapes(cfg)
+    if set(arrays) != set(shapes):
         raise InvalidArgumentError(
             f"{path}: checkpoint tensors differ from the config: missing "
-            f"{sorted(set(target) - set(arrays))}, unexpected {sorted(set(arrays) - set(target))}"
+            f"{sorted(set(shapes) - set(arrays))}, unexpected {sorted(set(arrays) - set(shapes))}"
         )
-    for name, arr in target.items():
-        if arrays[name].shape != arr.shape:
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
             raise InvalidArgumentError(
-                f"{path}: tensor {name} has shape {arrays[name].shape}, expected {arr.shape}"
+                f"{path}: tensor {name} has shape {arrays[name].shape}, expected {shape}"
             )
+    params = init_params(cfg)
+    for name, arr in params.named_arrays().items():
         arr[...] = arrays[name]
     for bn in params.batch_norms():
         bn.stats.ready = True

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .artifacts import read_json, write_json
+from .artifacts import load_artifact, typed, write_json
 from .errors import InvalidArgumentError
 from .volume import PatchGrid, Region, Volume, patch_means, read_vol, write_vol
 
@@ -33,8 +33,8 @@ class PhantomSpec:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
         object.__setattr__(self, "lesion_regions", tuple(self.lesion_regions))
-        if any(d < 1 for d in self.dims):
-            raise InvalidArgumentError(f"dims must be >= 1, got {self.dims}")
+        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
+            raise InvalidArgumentError(f"dims must be three values >= 1, got {self.dims}")
         if self.n_per_class < 1:
             raise InvalidArgumentError("n_per_class must be >= 1")
         if not (0.0 < self.lesion_delta <= 1.0):
@@ -65,13 +65,15 @@ class PhantomSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "PhantomSpec":
         return cls(
-            dims=tuple(obj["dims"]),
-            n_per_class=int(obj["n_per_class"]),
-            lesion_regions=tuple(Region.from_json(r) for r in obj["lesion_regions"]),
-            lesion_delta=float(obj["lesion_delta"]),
-            noise_sigma=float(obj["noise_sigma"]),
-            smooth_radius=int(obj["smooth_radius"]),
-            seed=int(obj["seed"]),
+            dims=tuple(typed(obj, "dims", list[int])),
+            n_per_class=typed(obj, "n_per_class", int),
+            lesion_regions=tuple(
+                Region.from_json(r) for r in typed(obj, "lesion_regions", list[dict])
+            ),
+            lesion_delta=float(typed(obj, "lesion_delta", float)),
+            noise_sigma=float(typed(obj, "noise_sigma", float)),
+            smooth_radius=typed(obj, "smooth_radius", int),
+            seed=typed(obj, "seed", int),
         )
 
 
@@ -104,9 +106,12 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, obj: dict, root: Path | None = None) -> "DatasetManifest":
         return cls(
-            spec=PhantomSpec.from_json(obj["spec"]),
-            ground_truth=tuple(Region.from_json(r) for r in obj["ground_truth"]),
-            entries=[(e["path"], int(e["label"])) for e in obj["entries"]],
+            spec=PhantomSpec.from_json(typed(obj, "spec", dict)),
+            ground_truth=tuple(Region.from_json(r) for r in typed(obj, "ground_truth", list[dict])),
+            entries=[
+                (typed(e, "path", str), typed(e, "label", int))
+                for e in typed(obj, "entries", list[dict])
+            ],
             root=root,
         )
 
@@ -116,7 +121,7 @@ class DatasetManifest:
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         path = Path(path)
-        return cls.from_json(read_json(path), root=path.parent)
+        return load_artifact(path, lambda obj: cls.from_json(obj, root=path.parent))
 
 
 def base_anatomy(dims: tuple[int, int, int]) -> np.ndarray:

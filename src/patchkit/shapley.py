@@ -6,12 +6,18 @@ regions left intact, and every region outside the coalition is zero-filled
 before the predictor is queried. The designated scalar readout is the
 predicted probability of class 1.
 
-Coalition evaluations may run on a thread pool, but the reduction into the
-attribution values always walks coalitions in ascending bitmask order, so
-results are bit-stable regardless of worker count.
+A predictor that reads out patch means over its own ``grid`` and whose class
+defines ``predict_features`` (a batched readout over feature rows) is evaluated
+in feature space when every region is a union of whole patches of that grid:
+zero-filling a region zeroes exactly its patches' means, so a game's 2^n
+coalitions become one feature matrix and one readout call. Any other
+predictor or region gets one zero-filled volume per coalition, which may run
+on a thread pool. Either way the reduction into the attribution values has a
+fixed order, so results are bit-stable regardless of worker count.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import deque
@@ -21,7 +27,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import load_artifact, typed, write_json
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
@@ -48,21 +54,28 @@ class Predictor(Protocol):
     def predict(self, v: Volume) -> np.ndarray: ...
 
 
-def _checked_readout(predictor: Predictor, v: Volume) -> float:
-    """Query the predictor and return P(class 1), validating the vector shape.
+def _checked_readouts(p, count: int) -> np.ndarray:
+    """P(class 1) from ``count`` 2-class probability vectors, validating them.
 
     Finiteness and sum-to-one are enforced; the [0, 1] range is not, because
     the additive probes used as analytic oracles legitimately produce readouts
     outside it.
     """
-    p = np.asarray(predictor.predict(v), dtype=np.float64).reshape(-1)
-    if p.size != 2:
-        raise ContractViolationError(f"predictor returned {p.size} entries, expected 2")
+    p = np.asarray(p, dtype=np.float64)
+    if p.size != 2 * count or p.shape[-1:] != (2,):
+        raise ContractViolationError(
+            f"predictor returned shape {p.shape}, expected {count} vector(s) of 2"
+        )
+    p = p.reshape(count, 2)
     if not np.all(np.isfinite(p)):
         raise ContractViolationError("predictor returned non-finite probabilities")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ContractViolationError(f"probabilities sum to {p.sum()}, expected 1 within 1e-6")
-    return float(p[1])
+    sums = p.sum(axis=1)
+    off = np.abs(sums - 1.0) > 1e-6
+    if np.any(off):
+        raise ContractViolationError(
+            f"probabilities sum to {sums[off][0]}, expected 1 within 1e-6"
+        )
+    return p[:, 1]
 
 
 @dataclass
@@ -103,13 +116,13 @@ class AttributionMap:
     @classmethod
     def from_json(cls, obj: dict) -> "AttributionMap":
         return cls(
-            grid=PatchGrid.from_json(obj["grid"]),
-            values=np.array(obj["values"], dtype=np.float64),
-            evaluations=int(obj["evaluations"]),
-            refined_mask=np.array(obj["refined_mask"], dtype=bool),
-            tau=float(obj["tau"]),
-            rule=obj["rule"],
-            levels=int(obj.get("levels", 0)),
+            grid=PatchGrid.from_json(typed(obj, "grid", dict)),
+            values=np.array(typed(obj, "values", list[float]), dtype=np.float64),
+            evaluations=typed(obj, "evaluations", int),
+            refined_mask=np.array(typed(obj, "refined_mask", list[bool]), dtype=bool),
+            tau=float(typed(obj, "tau", float)),
+            rule=typed(obj, "rule", str),
+            levels=typed(obj, "levels", int, 0),
         )
 
     def save(self, path) -> None:
@@ -117,7 +130,7 @@ class AttributionMap:
 
     @classmethod
     def load(cls, path) -> "AttributionMap":
-        return cls.from_json(read_json(path))
+        return load_artifact(path, cls.from_json)
 
 
 def is_perfect_square(m: int) -> bool:
@@ -153,14 +166,61 @@ class SelectionResult:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SelectionResult":
-        return cls(obj["chosen"], obj["method"], np.array(obj["scores"], dtype=np.float64))
+        return cls(
+            typed(obj, "chosen", list[int]),
+            typed(obj, "method", str),
+            np.array(typed(obj, "scores", list[float]), dtype=np.float64),
+        )
 
     def save(self, path) -> None:
         write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "SelectionResult":
-        return cls.from_json(read_json(path))
+        return load_artifact(path, cls.from_json)
+
+
+def _patch_indices(grid: PatchGrid, r: Region) -> np.ndarray | None:
+    """Grid indices of the patches tiling ``r``; None unless ``r`` is a union of whole patches."""
+    p = grid.patch_edge
+    if any(o % p or e % p or e > c * p for o, e, c in zip(r.origin, r.end, grid.counts)):
+        return None
+    (x0, y0, z0), (x1, y1, z1) = (tuple(c // p for c in corner) for corner in (r.origin, r.end))
+    nx, ny, nz = grid.counts
+    return np.arange(len(grid)).reshape(nz, ny, nx)[z0:z1, y0:y1, x0:x1].reshape(-1)
+
+
+def _feature_readouts(
+    predictor: Predictor, volume: Volume, members: list[Region], context: list[Region]
+) -> np.ndarray | None:
+    """Every coalition's readout from one ``predict_features`` call, or None.
+
+    None means the per-volume path must run: the predictor has no feature
+    readout over a grid of this volume, or some region is not a union of whole
+    patches of that grid. Otherwise row ``mask`` of the feature matrix is
+    ``patch_means(volume)`` with the absent regions' patches set to 0.0, which
+    are the same bits ``patch_means`` gives for the zero-filled volume.
+
+    The readout is looked up on the predictor's class: a proxy that overrides
+    ``predict`` and forwards other attributes from an inner predictor stays
+    opaque, so its own ``predict`` is what gets queried.
+    """
+    grid = getattr(predictor, "grid", None)
+    readout = getattr(type(predictor), "predict_features", None)
+    if readout is None or not isinstance(grid, PatchGrid) or grid.vol_dims != volume.dims:
+        return None
+    tiles = [_patch_indices(grid, r) for r in members + context]
+    if any(t is None for t in tiles):
+        return None
+    n = len(members)
+    masks = np.arange(1 << n)
+    keep = np.ones((1 << n, len(grid)), dtype=bool)
+    for i, tile in enumerate(tiles[:n]):
+        keep[np.ix_((masks >> i) & 1 == 0, tile)] = False
+    for tile in tiles[n:]:
+        keep[:, tile] = False
+    features = np.where(keep, patch_means(volume, grid), 0.0)
+    return _checked_readouts(readout(predictor, features), 1 << n)
 
 
 def _coalition_readouts(
@@ -175,12 +235,15 @@ def _coalition_readouts(
     Bit i set means member i stays intact; everything else in ``members`` plus
     the whole ``context`` is zero-filled.
     """
+    batched = _feature_readouts(predictor, volume, members, context)
+    if batched is not None:
+        return batched
     n = len(members)
     serialize = not getattr(predictor, "supports_concurrency", True)
 
     def evaluate(mask: int) -> float:
         absent = [members[i] for i in range(n) if not (mask >> i) & 1]
-        return _checked_readout(predictor, perturb_zero(volume, absent + context))
+        return _checked_readouts(predictor.predict(perturb_zero(volume, absent + context)), 1)[0]
 
     masks = range(1 << n)
     if threads > 1 and not serialize:
@@ -191,22 +254,30 @@ def _coalition_readouts(
     return np.array(values, dtype=np.float64)
 
 
+@functools.lru_cache(maxsize=8)
+def _coalition_weights(n: int) -> np.ndarray:
+    """Shapley weight |C|!(n-|C|-1)!/n! of each coalition bitmask C (0 for the grand coalition)."""
+    by_size = [math.factorial(c) * math.factorial(n - c - 1) / math.factorial(n) for c in range(n)]
+    by_size.append(0.0)
+    weights = np.array([by_size[mask.bit_count()] for mask in range(1 << n)])
+    weights.setflags(write=False)  # shared by every caller through the cache
+    return weights
+
+
 def _shapley_from_readouts(readouts: np.ndarray, n: int) -> np.ndarray:
     """Exact Shapley values from a full coalition-readout table.
 
-    Weights |C|!(n-|C|-1)!/n! are applied in ascending-bitmask order so the
-    floating-point sum is reproducible.
+    Viewing the table as (2^(n-1-i), 2, 2^i) puts every coalition without
+    player i against the same coalition with i along the middle axis. Each
+    marginal difference is taken before it is weighted, so a null player's
+    value is exactly 0.0, and the weighted differences are summed in a fixed
+    order, so the result is reproducible.
     """
-    weights = [
-        math.factorial(c) * math.factorial(n - c - 1) / math.factorial(n)
-        for c in range(n)
-    ]
-    values = np.zeros(n, dtype=np.float64)
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        for i in range(n):
-            if not (mask >> i) & 1:
-                values[i] += weights[size] * (readouts[mask | (1 << i)] - readouts[mask])
+    weights = _coalition_weights(n)
+    values = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        pairs = readouts.reshape(-1, 2, 1 << i)
+        values[i] = (weights.reshape(-1, 2, 1 << i)[:, 0] * (pairs[:, 1] - pairs[:, 0])).sum()
     return values
 
 

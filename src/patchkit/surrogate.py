@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import load_artifact, typed, write_json
 from .errors import InvalidArgumentError
 from .phantom import DatasetManifest
 from .volume import PatchGrid, Volume, patch_means
@@ -38,7 +38,12 @@ class SurrogateParams:
 
 
 class SurrogatePredictor:
-    """Predictor over volumes: P(class 1) = link(w . patch_means(v) + b)."""
+    """Predictor over volumes: P(class 1) = link(w . patch_means(v) + b).
+
+    ``predict_features`` is the same readout over rows of patch-mean features,
+    so the attribution engines can evaluate many perturbed volumes whose
+    features they already know in one call.
+    """
 
     supports_concurrency = True
 
@@ -50,15 +55,15 @@ class SurrogatePredictor:
         self.params = params
         self.grid = grid
 
-    def score(self, v: Volume) -> float:
-        z = float(self.params.weights @ patch_means(v, self.grid) + self.params.bias)
+    def predict_features(self, features: np.ndarray) -> np.ndarray:
+        """Class probabilities for each row of ``features``: (B, K) -> (B, 2)."""
+        p1 = features @ self.params.weights + self.params.bias
         if self.params.link == "logistic":
-            return float(1.0 / (1.0 + np.exp(-z)))
-        return z
+            p1 = 1.0 / (1.0 + np.exp(-p1))
+        return np.stack([1.0 - p1, p1], axis=1)
 
     def predict(self, v: Volume) -> np.ndarray:
-        p1 = self.score(v)
-        return np.array([1.0 - p1, p1], dtype=np.float64)
+        return self.predict_features(patch_means(v, self.grid)[None])[0]
 
     def to_json(self) -> dict:
         return {
@@ -70,15 +75,20 @@ class SurrogatePredictor:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SurrogatePredictor":
-        grid = PatchGrid.from_json(obj["grid"])
-        return cls(SurrogateParams(np.array(obj["weights"]), float(obj["bias"]), obj["link"]), grid)
+        grid = PatchGrid.from_json(typed(obj, "grid", dict))
+        params = SurrogateParams(
+            np.array(typed(obj, "weights", list[float]), dtype=np.float64),
+            float(typed(obj, "bias", float)),
+            typed(obj, "link", str),
+        )
+        return cls(params, grid)
 
     def save(self, path) -> None:
         write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "SurrogatePredictor":
-        return cls.from_json(read_json(path))
+        return load_artifact(path, cls.from_json)
 
 
 def additive_probe(weights, bias: float, grid: PatchGrid) -> SurrogatePredictor:

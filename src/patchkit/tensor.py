@@ -53,8 +53,8 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
-                # The closure refers back to node: drop it so refcounting frees the graph.
+                node._backward(node.grad)
+                # Free what the closure captured (conv windows, masks) as soon as it has run.
                 node._backward = None
 
     def __repr__(self):
@@ -66,6 +66,10 @@ def _as_tensor(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """Op output over ``parents``; ``backward(g)`` pushes the output gradient ``g``
+    to them and is kept only when some parent requires a gradient. Closures
+    capture the parents, never the output, so a graph holds no reference cycle.
+    """
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
@@ -85,67 +89,56 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data + b.data
-    out = _node(out_data, (a, b), None)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad, a.data.shape))
+            a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad, b.data.shape))
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _node(a.data - b.data, (a, b), None)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad, a.data.shape))
+            a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-out.grad, b.data.shape))
+            b._accumulate(_unbroadcast(-g, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _node(a.data * b.data, (a, b), None)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(a.data * b.data, (a, b), backward)
 
 
 def powf(a, exponent: float) -> Tensor:
     """Elementwise power with a constant exponent (base must stay positive
     for non-integer exponents, which holds for the variance+eps use here)."""
     a = _as_tensor(a)
-    out = _node(a.data**exponent, (a,), None)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out.grad * exponent * a.data ** (exponent - 1))
+            a._accumulate(g * exponent * a.data ** (exponent - 1))
 
-    out._backward = backward
-    return out
+    return _node(a.data**exponent, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _node(np.matmul(a.data, b.data), (a, b), None)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accumulate(_unbroadcast(ga, a.data.shape))
@@ -153,80 +146,67 @@ def matmul(a, b) -> Tensor:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(np.matmul(a.data, b.data), (a, b), backward)
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
-    out = _node(np.where(mask, a.data, 0.0), (a,), None)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out.grad * mask)
+            a._accumulate(g * mask)
 
-    out._backward = backward
-    return out
+    return _node(np.where(mask, a.data, 0.0), (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out = _node(a.data.reshape(shape), (a,), None)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out.grad.reshape(a.data.shape))
+            a._accumulate(g.reshape(a.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(a.data.reshape(shape), (a,), backward)
 
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    out = _node(a.data.transpose(axes), (a,), None)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out.grad.transpose(inverse))
+            a._accumulate(g.transpose(inverse))
 
-    out._backward = backward
-    return out
+    return _node(a.data.transpose(axes), (a,), backward)
 
 
 def mean(a, axes, keepdims: bool = True) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
     count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    out = _node(a.data.mean(axis=axes, keepdims=keepdims), (a,), None)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = out.grad
             if not keepdims:
                 g = np.expand_dims(g, axes)
             a._accumulate(np.broadcast_to(g / count, a.data.shape).copy())
 
-    out._backward = backward
-    return out
+    return _node(a.data.mean(axis=axes, keepdims=keepdims), (a,), backward)
 
 
 def sum_over(a, axes, keepdims: bool = True) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
-    out = _node(a.data.sum(axis=axes, keepdims=keepdims), (a,), None)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = out.grad
             if not keepdims:
                 g = np.expand_dims(g, axes)
             a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
-    out._backward = backward
-    return out
+    return _node(a.data.sum(axis=axes, keepdims=keepdims), (a,), backward)
 
 
 def conv_same_padding(k: int) -> tuple[int, int]:
@@ -256,10 +236,8 @@ def depthwise_conv2d(x, kernel) -> Tensor:
     x_pad = np.pad(x.data, ((0, 0), (0, 0), (plh, phh), (plw, phw)))
     windows = sliding_window_view(x_pad, (kh, kw), axis=(2, 3))
     out_data = np.einsum("bchwij,cij->bchw", windows, kernel.data)
-    out = _node(out_data.astype(x.data.dtype, copy=False), (x, kernel), None)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if kernel.requires_grad:
             kernel._accumulate(np.einsum("bchwij,bchw->cij", windows, g))
         if x.requires_grad:
@@ -271,8 +249,7 @@ def depthwise_conv2d(x, kernel) -> Tensor:
             gx_pad = np.einsum("bchwij,cij->bchw", g_windows, flipped)
             x._accumulate(gx_pad[:, :, plh : plh + H, plw : plw + W].astype(x.data.dtype, copy=False))
 
-    out._backward = backward
-    return out
+    return _node(out_data.astype(x.data.dtype, copy=False), (x, kernel), backward)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -298,13 +275,11 @@ def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
         loss_value = -log_probs[np.arange(B), labels].mean()
     if not np.isfinite(loss_value):
         raise NumericalFailureError(f"cross-entropy loss is {loss_value}")
-    out = _node(np.asarray(loss_value, dtype=logits.data.dtype), (logits,), None)
 
-    def backward():
+    def backward(g):
         if logits.requires_grad:
             probs = np.exp(log_probs)
             probs[np.arange(B), labels] -= 1.0
-            logits._accumulate(out.grad * probs / B)
+            logits._accumulate(g * probs / B)
 
-    out._backward = backward
-    return out
+    return _node(np.asarray(loss_value, dtype=logits.data.dtype), (logits,), backward)

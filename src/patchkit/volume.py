@@ -6,12 +6,14 @@ orderings in this package follow the same convention (z-major, x-fastest).
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import typed
 from .errors import InvalidArgumentError
 
 VOL1_MAGIC = b"VOL1"
@@ -57,7 +59,7 @@ class Region:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Region":
-        return cls(tuple(obj["origin"]), tuple(obj["size"]))
+        return cls(tuple(typed(obj, "origin", list[int])), tuple(typed(obj, "size", list[int])))
 
 
 class Volume:
@@ -147,11 +149,10 @@ class PatchGrid:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PatchGrid":
-        grid = make_grid(tuple(obj["dims"]), int(obj["patch_edge"]))
-        if tuple(obj["counts"]) != grid.counts:
-            raise InvalidArgumentError(
-                f"grid counts {obj['counts']} inconsistent with dims/patch_edge"
-            )
+        grid = make_grid(typed(obj, "dims", list[int]), typed(obj, "patch_edge", int))
+        counts = typed(obj, "counts", list[int])
+        if tuple(counts) != grid.counts:
+            raise InvalidArgumentError(f"grid counts {counts} inconsistent with dims/patch_edge")
         return grid
 
 
@@ -159,7 +160,10 @@ def make_grid(vol_dims: tuple[int, int, int], patch_edge: int) -> PatchGrid:
     """Partition (W, H, D) into disjoint cubic patches of edge ``patch_edge``.
 
     Counts use floor division per axis; remainder voxels belong to no patch.
+    Grids are immutable, so equal arguments share one instance.
     """
+    if len(vol_dims) != 3:
+        raise InvalidArgumentError(f"volume dims must have 3 entries, got {vol_dims}")
     w, h, d = (int(v) for v in vol_dims)
     p = int(patch_edge)
     if p < 1:
@@ -168,6 +172,11 @@ def make_grid(vol_dims: tuple[int, int, int], patch_edge: int) -> PatchGrid:
         raise InvalidArgumentError(
             f"patch_edge {p} larger than smallest volume dimension of {vol_dims}"
         )
+    return _shared_grid(w, h, d, p)
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_grid(w: int, h: int, d: int, p: int) -> PatchGrid:
     nx, ny, nz = w // p, h // p, d // p
     regions = tuple(
         Region((gx * p, gy * p, gz * p), (p, p, p))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,24 @@ class CountingPredictor:
     def predict(self, v):
         self.calls += 1
         return self.inner.predict(v)
+
+
+DELETE = object()
+
+
+def break_artifact(path, dotted_key: str, value=DELETE) -> None:
+    """Rewrite the JSON artifact at ``path`` with one key, given as a dotted
+    path (list items by index), set to ``value`` or deleted."""
+    obj = json.loads(path.read_text())
+    keys = [int(k) if k.isdigit() else k for k in dotted_key.split(".")]
+    node = obj
+    for key in keys[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    path.write_text(json.dumps(obj))
 
 
 def volume_with_region_means(dims, regions, means, background=0.0) -> pk.Volume:

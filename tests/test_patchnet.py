@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from patchkit.patchnet import (
     lpi_block,
     op_count_report,
     save_checkpoint,
+    tensor_shapes,
 )
 from patchkit.tensor import Tensor
 
@@ -206,6 +209,23 @@ class TestForward:
             assert np.array_equal(blk.gsi_bn.stats.running_mean, rm)
             assert np.array_equal(blk.lpi_bn.stats.running_var, rv)
 
+    def test_forward_graphs_leave_no_cyclic_garbage(self):
+        cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=16)
+        params = init_params(cfg)
+        rng = np.random.default_rng(17)
+        x = rng.normal(0, 1, (4, 4, 8))
+        loss_and_grad(x, np.array([0, 1, 0, 1]), params, mode="train")
+        gc.collect()
+        gc.disable()
+        try:
+            forward(x, params, mode="eval")
+            eval_garbage = gc.collect()
+            loss_and_grad(x, np.array([0, 1, 0, 1]), params, mode="train")
+            train_garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert (eval_garbage, train_garbage) == (0, 0)
+
 
 class TestLossAndGrad:
     def test_empty_batch_rejected(self):
@@ -345,12 +365,37 @@ class TestCheckpoint:
             load_checkpoint(path)
         blob_len = int.from_bytes(raw[8:12], "little")
         net = json.loads(raw[12:12 + blob_len])["net"]
-        for blob in ({}, {"net": net | {"depth": "x"}, "extra": {}}, [1]):
+        for blob in ({}, {"net": net | {"depth": "x"}, "extra": {}}, [1],
+                     {"net": net | {"depth": True}, "extra": {}},
+                     {"net": net | {"embed_dim": 6.7}, "extra": {}}):
             encoded = json.dumps(blob).encode()
             path.write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded
                              + raw[12 + blob_len:])
             with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: config blob")):
                 load_checkpoint(path)
+
+    def test_config_blob_cannot_force_an_allocation(self, tmp_path):
+        # Building this config allocates about 44 MB; its file has no tensors.
+        net = PatchNetConfig(patch_edge=1, patch_count=36, embed_dim=100_000, depth=0).to_json()
+        blob = json.dumps({"net": net, "extra": {}}, separators=(",", ":")).encode()
+        path = tmp_path / "huge.pnc"
+        path.write_bytes(CHECKPOINT_MAGIC + (1).to_bytes(4, "little") + len(blob).to_bytes(4, "little")
+                         + blob + (0).to_bytes(4, "little"))
+        assert len(path.read_bytes()) == 122
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgumentError, match="missing"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_tensor_shapes_match_init_params(self, depth):
+        cfg = PatchNetConfig(patch_edge=3, patch_count=9, embed_dim=5, depth=depth, class_count=3)
+        built = init_params(cfg).named_arrays()
+        assert list(tensor_shapes(cfg).items()) == [(n, a.shape) for n, a in built.items()]
 
 
 class TestOpCountReport:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import patchkit as pk
 from patchkit.errors import InvalidArgumentError
 from patchkit.phantom import base_anatomy, synth_volume
+
+from conftest import DELETE, break_artifact
 
 
 def small_spec(**over):
@@ -73,6 +76,29 @@ def test_manifest_round_trip(tmp_path):
     assert loaded.ground_truth == spec.lesion_regions
     assert loaded.entries == manifest.entries
     assert loaded.load_volume(0) == manifest.load_volume(0)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("spec", DELETE, "'spec'"),
+    ("spec", "16^3", "spec"),
+    ("spec.dims", [16, 16], "dims"),
+    ("spec.seed", DELETE, "'seed'"),
+    ("spec.lesion_delta", "0.4", "lesion_delta"),
+    ("spec.lesion_regions.0.size", DELETE, "'size'"),
+    ("ground_truth", DELETE, "'ground_truth'"),
+    ("ground_truth.0.origin", [4, 4, "4"], r"origin\[2\]"),
+    ("entries", DELETE, "'entries'"),
+    ("entries.1", ["vol.vol", 0], r"entries\[1\]"),
+    ("entries.2.label", DELETE, "'label'"),
+    ("entries.2.label", "1", "label"),
+    ("entries.0.path", 7, "path"),
+])
+def test_manifest_load_names_file_and_key(tmp_path, key, value, named):
+    pk.generate(small_spec(), tmp_path)
+    path = tmp_path / "manifest.json"
+    break_artifact(path, key, value)
+    with pytest.raises(InvalidArgumentError, match=f"{re.escape(str(path))}: .*{named}"):
+        pk.DatasetManifest.load(path)
 
 
 def test_manifest_schema_keys(tmp_path):

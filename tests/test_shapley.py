@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from patchkit.errors import (
     EmptyCohortError,
     InvalidArgumentError,
 )
-from patchkit.shapley import T_STAT_SENTINEL
+from patchkit.shapley import T_STAT_SENTINEL, _shapley_from_readouts
+from patchkit.surrogate import SurrogateParams, SurrogatePredictor
 
 from conftest import (
+    DELETE,
     CountingPredictor,
     InteractionProbe,
     LogisticRegionProbe,
     RegionMeanProbe,
+    break_artifact,
     volume_with_region_means,
 )
 
@@ -358,6 +362,224 @@ class TestRecursiveAttribution:
         assert back.tau == amap.tau and back.rule == amap.rule
 
 
+def surrogate(link, grid, rng, scale=0.5):
+    params = SurrogateParams(rng.normal(0, scale, len(grid)), float(rng.normal(0, 0.2)), link)
+    return SurrogatePredictor(params, grid)
+
+
+def aligned_region(draw, grid):
+    """A random box of whole patches of ``grid``, in voxels."""
+    lo, hi = [], []
+    for count in grid.counts:
+        a = draw(st.integers(0, count - 1))
+        lo.append(a)
+        hi.append(draw(st.integers(a + 1, count)))
+    edge = grid.patch_edge
+    return pk.Region([a * edge for a in lo], [(b - a) * edge for a, b in zip(lo, hi)])
+
+
+class GridReadoutSpy:
+    """Surrogate front counting per-volume and batched calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.grid = inner.grid
+        self.volume_calls = 0
+        self.batch_calls = 0
+
+    def predict(self, v):
+        self.volume_calls += 1
+        return self.inner.predict(v)
+
+    def predict_features(self, features):
+        self.batch_calls += 1
+        return self.inner.predict_features(features)
+
+
+class TestFeatureSpaceGames:
+    """Patch-mean surrogates over whole-patch regions are played in feature space."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batched_games_equal_per_volume_games(self, data):
+        edge = data.draw(st.integers(1, 4), label="patch_edge")
+        counts = [data.draw(st.integers(1, 4), label="count") for _ in range(3)]
+        dims = tuple(c * edge + data.draw(st.integers(0, edge - 1)) for c in counts)
+        grid = pk.make_grid(dims, edge)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
+        predictor = surrogate(data.draw(st.sampled_from(["identity", "logistic"])), grid, rng)
+        members = [aligned_region(data.draw, grid) for _ in range(data.draw(st.integers(1, 6)))]
+        context = [aligned_region(data.draw, grid) for _ in range(data.draw(st.integers(0, 2)))]
+
+        oracle = CountingPredictor(predictor)  # exposes predict only
+        batched = pk.sibling_shapley(predictor, v, members, context)
+        assert np.allclose(batched, pk.sibling_shapley(oracle, v, members, context),
+                           rtol=0, atol=1e-12)
+        assert oracle.calls == 2 ** len(members)
+        batched = pk.exact_shapley(predictor, v, members)
+        assert np.allclose(batched, pk.exact_shapley(oracle, v, members), rtol=0, atol=1e-12)
+
+        leaf_edge = edge * data.draw(st.integers(1, 2), label="leaf_factor")
+        if leaf_edge <= min(dims):
+            amap = pk.recursive_attribution(predictor, v, leaf_edge, tau=math.inf, max_depth=2)
+            oracle = CountingPredictor(predictor)
+            ref = pk.recursive_attribution(oracle, v, leaf_edge, tau=math.inf, max_depth=2)
+            assert np.allclose(amap.values, ref.values, rtol=0, atol=1e-12)
+            assert amap.evaluations == ref.evaluations == oracle.calls
+            assert np.array_equal(amap.refined_mask, ref.refined_mask)
+
+    def test_aligned_regions_take_one_batched_call(self):
+        dims = (16, 16, 16)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(3)
+        v = pk.Volume(dims, rng.random(4096, dtype=np.float32))
+        spy = GridReadoutSpy(surrogate("logistic", grid, rng))
+        pk.sibling_shapley(spy, v, pk.octree_children(v.bounding_region()))
+        assert (spy.batch_calls, spy.volume_calls) == (1, 0)
+
+    def test_unaligned_regions_fall_back_to_per_volume_path(self):
+        dims = (16, 16, 16)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(4)
+        v = pk.Volume(dims, rng.random(4096, dtype=np.float32))
+        predictor = surrogate("logistic", grid, rng)
+        spy = GridReadoutSpy(predictor)
+        # Half-patch offsets: zero-filling cuts through patches.
+        regions = [pk.Region((2, 0, 0), (4, 4, 4)), pk.Region((8, 6, 0), (8, 4, 16)),
+                   pk.Region((0, 12, 12), (4, 4, 4))]
+        values = pk.exact_shapley(spy, v, regions)
+        assert (spy.batch_calls, spy.volume_calls) == (0, 8)
+        # Correct against the plain zero-fill definition.
+        assert np.array_equal(values, pk.exact_shapley(CountingPredictor(predictor), v, regions))
+        full = predictor.predict(v)[1]
+        empty = predictor.predict(pk.perturb_zero(v, regions))[1]
+        assert abs(values.sum() - (full - empty)) < 1e-12
+        # Under a leaf grid finer than the predictor's, the level-1 octants
+        # are whole patches and the level-2 leaves are not.
+        v = pk.Volume((8, 8, 8), rng.random(512, dtype=np.float32))
+        predictor = surrogate("logistic", pk.make_grid(v.dims, 4), rng)
+        spy = GridReadoutSpy(predictor)
+        amap = pk.recursive_attribution(spy, v, leaf_edge=2, tau=math.inf, max_depth=2)
+        assert (spy.batch_calls, spy.volume_calls) == (1, 8 * 256)
+        assert amap.evaluations == 9 * 256 and np.all(amap.refined_mask)
+        ref = pk.recursive_attribution(CountingPredictor(predictor), v, 2, tau=math.inf, max_depth=2)
+        assert np.allclose(amap.values, ref.values, rtol=0, atol=1e-12)
+
+    def test_forwarding_proxy_is_queried_per_volume(self):
+        class Proxy:
+            """Own predict, every other attribute forwarded from the surrogate."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = 0
+
+            def predict(self, v):
+                self.calls += 1
+                return self.inner.predict(v)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        dims = (8, 8, 8)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(8)
+        v = pk.Volume(dims, rng.random(512, dtype=np.float32))
+        proxy = Proxy(surrogate("logistic", grid, rng))
+        assert proxy.grid is grid
+        pk.exact_shapley(proxy, v, list(grid.regions)[:3])
+        assert proxy.calls == 8
+
+    @pytest.mark.parametrize("bad", [
+        lambda rows: np.full_like(rows, np.nan),
+        lambda rows: rows * 2.0,
+        lambda rows: rows[:, :1],
+        lambda rows: rows.T,
+    ], ids=["non_finite", "bad_sum", "one_column", "transposed"])
+    def test_batched_readout_contract(self, bad):
+        dims = (8, 8, 8)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(5)
+        v = pk.Volume(dims, rng.random(512, dtype=np.float32))
+        inner = surrogate("logistic", grid, rng)
+
+        class Broken:
+            def __init__(self):
+                self.grid = grid
+
+            def predict(self, _):
+                raise AssertionError("the batched path must not query volumes")
+
+            def predict_features(self, features):
+                return bad(inner.predict_features(features))
+
+        with pytest.raises(ContractViolationError):
+            pk.exact_shapley(Broken(), v, list(grid.regions))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reduction_matches_the_coalition_loop(self, n):
+        def loop_reference(readouts):
+            weights = [math.factorial(c) * math.factorial(n - c - 1) / math.factorial(n)
+                       for c in range(n)]
+            values = np.zeros(n)
+            for mask in range(1 << n):
+                for i in range(n):
+                    if not (mask >> i) & 1:
+                        values[i] += weights[mask.bit_count()] * (
+                            readouts[mask | (1 << i)] - readouts[mask])
+            return values
+
+        rng = np.random.default_rng(n)
+        readouts = rng.random(1 << n)
+        readouts[1 << (n - 1):] = readouts[:1 << (n - 1)]  # the last player is null
+        values = _shapley_from_readouts(readouts, n)
+        assert np.allclose(values, loop_reference(readouts), rtol=0, atol=1e-15)
+        assert values[n - 1] == 0.0
+
+    @pytest.mark.parametrize("link", ["identity", "logistic"])
+    def test_null_patch_is_exactly_zero(self, link):
+        dims = (8, 8, 8)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(6)
+        v = pk.Volume(dims, rng.random(512, dtype=np.float32))
+        predictor = surrogate(link, grid, rng)
+        predictor.params.weights[5] = 0.0
+        spy = GridReadoutSpy(predictor)
+        values = pk.exact_shapley(spy, v, list(grid.regions))
+        assert spy.batch_calls == 1
+        assert values[5] == 0.0
+        assert np.all(values[np.arange(8) != 5] != 0.0)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("grid", DELETE, "'grid'"),
+    ("grid", 5, "grid"),
+    ("grid.dims", DELETE, "'dims'"),
+    ("grid.dims", [8, 8], "dims"),
+    ("grid.patch_edge", "4", "patch_edge"),
+    ("values", DELETE, "'values'"),
+    ("values", "abc", "values"),
+    ("values.3", None, r"values\[3\]"),
+    ("evaluations", 2.5, "evaluations"),
+    ("refined_mask", [1] * 8, r"refined_mask\[0\]"),
+    ("tau", DELETE, "'tau'"),
+    ("tau", "inf", "tau"),
+    ("rule", 1, "rule"),
+    ("levels", True, "levels"),
+])
+def test_attribution_load_names_file_and_key(tmp_path, key, value, named):
+    dims = (8, 8, 8)
+    grid = pk.make_grid(dims, 4)
+    rng = np.random.default_rng(2)
+    v = pk.Volume(dims, rng.random(512, dtype=np.float32))
+    probe = pk.additive_probe(rng.normal(0, 0.2, len(grid)), 0.0, grid)
+    path = tmp_path / "attribution.json"
+    pk.recursive_attribution(probe, v, 4, tau=0.0).save(path)
+    break_artifact(path, key, value)
+    with pytest.raises(InvalidArgumentError, match=f"{re.escape(str(path))}: .*{named}"):
+        pk.AttributionMap.load(path)
+
+
 class TestCohortAverage:
     def _map(self, values, grid, evals=10):
         return pk.AttributionMap(
@@ -542,6 +764,22 @@ class TestSelectionResult:
             pk.SelectionResult(chosen=[0, 1, 2], method="shap", scores=np.zeros(3))
         with pytest.raises(InvalidArgumentError):
             pk.SelectionResult(chosen=[0, 0, 1, 2], method="shap", scores=np.zeros(4))
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("chosen", DELETE, "'chosen'"),
+        ("chosen", "3102", "chosen"),
+        ("chosen.1", 1.0, r"chosen\[1\]"),
+        ("method", DELETE, "'method'"),
+        ("method", ["shap"], "method"),
+        ("scores", DELETE, "'scores'"),
+        ("scores.0", "high", r"scores\[0\]"),
+    ])
+    def test_load_names_file_and_key(self, tmp_path, key, value, named):
+        path = tmp_path / "selection.json"
+        pk.SelectionResult(chosen=[3, 1, 0, 2], method="shap", scores=np.arange(4.0)).save(path)
+        break_artifact(path, key, value)
+        with pytest.raises(InvalidArgumentError, match=f"{re.escape(str(path))}: .*{named}"):
+            pk.SelectionResult.load(path)
 
     def test_round_trip(self, tmp_path):
         sel = pk.SelectionResult(chosen=[3, 1, 0, 2], method="shap", scores=np.arange(4.0))

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import patchkit as pk
 from patchkit.errors import InvalidArgumentError
 from patchkit.surrogate import SurrogateParams, SurrogatePredictor, surrogate_train
+
+from conftest import DELETE, break_artifact
 
 
 def test_separable_phantom_reaches_perfect_training_accuracy(small_phantom):
@@ -49,6 +52,27 @@ def test_json_round_trip(tmp_path, small_phantom):
     v = small_phantom.load_volume(0)
     assert np.array_equal(loaded.predict(v), predictor.predict(v))
     assert loaded.params.link == "logistic"
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("grid", DELETE, "'grid'"),
+    ("grid", [8, 8, 8], "grid"),
+    ("grid.counts", DELETE, "'counts'"),
+    ("weights", DELETE, "'weights'"),
+    ("weights", {"0": 1.0}, "weights"),
+    ("weights.2", "0.5", r"weights\[2\]"),
+    ("bias", DELETE, "'bias'"),
+    ("bias", None, "bias"),
+    ("link", DELETE, "'link'"),
+    ("link", 0, "link"),
+])
+def test_load_names_file_and_key(tmp_path, key, value, named):
+    grid = pk.make_grid((8, 8, 8), 4)
+    path = tmp_path / "surrogate.json"
+    pk.additive_probe(np.linspace(-1.0, 1.0, len(grid)), 0.1, grid).save(path)
+    break_artifact(path, key, value)
+    with pytest.raises(InvalidArgumentError, match=f"{re.escape(str(path))}: .*{named}"):
+        SurrogatePredictor.load(path)
 
 
 def test_non_convergence_warns_and_returns_best_iterate(small_phantom, caplog):
