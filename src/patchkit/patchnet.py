@@ -217,32 +217,21 @@ def tensor_shapes(cfg: PatchNetConfig) -> dict[str, tuple[int, ...]]:
 
 
 def _batchnorm(x: Tensor, bn: BatchNormParams, mode: str) -> Tensor:
-    d = x.shape[1]
-    shape = (1, d, 1, 1)
-    gamma = T.reshape(T._as_tensor(bn.gamma), shape)
-    beta = T.reshape(T._as_tensor(bn.beta), shape)
     if mode == "train":
-        mu = T.mean(x, (0, 2, 3), keepdims=True)
-        centered = T.sub(x, mu)
-        var = T.mean(T.mul(centered, centered), (0, 2, 3), keepdims=True)  # biased
-        inv = T.powf(T.add(var, np.asarray(BN_EPS, dtype=x.data.dtype)), -0.5)
-        xhat = T.mul(centered, inv)
+        y, mu, var = T.batch_norm(x, bn.gamma, bn.beta, BN_EPS)  # biased variance
         stats = bn.stats
         stats.running_mean *= 1.0 - BN_MOMENTUM
-        stats.running_mean += BN_MOMENTUM * mu.data.reshape(-1).astype(stats.running_mean.dtype)
+        stats.running_mean += BN_MOMENTUM * mu.astype(stats.running_mean.dtype)
         stats.running_var *= 1.0 - BN_MOMENTUM
-        stats.running_var += BN_MOMENTUM * var.data.reshape(-1).astype(stats.running_var.dtype)
+        stats.running_var += BN_MOMENTUM * var.astype(stats.running_var.dtype)
         stats.ready = True
-    elif mode == "eval":
+        return y
+    if mode == "eval":
         if not bn.stats.ready:
             raise InvalidStateError("batch norm running stats are uninitialized; train first")
-        dt = x.data.dtype
-        rm = bn.stats.running_mean.reshape(shape).astype(dt)
-        inv = (bn.stats.running_var.reshape(shape).astype(dt) + BN_EPS) ** -0.5
-        xhat = T.mul(T.sub(x, rm), inv)
-    else:
-        raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return T.add(T.mul(xhat, gamma), beta)
+        stats = (bn.stats.running_mean, bn.stats.running_var)
+        return T.batch_norm(x, bn.gamma, bn.beta, BN_EPS, stats)[0]
+    raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
 def embed_patches(patches, params: PatchNetParams) -> Tensor:
@@ -371,8 +360,11 @@ def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
     """Read a PNC1 checkpoint, rejecting truncated or extended files and any
     tensor whose stored shape differs from the one its config builds.
 
-    Names and shapes are checked before the network is built, so a config
-    blob cannot make the loader allocate more than the file stores.
+    The config blob precedes the tensors, so each record's dims are checked
+    against the config's shapes before its array is built, and the network is
+    built only after every name checks out: a config blob cannot make the
+    loader allocate more than the file stores, and no corrupt record escapes
+    as anything but an InvalidArgumentError naming the file.
     """
     raw = Path(path).read_bytes()
     off = 0
@@ -399,31 +391,31 @@ def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
         blob = json.loads(take(u32()).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidArgumentError(f"{path}: unreadable config blob: {exc}") from exc
-    arrays: dict[str, np.ndarray] = {}
+    try:
+        cfg = PatchNetConfig.from_json(blob["net"])
+    except (KeyError, TypeError, ValueError) as exc:  # InvalidArgumentError is a ValueError
+        raise InvalidArgumentError(f"{path}: config blob has no valid 'net' entry: {exc!r}") from exc
+    shapes = tensor_shapes(cfg)
+    stored: dict[str, bytes] = {}
     for _ in range(u32()):
         name = take(u32()).decode("utf-8", errors="replace")
         dims = tuple(u32() for _ in range(u32()))
-        arrays[name] = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+        data = take(4 * math.prod(dims))
+        if name in shapes and dims != shapes[name]:
+            raise InvalidArgumentError(
+                f"{path}: tensor {name} has shape {dims}, expected {shapes[name]}"
+            )
+        stored[name] = data
     if off != len(raw):
         raise InvalidArgumentError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
-    try:
-        cfg = PatchNetConfig.from_json(blob["net"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"{path}: config blob has no valid 'net' entry: {exc!r}") from exc
-    shapes = tensor_shapes(cfg)
-    if set(arrays) != set(shapes):
+    if set(stored) != set(shapes):
         raise InvalidArgumentError(
             f"{path}: checkpoint tensors differ from the config: missing "
-            f"{sorted(set(shapes) - set(arrays))}, unexpected {sorted(set(arrays) - set(shapes))}"
+            f"{sorted(set(shapes) - set(stored))}, unexpected {sorted(set(stored) - set(shapes))}"
         )
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise InvalidArgumentError(
-                f"{path}: tensor {name} has shape {arrays[name].shape}, expected {shape}"
-            )
     params = init_params(cfg)
     for name, arr in params.named_arrays().items():
-        arr[...] = arrays[name]
+        arr[...] = np.frombuffer(stored[name], dtype="<f4").reshape(shapes[name])
     for bn in params.batch_norms():
         bn.stats.ready = True
     return params, blob.get("extra", {})

@@ -2,14 +2,16 @@
 
 This is not a general autodiff graph: it provides exactly the op set the patch
 network needs (elementwise arithmetic, matmul, reshape/transpose, reductions,
-ReLU, same-size depthwise 2D convolution, and fused softmax cross-entropy).
+ReLU, per-channel batch norm, same-size depthwise 2D convolution lowered to
+per-channel dense maps over the sites, and fused softmax cross-entropy).
 Gradients accumulate in the dtype of the forward data, so running the graph in
 float64 gives a high-precision checking mode.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError, NumericalFailureError
 
@@ -54,7 +56,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
-                # Free what the closure captured (conv windows, masks) as soon as it has run.
+                # Free what the closure captured (saved activations, masks) as soon as it has run.
                 node._backward = None
 
     def __repr__(self):
@@ -121,18 +123,6 @@ def mul(a, b) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), backward)
-
-
-def powf(a, exponent: float) -> Tensor:
-    """Elementwise power with a constant exponent (base must stay positive
-    for non-integer exponents, which holds for the variance+eps use here)."""
-    a = _as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * exponent * a.data ** (exponent - 1))
-
-    return _node(a.data**exponent, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -209,6 +199,50 @@ def sum_over(a, axes, keepdims: bool = True) -> Tensor:
     return _node(a.data.sum(axis=axes, keepdims=keepdims), (a,), backward)
 
 
+def batch_norm(x, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``gamma · (x − mean) / sqrt(var + eps) + beta`` per channel (axis 1).
+
+    With ``stats`` None, mean and biased variance are the batch statistics
+    over every other axis and the gradient flows through them; otherwise
+    ``stats`` is a constant (mean, var) pair of per-channel arrays. Returns
+    the output with the mean and variance it used, shaped (C,).
+    """
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    dt = x.data.dtype
+    axes = (0,) + tuple(range(2, x.data.ndim))
+    shape = (1, -1) + (1,) * (x.data.ndim - 2)
+    batch_stats = stats is None
+    if batch_stats:
+        mu = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+    else:
+        mu = stats[0].astype(dt).reshape(shape)
+        var = stats[1].astype(dt).reshape(shape)
+        centered = x.data - mu
+    inv = (var + np.asarray(eps, dtype=dt)) ** -0.5
+    xhat = centered * inv
+    scale = gamma.data.reshape(shape)
+
+    def backward(g):
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).sum(axis=axes).reshape(gamma.data.shape))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=axes).reshape(beta.data.shape))
+        if x.requires_grad:
+            g_xhat = g * scale
+            if batch_stats:
+                # Through the batch mean and variance: subtract the mean
+                # gradient and its projection onto xhat.
+                g_xhat = (g_xhat - g_xhat.mean(axis=axes, keepdims=True)
+                          - xhat * (g_xhat * xhat).mean(axis=axes, keepdims=True))
+            x._accumulate((g_xhat * inv).astype(dt, copy=False))
+
+    out = xhat * scale + beta.data.reshape(shape)
+    node = _node(out.astype(dt, copy=False), (x, gamma, beta), backward)
+    return node, mu.reshape(-1), var.reshape(-1)
+
+
 def conv_same_padding(k: int) -> tuple[int, int]:
     """Zero-padding (low, high) giving same-size output for kernel size k.
 
@@ -218,11 +252,33 @@ def conv_same_padding(k: int) -> tuple[int, int]:
     return (k - 1) // 2, k // 2
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_index(h: int, w: int, kh: int, kw: int) -> np.ndarray:
+    """(H·W, H·W) kernel tap feeding each (output site, input site) pair.
+
+    Entry [(i, j), (p, q)] is the flat tap ``u·kw + v`` with ``p = i + u − low_h``
+    and ``q = j + v − low_w`` under :func:`conv_same_padding`, or ``kh·kw`` (a
+    zero appended to the kernel) where no tap joins the two sites.
+    """
+    (low_h, _), (low_w, _) = conv_same_padding(kh), conv_same_padding(kw)
+    rows, cols = np.arange(h), np.arange(w)
+    u = rows[None, :] - rows[:, None] + low_h  # (i, p)
+    v = cols[None, :] - cols[:, None] + low_w  # (j, q)
+    inside = ((u >= 0) & (u < kh))[:, None, :, None] & ((v >= 0) & (v < kw))[None, :, None, :]
+    taps = np.where(inside, u[:, None, :, None] * kw + v[None, :, None, :], kh * kw)
+    taps = taps.reshape(h * w, h * w)
+    taps.setflags(write=False)
+    return taps
+
+
 def depthwise_conv2d(x, kernel) -> Tensor:
     """Per-channel 2D correlation with same-size zero padding.
 
     ``x`` has shape (B, C, H, W) and ``kernel`` (C, kh, kw); each channel is
     correlated with its own kernel and the output keeps the input shape.
+    With same padding, channel c is one dense (H·W × H·W) linear map over the
+    sites, gathered from its kernel through :func:`_tap_index`, so the forward
+    pass and both gradients are batched matmuls over a (C, B, H·W) view.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     B, C, H, W = x.data.shape
@@ -231,23 +287,24 @@ def depthwise_conv2d(x, kernel) -> Tensor:
         raise InvalidArgumentError(f"kernel has {kc} channels, input has {C}")
     if kh > 2 * H or kw > 2 * W:
         raise InvalidArgumentError("kernel larger than padded input")
-    plh, phh = conv_same_padding(kh)
-    plw, phw = conv_same_padding(kw)
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (plh, phh), (plw, phw)))
-    windows = sliding_window_view(x_pad, (kh, kw), axis=(2, 3))
-    out_data = np.einsum("bchwij,cij->bchw", windows, kernel.data)
+    taps = _tap_index(H, W, kh, kw)
+    K = kh * kw
+    padded = np.concatenate([kernel.data.reshape(C, K), np.zeros((C, 1), kernel.data.dtype)], axis=1)
+    maps = padded[:, taps]  # (C, out site, in site)
+    sites = x.data.reshape(B, C, H * W).transpose(1, 0, 2)  # (C, B, H·W)
+    out_data = np.matmul(sites, maps.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(B, C, H, W)
 
     def backward(g):
+        g_sites = g.reshape(B, C, H * W).transpose(1, 0, 2)
         if kernel.requires_grad:
-            kernel._accumulate(np.einsum("bchwij,bchw->cij", windows, g))
+            g_maps = np.matmul(g_sites.transpose(0, 2, 1), sites)  # (C, out site, in site)
+            # Scatter-add every (out, in) entry onto its tap, channel by channel.
+            flat = (np.arange(C)[:, None] * (K + 1) + taps.reshape(1, -1)).reshape(-1)
+            g_taps = np.bincount(flat, weights=g_maps.reshape(-1), minlength=C * (K + 1))
+            kernel._accumulate(g_taps.reshape(C, K + 1)[:, :K].reshape(C, kh, kw))
         if x.requires_grad:
-            # Gradient w.r.t. the padded input is the full correlation of the
-            # output gradient with the 180-degree-rotated kernel.
-            g_pad = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            g_windows = sliding_window_view(g_pad, (kh, kw), axis=(2, 3))
-            flipped = kernel.data[:, ::-1, ::-1]
-            gx_pad = np.einsum("bchwij,cij->bchw", g_windows, flipped)
-            x._accumulate(gx_pad[:, :, plh : plh + H, plw : plw + W].astype(x.data.dtype, copy=False))
+            gx = np.matmul(g_sites, maps).transpose(1, 0, 2).reshape(B, C, H, W)
+            x._accumulate(gx.astype(x.data.dtype, copy=False))
 
     return _node(out_data.astype(x.data.dtype, copy=False), (x, kernel), backward)
 

@@ -285,4 +285,7 @@ def read_vol(path) -> Volume:
             f"{path}: {len(raw) - expected} trailing bytes after the {expected}-byte payload"
         )
     voxels = np.frombuffer(raw, dtype="<f4", count=w * h * d, offset=_VOL1_HEADER.size)
-    return Volume((w, h, d), voxels)
+    try:
+        return Volume((w, h, d), voxels)
+    except InvalidArgumentError as exc:  # zero dims or non-finite voxels
+        raise InvalidArgumentError(f"{path}: {exc}") from exc

