@@ -4,7 +4,10 @@ residual connections and batch norm, average pooling, and an affine head.
 
 Each selected patch is flattened, projected to ``embed_dim`` and placed
 row-major on an m x m spatial plane, so the channel axis carries within-patch
-information and the spatial axes carry between-patch layout. A block applies
+information and the spatial axes carry between-patch layout. Activations stay
+channels-last, (B, m, m, d), from the embedding to the pool, so the pointwise
+stage is a plain matmul and batch norm reduces over the leading axes. A block
+applies
 
     spatial:  x + BN(depthwise_conv_mxm(x))          (no activation)
     channel:  BN(relu(pointwise_conv_1x1(x)))
@@ -237,54 +240,40 @@ def _batchnorm(x: Tensor, bn: BatchNormParams, mode: str) -> Tensor:
 def embed_patches(patches, params: PatchNetParams) -> Tensor:
     """Project flattened patches and add position embeddings.
 
-    Accepts (M, p^3) or batched (B, M, p^3); patch i lands at spatial site
-    (i // m, i % m) with the embedding along the channel axis, giving
-    (d, m, m) respectively (B, d, m, m).
+    Patches (..., M, p^3) give channels-last activations (..., m, m, d):
+    patch i lands at spatial site (i // m, i % m) with its embedding along the
+    last axis. Leading dimensions carry through.
     """
     cfg = params.config
     x = T._as_tensor(np.asarray(patches))
-    single = x.data.ndim == 2
-    if single:
-        x = T.reshape(x, (1,) + x.data.shape)
-    b, m_count, plen = x.data.shape
-    if m_count != cfg.patch_count or plen != cfg.patch_len:
+    if x.data.shape[-2:] != (cfg.patch_count, cfg.patch_len):
         raise InvalidArgumentError(
             f"expected {cfg.patch_count} patches of length {cfg.patch_len}, "
-            f"got {m_count} of length {plen}"
+            f"got an array of shape {x.data.shape}"
         )
     emb = T.add(T.matmul(x, T._as_tensor(params.projection)), T._as_tensor(params.pos_embed))
-    planes = T.reshape(T.transpose(emb, (0, 2, 1)), (b, cfg.embed_dim, cfg.side, cfg.side))
-    if single:
-        planes = T.reshape(planes, (cfg.embed_dim, cfg.side, cfg.side))
-    return planes
+    return T.reshape(emb, x.data.shape[:-2] + (cfg.side, cfg.side, cfg.embed_dim))
 
 
 def gsi_block(x: Tensor, bp: BlockParams, mode: str) -> Tensor:
     """Depthwise spatial convolution + BN + residual (no activation)."""
-    d = x.shape[1]
-    y = T.depthwise_conv2d(x, T._as_tensor(bp.gsi_kernel))
-    y = T.add(y, T.reshape(T._as_tensor(bp.gsi_bias), (1, d, 1, 1)))
+    y = T.add(T.depthwise_conv2d(x, T._as_tensor(bp.gsi_kernel)), T._as_tensor(bp.gsi_bias))
     y = _batchnorm(y, bp.gsi_bn, mode)
     return T.add(y, x)
 
 
 def lpi_block(x: Tensor, bp: BlockParams, mode: str) -> Tensor:
     """Pointwise channel mixing + ReLU + BN; spatial sites stay independent."""
-    sites_last = T.transpose(x, (0, 2, 3, 1))
-    mixed = T.matmul(sites_last, T.transpose(T._as_tensor(bp.lpi_weight), (1, 0)))
-    mixed = T.add(mixed, T._as_tensor(bp.lpi_bias))
-    y = T.transpose(mixed, (0, 3, 1, 2))
-    y = T.relu(y)
+    mixed = T.matmul(x, T.transpose(T._as_tensor(bp.lpi_weight), (1, 0)))
+    y = T.relu(T.add(mixed, T._as_tensor(bp.lpi_bias)))
     return _batchnorm(y, bp.lpi_bn, mode)
 
 
 def _forward_graph(patches, params: PatchNetParams, mode: str) -> Tensor:
     x = embed_patches(patches, params)
-    if x.data.ndim == 3:
-        x = T.reshape(x, (1,) + x.data.shape)
     for bp in params.blocks:
         x = lpi_block(gsi_block(x, bp, mode), bp, mode)
-    pooled = T.mean(x, (2, 3), keepdims=False)
+    pooled = T.mean(x, (1, 2), keepdims=False)
     return T.add(T.matmul(pooled, T._as_tensor(params.classifier_w)),
                  T._as_tensor(params.classifier_b))
 

@@ -77,6 +77,14 @@ class PhantomSpec:
         )
 
 
+def _entry(k: int, e: dict) -> tuple[str, int]:
+    """Manifest entry ``k`` as (path, label); labels are the binary classes 0 and 1."""
+    path, label = typed(e, "path", str), typed(e, "label", int)
+    if label not in (0, 1):
+        raise InvalidArgumentError(f"entries[{k}].label: must be 0 or 1, got {label}")
+    return path, label
+
+
 @dataclass
 class DatasetManifest:
     """Index of generated volumes: (relative path, label) pairs plus provenance."""
@@ -108,10 +116,7 @@ class DatasetManifest:
         return cls(
             spec=PhantomSpec.from_json(typed(obj, "spec", dict)),
             ground_truth=tuple(Region.from_json(r) for r in typed(obj, "ground_truth", list[dict])),
-            entries=[
-                (typed(e, "path", str), typed(e, "label", int))
-                for e in typed(obj, "entries", list[dict])
-            ],
+            entries=[_entry(k, e) for k, e in enumerate(typed(obj, "entries", list[dict]))],
             root=root,
         )
 

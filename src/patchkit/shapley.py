@@ -150,6 +150,9 @@ class SelectionResult:
         self.scores = np.asarray(self.scores, dtype=np.float64).reshape(-1)
         if len(set(self.chosen)) != len(self.chosen):
             raise InvalidArgumentError("selected indices must be unique")
+        for k, i in enumerate(self.chosen):
+            if i < 0:
+                raise InvalidArgumentError(f"chosen[{k}]: selected index must be non-negative, got {i}")
         if not is_perfect_square(len(self.chosen)):
             raise InvalidArgumentError(
                 f"selection size must be a perfect square, got {len(self.chosen)}"

@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 This is not a general autodiff graph: it provides exactly the op set the patch
-network needs (elementwise arithmetic, matmul, reshape/transpose, reductions,
-ReLU, per-channel batch norm, same-size depthwise 2D convolution lowered to
-per-channel dense maps over the sites, and fused softmax cross-entropy).
+network needs (broadcast add, matmul, reshape/transpose, mean, ReLU, batch
+norm over the last axis, same-size depthwise 2D convolution over channels-last
+(B, H, W, C) planes lowered to per-channel dense maps over the sites, and fused
+softmax cross-entropy).
 Gradients accumulate in the dtype of the forward data, so running the graph in
 float64 gives a high-precision checking mode.
 """
@@ -101,30 +102,6 @@ def add(a, b) -> Tensor:
     return _node(a.data + b.data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _node(a.data - b.data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _node(a.data * b.data, (a, b), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
@@ -186,61 +163,44 @@ def mean(a, axes, keepdims: bool = True) -> Tensor:
     return _node(a.data.mean(axis=axes, keepdims=keepdims), (a,), backward)
 
 
-def sum_over(a, axes, keepdims: bool = True) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-
-    def backward(g):
-        if a.requires_grad:
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    return _node(a.data.sum(axis=axes, keepdims=keepdims), (a,), backward)
-
-
 def batch_norm(x, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """``gamma · (x − mean) / sqrt(var + eps) + beta`` per channel (axis 1).
+    """``gamma · (x − mean) / sqrt(var + eps) + beta`` per channel (last axis).
 
     With ``stats`` None, mean and biased variance are the batch statistics
-    over every other axis and the gradient flows through them; otherwise
+    over every leading axis and the gradient flows through them; otherwise
     ``stats`` is a constant (mean, var) pair of per-channel arrays. Returns
     the output with the mean and variance it used, shaped (C,).
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     dt = x.data.dtype
-    axes = (0,) + tuple(range(2, x.data.ndim))
-    shape = (1, -1) + (1,) * (x.data.ndim - 2)
+    axes = tuple(range(x.data.ndim - 1))
     batch_stats = stats is None
     if batch_stats:
-        mu = x.data.mean(axis=axes, keepdims=True)
+        mu = x.data.mean(axis=axes)
         centered = x.data - mu
-        var = (centered * centered).mean(axis=axes, keepdims=True)
+        var = (centered * centered).mean(axis=axes)
     else:
-        mu = stats[0].astype(dt).reshape(shape)
-        var = stats[1].astype(dt).reshape(shape)
+        mu, var = stats[0].astype(dt), stats[1].astype(dt)
         centered = x.data - mu
     inv = (var + np.asarray(eps, dtype=dt)) ** -0.5
     xhat = centered * inv
-    scale = gamma.data.reshape(shape)
 
     def backward(g):
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=axes).reshape(gamma.data.shape))
+            gamma._accumulate((g * xhat).sum(axis=axes))
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=axes).reshape(beta.data.shape))
+            beta._accumulate(g.sum(axis=axes))
         if x.requires_grad:
-            g_xhat = g * scale
+            g_xhat = g * gamma.data
             if batch_stats:
                 # Through the batch mean and variance: subtract the mean
                 # gradient and its projection onto xhat.
-                g_xhat = (g_xhat - g_xhat.mean(axis=axes, keepdims=True)
-                          - xhat * (g_xhat * xhat).mean(axis=axes, keepdims=True))
+                g_xhat = (g_xhat - g_xhat.mean(axis=axes)
+                          - xhat * (g_xhat * xhat).mean(axis=axes))
             x._accumulate((g_xhat * inv).astype(dt, copy=False))
 
-    out = xhat * scale + beta.data.reshape(shape)
-    node = _node(out.astype(dt, copy=False), (x, gamma, beta), backward)
-    return node, mu.reshape(-1), var.reshape(-1)
+    out = xhat * gamma.data + beta.data
+    return _node(out.astype(dt, copy=False), (x, gamma, beta), backward), mu, var
 
 
 def conv_same_padding(k: int) -> tuple[int, int]:
@@ -274,14 +234,14 @@ def _tap_index(h: int, w: int, kh: int, kw: int) -> np.ndarray:
 def depthwise_conv2d(x, kernel) -> Tensor:
     """Per-channel 2D correlation with same-size zero padding.
 
-    ``x`` has shape (B, C, H, W) and ``kernel`` (C, kh, kw); each channel is
+    ``x`` has shape (B, H, W, C) and ``kernel`` (C, kh, kw); each channel is
     correlated with its own kernel and the output keeps the input shape.
     With same padding, channel c is one dense (H·W × H·W) linear map over the
     sites, gathered from its kernel through :func:`_tap_index`, so the forward
     pass and both gradients are batched matmuls over a (C, B, H·W) view.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
-    B, C, H, W = x.data.shape
+    B, H, W, C = x.data.shape
     kc, kh, kw = kernel.data.shape
     if kc != C:
         raise InvalidArgumentError(f"kernel has {kc} channels, input has {C}")
@@ -291,11 +251,11 @@ def depthwise_conv2d(x, kernel) -> Tensor:
     K = kh * kw
     padded = np.concatenate([kernel.data.reshape(C, K), np.zeros((C, 1), kernel.data.dtype)], axis=1)
     maps = padded[:, taps]  # (C, out site, in site)
-    sites = x.data.reshape(B, C, H * W).transpose(1, 0, 2)  # (C, B, H·W)
-    out_data = np.matmul(sites, maps.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(B, C, H, W)
+    sites = x.data.reshape(B, H * W, C).transpose(2, 0, 1)  # (C, B, H·W)
+    out_data = np.matmul(sites, maps.transpose(0, 2, 1)).transpose(1, 2, 0).reshape(B, H, W, C)
 
     def backward(g):
-        g_sites = g.reshape(B, C, H * W).transpose(1, 0, 2)
+        g_sites = g.reshape(B, H * W, C).transpose(2, 0, 1)
         if kernel.requires_grad:
             g_maps = np.matmul(g_sites.transpose(0, 2, 1), sites)  # (C, out site, in site)
             # Scatter-add every (out, in) entry onto its tap, channel by channel.
@@ -303,7 +263,7 @@ def depthwise_conv2d(x, kernel) -> Tensor:
             g_taps = np.bincount(flat, weights=g_maps.reshape(-1), minlength=C * (K + 1))
             kernel._accumulate(g_taps.reshape(C, K + 1)[:, :K].reshape(C, kh, kw))
         if x.requires_grad:
-            gx = np.matmul(g_sites, maps).transpose(1, 0, 2).reshape(B, C, H, W)
+            gx = np.matmul(g_sites, maps).transpose(1, 2, 0).reshape(B, H, W, C)
             x._accumulate(gx.astype(x.data.dtype, copy=False))
 
     return _node(out_data.astype(x.data.dtype, copy=False), (x, kernel), backward)
@@ -326,6 +286,9 @@ def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
     B, C = logits.data.shape
     if labels.size != B:
         raise InvalidArgumentError(f"{labels.size} labels for batch of {B}")
+    outside = labels[(labels < 0) | (labels >= C)]
+    if outside.size:
+        raise InvalidArgumentError(f"label {outside[0]} is outside the {C} classes [0, {C})")
     with np.errstate(invalid="ignore", over="ignore"):
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))

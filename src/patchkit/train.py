@@ -129,6 +129,11 @@ def extract_selected_patches(
     Patch order follows the selection ranking, so position embedding slot i
     always corresponds to the i-th ranked patch.
     """
+    outside = [i for i in selection.chosen if i >= len(grid)]
+    if outside:
+        raise InvalidArgumentError(
+            f"selected patch {outside[0]} is outside the grid of {len(grid)} patches"
+        )
     regions = [grid.regions[i] for i in selection.chosen]
     feats = []
     labels = []

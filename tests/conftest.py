@@ -91,6 +91,16 @@ def break_artifact(path, dotted_key: str, value=DELETE) -> None:
     path.write_text(json.dumps(obj))
 
 
+def nhwc(a: np.ndarray) -> np.ndarray:
+    """Channels-first (..., C, H, W) array viewed channels-last (..., H, W, C)."""
+    return np.moveaxis(a, -3, -1)
+
+
+def nchw(a: np.ndarray) -> np.ndarray:
+    """Channels-last (..., H, W, C) array viewed channels-first (..., C, H, W)."""
+    return np.moveaxis(a, -1, -3)
+
+
 def volume_with_region_means(dims, regions, means, background=0.0) -> pk.Volume:
     arr = np.full((dims[2], dims[1], dims[0]), background, dtype=np.float32)
     for r, m in zip(regions, means):

@@ -171,6 +171,15 @@ class TestErrors:
         assert run(cfg, "explain") == 5
         assert "more than 10 predictor calls" in capsys.readouterr().err
 
+    def test_selected_patch_outside_the_grid_exits_2(self, tmp_path, capsys):
+        # The 16^3 phantom at patch edge 4 has 64 patches, indexed 0..63.
+        cfg = write_config(tmp_path)
+        assert run(cfg, "gen") == 0
+        selection = {"chosen": [64, 1, 2, 3], "method": "shap", "scores": [4.0, 3.0, 2.0, 1.0]}
+        (tmp_path / "out" / "selection.json").write_text(json.dumps(selection))
+        assert run(cfg, "train") == 2
+        assert "selected patch 64 is outside the grid of 64 patches" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "absent.json")]) == 2
 

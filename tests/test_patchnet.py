@@ -2,12 +2,14 @@ import gc
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchkit import tensor as T
 from patchkit.errors import InvalidArgumentError, InvalidStateError
 from patchkit.patchnet import (
     BN_EPS,
@@ -30,6 +32,10 @@ from patchkit.patchnet import (
     tensor_shapes,
 )
 from patchkit.tensor import Tensor
+
+from conftest import nchw, nhwc
+
+DATA = Path(__file__).parent / "data"
 
 
 def identity_bn(d, ready=True, exact=False):
@@ -66,17 +72,17 @@ class TestEmbedPatches:
         params.pos_embed[...] = 0.0
         rng = np.random.default_rng(0)
         patches = rng.normal(0, 1, (4, 8)).astype(np.float32)
-        out = embed_patches(patches, params)
-        assert out.data.shape == (8, 2, 2)
+        out = nchw(embed_patches(patches, params).data)
+        assert out.shape == (8, 2, 2)
         for i in range(4):
-            assert np.allclose(out.data[:, i // 2, i % 2], patches[i])
+            assert np.allclose(out[:, i // 2, i % 2], patches[i])
 
     def test_zero_patches_give_position_embedding(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1, seed=1)
         params = init_params(cfg)
-        out = embed_patches(np.zeros((4, 8), np.float32), params)
+        out = nchw(embed_patches(np.zeros((4, 8), np.float32), params).data)
         for i in range(4):
-            assert np.allclose(out.data[:, i // 2, i % 2], params.pos_embed[i])
+            assert np.allclose(out[:, i // 2, i % 2], params.pos_embed[i])
 
     def test_shape_mismatch_rejected(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1)
@@ -98,7 +104,7 @@ class TestGsiBlock:
     def test_zero_kernel_identity_bn_is_exact_identity(self):
         d, m = 5, 3
         bp = make_block(d, m)
-        x = Tensor(np.random.default_rng(1).normal(0, 1, (2, d, m, m)).astype(np.float32))
+        x = Tensor(nhwc(np.random.default_rng(1).normal(0, 1, (2, d, m, m)).astype(np.float32)))
         out = gsi_block(x, bp, mode="eval")
         assert np.array_equal(out.data, x.data)
 
@@ -109,7 +115,7 @@ class TestGsiBlock:
         tap = (m - 1) // 2
         kernel[:, tap, tap] = 1.0
         bp = make_block(d, m, gsi_kernel=kernel, exact_bn=True)
-        x = Tensor(np.random.default_rng(2).normal(0, 1, (2, d, m, m)).astype(np.float32))
+        x = Tensor(nhwc(np.random.default_rng(2).normal(0, 1, (2, d, m, m)).astype(np.float32)))
         out = gsi_block(x, bp, mode="eval")
         assert np.allclose(out.data, 2.0 * x.data, atol=1e-6)
 
@@ -119,9 +125,9 @@ class TestGsiBlock:
         bp = make_block(d, m, gsi_kernel=rng.normal(0, 0.5, (d, m, m)).astype(np.float32))
         bp.gsi_bn.gamma = np.full(d, 1.7, np.float32)
         bp.gsi_bn.beta = np.full(d, 0.3, np.float32)
-        x = Tensor(rng.normal(0, 1, (16, d, m, m)).astype(np.float32))
+        x = Tensor(nhwc(rng.normal(0, 1, (16, d, m, m)).astype(np.float32)))
         out = gsi_block(x, bp, mode="train")
-        branch = out.data - x.data
+        branch = nchw(out.data - x.data)
         mean = branch.mean(axis=(0, 2, 3))
         var = branch.var(axis=(0, 2, 3))
         assert np.allclose(mean, 0.3, atol=1e-3)
@@ -132,7 +138,7 @@ class TestGsiBlock:
         d, m = 3, 2
         bp = make_block(d, m)
         bp.gsi_bn.stats.ready = False
-        x = Tensor(np.zeros((1, d, m, m), np.float32))
+        x = Tensor(np.zeros((1, m, m, d), np.float32))
         with pytest.raises(InvalidStateError):
             gsi_block(x, bp, mode="eval")
 
@@ -146,7 +152,7 @@ class TestBatchNormLayer:
         bn.stats.running_var[:] = rng.uniform(0.5, 2.0, d)
         mean0, var0 = bn.stats.running_mean.copy(), bn.stats.running_var.copy()
         x = rng.normal(1.0, 2.0, (6, d, 3, 3)).astype(np.float32)
-        out = _batchnorm(Tensor(x), bn, "train")
+        out = _batchnorm(Tensor(nhwc(x)), bn, "train")
         assert BN_MOMENTUM == 0.1
         want_mean = (1 - BN_MOMENTUM) * mean0 + BN_MOMENTUM * x.mean(axis=(0, 2, 3))
         want_var = (1 - BN_MOMENTUM) * var0 + BN_MOMENTUM * x.var(axis=(0, 2, 3))
@@ -158,14 +164,14 @@ class TestBatchNormLayer:
     def test_eval_uses_running_stats_and_needs_a_train_step(self):
         d = 3
         bn = identity_bn(d, ready=False)
-        x = Tensor(np.random.default_rng(9).normal(0, 1, (2, d, 2, 2)).astype(np.float32))
+        x = Tensor(nhwc(np.random.default_rng(9).normal(0, 1, (2, d, 2, 2)).astype(np.float32)))
         with pytest.raises(InvalidStateError):
             _batchnorm(x, bn, "eval")
         bn.stats.running_mean[:] = [0.5, -0.5, 0.0]
         bn.stats.running_var[:] = [4.0, 1.0, 0.25]
         bn.stats.ready = True
-        out = _batchnorm(x, bn, "eval").data
-        want = (x.data - bn.stats.running_mean[:, None, None]) / np.sqrt(
+        out = nchw(_batchnorm(x, bn, "eval").data)
+        want = (nchw(x.data) - bn.stats.running_mean[:, None, None]) / np.sqrt(
             bn.stats.running_var[:, None, None] + BN_EPS)
         assert np.allclose(out, want, rtol=1e-6, atol=1e-6)
 
@@ -178,14 +184,14 @@ class TestLpiBlock:
     def test_identity_weight_nonnegative_input_passthrough(self):
         d, m = 4, 3
         bp = make_block(d, m, exact_bn=True)
-        x = Tensor(np.abs(np.random.default_rng(3).normal(0, 1, (2, d, m, m))).astype(np.float32))
+        x = Tensor(nhwc(np.abs(np.random.default_rng(3).normal(0, 1, (2, d, m, m))).astype(np.float32)))
         out = lpi_block(x, bp, mode="eval")
         assert np.array_equal(out.data, x.data)
 
     def test_all_negative_input_maps_to_zero(self):
         d, m = 4, 2
         bp = make_block(d, m)
-        x = Tensor(-np.abs(np.random.default_rng(4).normal(1, 0.2, (2, d, m, m))).astype(np.float32))
+        x = Tensor(nhwc(-np.abs(np.random.default_rng(4).normal(1, 0.2, (2, d, m, m))).astype(np.float32)))
         out = lpi_block(x, bp, mode="eval")
         assert np.all(out.data == 0.0)
 
@@ -194,10 +200,10 @@ class TestLpiBlock:
         rng = np.random.default_rng(6)
         bp = make_block(d, m, lpi_weight=rng.normal(0, 0.5, (d, d)).astype(np.float32))
         x = rng.normal(0, 1, (1, d, m, m)).astype(np.float32)
-        base = lpi_block(Tensor(x), bp, mode="eval").data
+        base = nchw(lpi_block(Tensor(nhwc(x)), bp, mode="eval").data)
         x2 = x.copy()
         x2[0, :, 1, 2] += 3.0
-        bumped = lpi_block(Tensor(x2), bp, mode="eval").data
+        bumped = nchw(lpi_block(Tensor(nhwc(x2)), bp, mode="eval").data)
         changed = np.any(base != bumped, axis=(0, 1))
         assert changed[1, 2]
         changed[1, 2] = False
@@ -304,6 +310,23 @@ class TestLossAndGrad:
             assert np.array_equal(arr, arrays[name])
 
 
+    def test_depth_four_step_builds_43_graph_nodes(self, monkeypatch):
+        # 3 embedding nodes, 9 per block (4 spatial, 5 pointwise), then pool,
+        # head matmul, head bias and the loss: 9 * depth + 7.
+        cfg = PatchNetConfig(patch_edge=2, patch_count=36, embed_dim=8, depth=4)
+        params = init_params(cfg)
+        node, built = T._node, []
+
+        def counting_node(data, parents, backward):
+            built.append(data.shape)
+            return node(data, parents, backward)
+
+        monkeypatch.setattr(T, "_node", counting_node)
+        rng = np.random.default_rng(23)
+        loss_and_grad(rng.normal(0, 1, (8, 36, 8)), np.arange(8) % 2, params, mode="train")
+        assert len(built) == 9 * cfg.depth + 7 == 43
+
+
 class TestParamsCopy:
     def test_copy_is_independent_of_the_original(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=22)
@@ -346,6 +369,19 @@ class TestCheckpoint:
         assert np.array_equal(before, after)
         for name, arr in params.named_arrays().items():
             assert np.array_equal(arr, loaded.named_arrays()[name])
+
+    def test_channels_first_fixture_predicts_the_same(self):
+        # pnc1_layout.pnc (patch edge 2, 9 patches, width 4, depth 2, 3 classes;
+        # every tensor seeded N(0, 0.5), running variances U(0.5, 2)) and its
+        # eval probabilities on the stored patches were written by the
+        # channels-first (B, d, m, m) network that preceded the channels-last one.
+        params, extra = load_checkpoint(DATA / "pnc1_layout.pnc")
+        fixture = json.loads((DATA / "pnc1_layout_probs.json").read_text())
+        assert extra == {"fixture": "layout"}
+        assert params.config == PatchNetConfig(
+            patch_edge=2, patch_count=9, embed_dim=4, depth=2, class_count=3, seed=5)
+        _, probs = forward(np.array(fixture["patches"], dtype=np.float32), params, mode="eval")
+        assert np.allclose(probs, fixture["probs"], rtol=0, atol=1e-6)
 
     def test_header_layout(self, tmp_path):
         _, params, _ = self._trained_params()

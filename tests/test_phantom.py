@@ -91,6 +91,8 @@ def test_manifest_round_trip(tmp_path):
     ("entries.1", ["vol.vol", 0], r"entries\[1\]"),
     ("entries.2.label", DELETE, "'label'"),
     ("entries.2.label", "1", "label"),
+    ("entries.2.label", -1, "label"),
+    ("entries.2.label", 2, "label"),
     ("entries.0.path", 7, "path"),
 ])
 def test_manifest_load_names_file_and_key(tmp_path, key, value, named):

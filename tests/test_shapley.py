@@ -769,6 +769,7 @@ class TestSelectionResult:
         ("chosen", DELETE, "'chosen'"),
         ("chosen", "3102", "chosen"),
         ("chosen.1", 1.0, r"chosen\[1\]"),
+        ("chosen.1", -1, r"chosen\[1\]"),
         ("method", DELETE, "'method'"),
         ("method", ["shap"], "method"),
         ("scores", DELETE, "'scores'"),
