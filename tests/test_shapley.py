@@ -769,11 +769,11 @@ class TestSelectionResult:
         ("chosen", DELETE, "'chosen'"),
         ("chosen", "3102", "chosen"),
         ("chosen.1", 1.0, r"chosen\[1\]"),
-        ("chosen.1", -1, r"chosen\[1\]"),
         ("method", DELETE, "'method'"),
         ("method", ["shap"], "method"),
         ("scores", DELETE, "'scores'"),
         ("scores.0", "high", r"scores\[0\]"),
+        ("chosen.1", -1, r"chosen\[1\]"),
     ])
     def test_load_names_file_and_key(self, tmp_path, key, value, named):
         path = tmp_path / "selection.json"
