@@ -384,7 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="N", help="override the global seed")
     common.add_argument("--out", metavar="DIR", help="override the output directory")
     common.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads (fallback: PATCHKIT_THREADS)")
+                        help="explain-stage threads for the sibling games of one octree "
+                             "level (fallback: PATCHKIT_THREADS)")
     common.add_argument("--set", action="append", default=[], metavar="K=V",
                         dest="overrides", help="override a config field by dotted path")
     parser = argparse.ArgumentParser(prog="patchkit", description=__doc__)

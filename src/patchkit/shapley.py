@@ -11,16 +11,18 @@ defines ``predict_features`` (a batched readout over feature rows) is evaluated
 in feature space when every region is a union of whole patches of that grid:
 zero-filling a region zeroes exactly its patches' means, so a game's 2^n
 coalitions become one feature matrix and one readout call. Any other
-predictor or region gets one zero-filled volume per coalition, which may run
-on a thread pool. Either way the reduction into the attribution values has a
-fixed order, so results are bit-stable regardless of worker count.
+predictor or region gets one zero-filled volume per coalition.
+
+On either path, ``recursive_attribution`` may play the sibling games of one
+octree level on a thread pool. Each game reduces in a fixed order and levels
+are merged in tree order, so results are bit-stable regardless of worker count.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -35,6 +37,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .phantom import DatasetManifest
+from .surrogate import surrogate_features
 from .volume import PatchGrid, Region, Volume, make_grid, octree_children, patch_means, perturb_zero
 
 logger = logging.getLogger(__name__)
@@ -49,7 +52,11 @@ T_STAT_SENTINEL = 1e30
 
 @runtime_checkable
 class Predictor(Protocol):
-    """Black-box classifier over volumes: predict() returns a 2-class probability vector."""
+    """Black-box classifier over volumes: predict() returns a 2-class probability vector.
+
+    With ``threads > 1``, ``predict`` and ``predict_features`` may be called
+    from several threads at once.
+    """
 
     def predict(self, v: Volume) -> np.ndarray: ...
 
@@ -231,7 +238,6 @@ def _coalition_readouts(
     volume: Volume,
     members: list[Region],
     context: list[Region],
-    threads: int,
 ) -> np.ndarray:
     """Readout for every coalition bitmask over ``members`` (2^n entries).
 
@@ -242,19 +248,12 @@ def _coalition_readouts(
     if batched is not None:
         return batched
     n = len(members)
-    serialize = not getattr(predictor, "supports_concurrency", True)
 
     def evaluate(mask: int) -> float:
         absent = [members[i] for i in range(n) if not (mask >> i) & 1]
         return _checked_readouts(predictor.predict(perturb_zero(volume, absent + context)), 1)[0]
 
-    masks = range(1 << n)
-    if threads > 1 and not serialize:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(evaluate, masks, chunksize=max(1, (1 << n) // (4 * threads))))
-    else:
-        values = [evaluate(m) for m in masks]
-    return np.array(values, dtype=np.float64)
+    return np.array([evaluate(m) for m in range(1 << n)], dtype=np.float64)
 
 
 @functools.lru_cache(maxsize=8)
@@ -284,13 +283,7 @@ def _shapley_from_readouts(readouts: np.ndarray, n: int) -> np.ndarray:
     return values
 
 
-def exact_shapley(
-    predictor: Predictor,
-    volume: Volume,
-    regions: list[Region],
-    *,
-    threads: int = 1,
-) -> np.ndarray:
+def exact_shapley(predictor: Predictor, volume: Volume, regions: list[Region]) -> np.ndarray:
     """Brute-force Shapley values over ``regions`` with a zero-fill baseline.
 
     Costs exactly 2^n predictor calls; refused above ``EXACT_SHAPLEY_MAX_REGIONS``.
@@ -306,17 +299,12 @@ def exact_shapley(
     for r in regions:
         if not volume.contains(r):
             raise InvalidArgumentError(f"region {r} outside volume dims {volume.dims}")
-    readouts = _coalition_readouts(predictor, volume, list(regions), [], threads)
+    readouts = _coalition_readouts(predictor, volume, list(regions), [])
     return _shapley_from_readouts(readouts, n)
 
 
 def sibling_shapley(
-    predictor: Predictor,
-    volume: Volume,
-    siblings: list[Region],
-    context=(),
-    *,
-    threads: int = 1,
+    predictor: Predictor, volume: Volume, siblings: list[Region], context=()
 ) -> np.ndarray:
     """Exact Shapley among <= 8 sibling regions, with ``context`` always zero-filled."""
     n = len(siblings)
@@ -326,7 +314,7 @@ def sibling_shapley(
     for r in list(siblings) + context:
         if not volume.contains(r):
             raise InvalidArgumentError(f"region {r} outside volume dims {volume.dims}")
-    readouts = _coalition_readouts(predictor, volume, list(siblings), context, threads)
+    readouts = _coalition_readouts(predictor, volume, list(siblings), context)
     return _shapley_from_readouts(readouts, n)
 
 
@@ -361,13 +349,19 @@ def recursive_attribution(
     Remainder voxels past the last whole patch belong to no node and are never
     zero-filled.
 
+    The tree is walked one level at a time; with ``threads > 1`` a level's
+    independent games run on one thread pool.
+
     ``tau`` may be +/-inf (forcing one rule to always or never fire); NaN is
-    rejected. Exceeding ``budget`` predictor calls aborts the whole map.
+    rejected. A level whose games would take the map past ``budget`` predictor
+    calls aborts the whole map before any of them is played.
     """
     if math.isnan(tau):
         raise InvalidArgumentError("tau must not be NaN")
     if max_depth < 1:
         raise InvalidArgumentError("max_depth must be >= 1")
+    if threads < 1:
+        raise InvalidArgumentError("threads must be >= 1")
     _rule_fires(rule, 0.0, 0.0)  # validate rule name early
     grid = make_grid(volume.dims, leaf_edge)
     nx, ny, nz = grid.counts
@@ -375,33 +369,38 @@ def recursive_attribution(
     refined = np.zeros((nz, ny, nx), dtype=bool)
     leaf = (1, 1, 1)
 
-    evaluations = 0
-    levels = 0
-    # Nodes whose children play the next game, in breadth-first order, so a
-    # child's values overwrite its parent's.
-    queue = deque([(Region((0, 0, 0), grid.counts), 1)])
-    while queue:
-        node, level = queue.popleft()
-        children = octree_children(node) if node.size != leaf else [node]
-        cost = 1 << len(children)
-        if evaluations + cost > budget:
-            raise BudgetExceededError(
-                f"attribution would need more than {budget} predictor calls"
-            )
+    def play(children: list[Region]) -> np.ndarray:
         siblings = [
             Region([o * leaf_edge for o in c.origin], [s * leaf_edge for s in c.size])
             for c in children
         ]
-        game = sibling_shapley(predictor, volume, siblings, threads=threads)
-        evaluations += cost
-        levels = level
-        for child, value in zip(children, game):
-            (x0, y0, z0), (x1, y1, z1) = child.origin, child.end
-            is_leaf = child.size == leaf
-            values[z0:z1, y0:y1, x0:x1] = value
-            refined[z0:z1, y0:y1, x0:x1] = is_leaf
-            if not is_leaf and level < max_depth and _rule_fires(rule, value, tau):
-                queue.append((child, level + 1))
+        return sibling_shapley(predictor, volume, siblings)
+
+    evaluations = 0
+    levels = 0
+    # Nodes whose children play a game at the current level. Levels are
+    # written in order, so a child's values overwrite its parent's.
+    frontier = [Region((0, 0, 0), grid.counts)]
+    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+        play_all = map if pool is None else pool.map
+        while frontier:
+            games = [octree_children(node) if node.size != leaf else [node] for node in frontier]
+            cost = sum(1 << len(children) for children in games)
+            if evaluations + cost > budget:
+                raise BudgetExceededError(
+                    f"attribution would need more than {budget} predictor calls"
+                )
+            levels += 1
+            frontier = []
+            for children, game in zip(games, play_all(play, games)):
+                for child, value in zip(children, game):
+                    (x0, y0, z0), (x1, y1, z1) = child.origin, child.end
+                    is_leaf = child.size == leaf
+                    values[z0:z1, y0:y1, x0:x1] = value
+                    refined[z0:z1, y0:y1, x0:x1] = is_leaf
+                    if not is_leaf and levels < max_depth and _rule_fires(rule, value, tau):
+                        frontier.append(child)
+            evaluations += cost
     return AttributionMap(
         grid=grid,
         values=values,
@@ -413,31 +412,27 @@ def recursive_attribution(
     )
 
 
-def cohort_average(maps: list[AttributionMap], include=None) -> AttributionMap:
-    """Element-wise mean of the included maps; evaluation counts are summed.
+def cohort_average(maps: list[AttributionMap]) -> AttributionMap:
+    """Element-wise mean of the maps; evaluation counts are summed.
 
-    A leaf stays flagged as leaf-level refined only if every included map
-    refined it.
+    A leaf stays flagged as leaf-level refined only if every map refined it.
     """
-    if include is None:
-        include = [True] * len(maps)
-    picked = [m for m, keep in zip(maps, include) if keep]
-    if not picked:
-        raise EmptyCohortError("no attribution maps pass the cohort mask")
-    first = picked[0]
-    for m in picked[1:]:
+    if not maps:
+        raise EmptyCohortError("no attribution maps to average")
+    first = maps[0]
+    for m in maps[1:]:
         if m.grid.to_json() != first.grid.to_json():
             raise InvalidArgumentError("cohort maps must share one grid")
-    values = np.mean([m.values for m in picked], axis=0)
-    refined = np.logical_and.reduce([m.refined_mask for m in picked])
+    values = np.mean([m.values for m in maps], axis=0)
+    refined = np.logical_and.reduce([m.refined_mask for m in maps])
     return AttributionMap(
         grid=first.grid,
         values=values,
-        evaluations=sum(m.evaluations for m in picked),
+        evaluations=sum(m.evaluations for m in maps),
         refined_mask=refined,
         tau=first.tau,
         rule=first.rule,
-        levels=max(m.levels for m in picked),
+        levels=max(m.levels for m in maps),
     )
 
 
@@ -477,10 +472,7 @@ def ttest_select(manifest: DatasetManifest, grid: PatchGrid, m_patches: int) -> 
         raise InvalidArgumentError(f"M must be a perfect square, got {m_patches}")
     if m_patches > len(grid):
         raise InvalidArgumentError(f"M={m_patches} exceeds patch count {len(grid)}")
-    labels = manifest.labels()
-    features = np.stack(
-        [patch_means(manifest.load_volume(i), grid) for i in range(len(manifest.entries))]
-    )
+    features, labels = surrogate_features(manifest, grid)
     x1 = features[labels == 1]
     x0 = features[labels == 0]
     if len(x1) < 2 or len(x0) < 2:

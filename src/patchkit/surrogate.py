@@ -45,8 +45,6 @@ class SurrogatePredictor:
     features they already know in one call.
     """
 
-    supports_concurrency = True
-
     def __init__(self, params: SurrogateParams, grid: PatchGrid):
         if params.weights.size != len(grid):
             raise InvalidArgumentError(

@@ -13,8 +13,6 @@ class RegionMeanProbe:
     library's pooled-feature helpers, so this doubles as an oracle.
     """
 
-    supports_concurrency = True
-
     def __init__(self, regions, weights, bias=0.0):
         self.regions = list(regions)
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -66,7 +64,6 @@ class CountingPredictor:
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
-        self.supports_concurrency = False  # serialize so the counter is safe
 
     def predict(self, v):
         self.calls += 1

@@ -102,8 +102,6 @@ def test_ac02_shapley_axioms_over_randomized_instances():
             alpha, beta = 0.6, -0.7
 
             class Combo:
-                supports_concurrency = True
-
                 def predict(self, vol):
                     h = alpha * f.predict(vol)[1] + beta * g.predict(vol)[1]
                     return np.array([1.0 - h, h])

@@ -1,5 +1,8 @@
+import json
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,8 +31,6 @@ from conftest import (
 
 
 class ConstantPredictor:
-    supports_concurrency = True
-
     def __init__(self, p1=0.7):
         self.p1 = p1
 
@@ -97,16 +98,6 @@ class TestExactShapley:
             with pytest.raises(ContractViolationError):
                 pk.exact_shapley(bad, v, regions)
 
-    def test_thread_count_does_not_change_bits(self):
-        dims = (8, 8, 8)
-        grid = pk.make_grid(dims, 4)
-        rng = np.random.default_rng(5)
-        v = pk.Volume(dims, rng.random(512, dtype=np.float32))
-        probe = LogisticRegionProbe(list(grid.regions), rng.normal(0, 0.4, 8))
-        a = pk.exact_shapley(probe, v, list(grid.regions), threads=1)
-        b = pk.exact_shapley(probe, v, list(grid.regions), threads=4)
-        assert np.array_equal(a, b)
-
 
 class TestAxioms:
     def test_null_player_is_exactly_zero(self):
@@ -131,8 +122,6 @@ class TestAxioms:
         alpha, beta = 0.7, -0.4
 
         class Combined:
-            supports_concurrency = True
-
             def predict(self, vol):
                 h = alpha * f.predict(vol)[1] + beta * g.predict(vol)[1]
                 return np.array([1.0 - h, h])
@@ -261,10 +250,25 @@ class TestRecursiveAttribution:
                 ConstantPredictor(), v, leaf_edge=4, tau=1.0, rule="refine_below", budget=1000
             )
 
+    def test_budget_is_checked_per_level(self):
+        # A full two-level map costs 256 + 8 * 256 = 2304 readouts. One short,
+        # the second level is refused before any of its games is played.
+        v = pk.Volume((16, 16, 16), np.full(4096, 0.5, dtype=np.float32))
+        counting = CountingPredictor(ConstantPredictor())
+        with pytest.raises(BudgetExceededError):
+            pk.recursive_attribution(counting, v, leaf_edge=4, tau=math.inf, budget=2303)
+        assert counting.calls == 256
+
     def test_nan_tau_rejected(self):
         v = pk.Volume((8, 8, 8), np.zeros(512, dtype=np.float32))
         with pytest.raises(InvalidArgumentError):
             pk.recursive_attribution(ConstantPredictor(), v, 4, tau=math.nan)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        v = pk.Volume((8, 8, 8), np.zeros(512, dtype=np.float32))
+        with pytest.raises(InvalidArgumentError, match="threads"):
+            pk.recursive_attribution(ConstantPredictor(), v, 4, tau=0.0, threads=threads)
 
     def test_threads_do_not_change_bits(self):
         dims = (16, 16, 16)
@@ -276,6 +280,39 @@ class TestRecursiveAttribution:
         b = pk.recursive_attribution(probe, v, 4, tau=0.0, rule="refine_below", threads=4)
         assert np.array_equal(a.values, b.values)
         assert a.evaluations == b.evaluations
+        # An opaque predictor plays every coalition as a zero-filled volume.
+        opaque = RegionMeanProbe(list(grid.regions), rng.normal(0, 0.2, len(grid)), 0.1)
+        a = pk.recursive_attribution(opaque, v, 4, tau=0.0, rule="refine_below", threads=1)
+        b = pk.recursive_attribution(opaque, v, 4, tau=0.0, rule="refine_below", threads=4)
+        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
+    def test_threads_play_a_levels_batched_games_concurrently(self):
+        dims = (16, 16, 16)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(43)
+        v = pk.Volume(dims, rng.random(4096, dtype=np.float32))
+        predictor = surrogate("logistic", grid, rng)
+
+        class ThreadSpy:
+            """Batched surrogate front that records which threads query it."""
+
+            def __init__(self):
+                self.grid = grid
+                self.threads = set()
+
+            def predict(self, v):
+                raise AssertionError("aligned games must take the batched path")
+
+            def predict_features(self, features):
+                self.threads.add(threading.get_ident())
+                time.sleep(0.01)  # long enough for sibling games to overlap
+                return predictor.predict_features(features)
+
+        serial, pooled = ThreadSpy(), ThreadSpy()
+        a = pk.recursive_attribution(serial, v, 4, tau=math.inf, threads=1)
+        b = pk.recursive_attribution(pooled, v, 4, tau=math.inf, threads=2)
+        assert len(pooled.threads) == 2
+        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
     def test_level1_only_grid_equals_exact_shapley(self):
         # When the octree halves coincide with the leaf grid, the recursive
@@ -606,12 +643,8 @@ class TestCohortAverage:
         assert avg.evaluations == 20
 
     def test_mask_filters_and_empty_raises(self):
-        grid = pk.make_grid((4, 4, 4), 2)
-        maps = [self._map(np.full(8, 1.0), grid), self._map(np.full(8, 3.0), grid)]
-        avg = pk.cohort_average(maps, include=[False, True])
-        assert np.all(avg.values == 3.0)
         with pytest.raises(EmptyCohortError):
-            pk.cohort_average(maps, include=[False, False])
+            pk.cohort_average([])
 
     def test_grid_mismatch_rejected(self):
         a = self._map(np.zeros(8), pk.make_grid((4, 4, 4), 2))
