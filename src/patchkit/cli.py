@@ -209,13 +209,11 @@ def cmd_select(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _fit_and_score(cfg, manifest, selection, seed):
-    grid = make_grid(manifest.spec.dims, cfg.grid.patch_edge)
-    features, labels = extract_selected_patches(manifest, grid, selection)
+def _fit_and_score(cfg, features, labels, seed):
     test_idx, val_idx, train_idx = stratified_split(
         labels, (cfg.train.test_fraction, cfg.train.val_fraction), seed
     )
-    net_cfg = _net_config(cfg, len(selection.chosen), seed)
+    net_cfg = _net_config(cfg, features.shape[1], seed)
     result = train_patchnet(
         features[train_idx], labels[train_idx],
         features[val_idx], labels[val_idx],
@@ -223,18 +221,18 @@ def _fit_and_score(cfg, manifest, selection, seed):
     )
     scores = class_scores(result.params, features[test_idx])
     report = evaluate_scores(labels[test_idx], scores)
-    return result, report, net_cfg, (train_idx, val_idx, test_idx)
+    return result, report, (train_idx, val_idx, test_idx)
 
 
 def cmd_train(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     out = _out_dir(cfg)
     selection = SelectionResult.load(_require(out / "selection.json", "select"))
-    seed = cfg.stage_seed("train")
-    result, report, net_cfg, (train_idx, val_idx, test_idx) = _fit_and_score(
-        cfg, manifest, selection, seed
-    )
     grid = make_grid(manifest.spec.dims, cfg.grid.patch_edge)
+    features, labels = extract_selected_patches(manifest, grid, selection)
+    result, report, (train_idx, val_idx, test_idx) = _fit_and_score(
+        cfg, features, labels, cfg.stage_seed("train")
+    )
     ckpt = out / "checkpoint.pnc"
     save_checkpoint(ckpt, result.params, extra={
         "selection": selection.to_json(),
@@ -324,16 +322,19 @@ def cmd_compare(cfg: RunConfig) -> int:
     for lesion in manifest.ground_truth:
         lesion_patches.update(grid.indices_intersecting(lesion))
     rows = []
-    for method in ("shap", "ttest"):
+    # Every top-m selection is a prefix of the top-M one: rank and extract once.
+    m_max = max(cfg.compare.m_values)
+    rankings = {
+        "shap": select_top(attribution, m_max, key=cfg.selection.key),
+        "ttest": ttest_select(manifest, grid, m_max),
+    }
+    for method, ranking in rankings.items():
+        features, labels = extract_selected_patches(manifest, grid, ranking)
         for m in cfg.compare.m_values:
-            if method == "shap":
-                selection = select_top(attribution, m, key=cfg.selection.key)
-            else:
-                selection = ttest_select(manifest, grid, m)
             seed = cfg.stage_seed("compare") + 101 * m + (0 if method == "shap" else 7)
-            _, report, _, _ = _fit_and_score(cfg, manifest, selection, seed)
+            _, report, _ = _fit_and_score(cfg, features[:, :m], labels, seed)
             recall = (
-                len(lesion_patches & set(selection.chosen)) / len(lesion_patches)
+                len(lesion_patches & set(ranking.chosen[:m])) / len(lesion_patches)
                 if lesion_patches else float("nan")
             )
             rows.append({

@@ -65,6 +65,8 @@ def _check_labels_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidArgumentError(f"{labels.size} labels vs {scores.size} scores")
     if not np.all((labels == 0) | (labels == 1)):
         raise InvalidArgumentError("labels must be 0 or 1")
+    if not np.all(np.isfinite(scores)):
+        raise InvalidArgumentError("scores must be finite")
     return labels, scores
 
 

@@ -384,12 +384,16 @@ def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
         cfg = PatchNetConfig.from_json(blob["net"])
     except (KeyError, TypeError, ValueError) as exc:  # InvalidArgumentError is a ValueError
         raise InvalidArgumentError(f"{path}: config blob has no valid 'net' entry: {exc!r}") from exc
+    if not isinstance(blob.get("extra", {}), dict):
+        raise InvalidArgumentError(f"{path}: config blob 'extra' must be a JSON object")
     shapes = tensor_shapes(cfg)
     stored: dict[str, bytes] = {}
     for _ in range(u32()):
         name = take(u32()).decode("utf-8", errors="replace")
         dims = tuple(u32() for _ in range(u32()))
         data = take(4 * math.prod(dims))
+        if name in stored:
+            raise InvalidArgumentError(f"{path}: tensor {name} is stored twice")
         if name in shapes and dims != shapes[name]:
             raise InvalidArgumentError(
                 f"{path}: tensor {name} has shape {dims}, expected {shapes[name]}"

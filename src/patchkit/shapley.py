@@ -200,9 +200,7 @@ def _patch_indices(grid: PatchGrid, r: Region) -> np.ndarray | None:
     return np.arange(len(grid)).reshape(nz, ny, nx)[z0:z1, y0:y1, x0:x1].reshape(-1)
 
 
-def _feature_readouts(
-    predictor: Predictor, volume: Volume, members: list[Region], context: list[Region]
-) -> np.ndarray | None:
+def _feature_readouts(predictor: Predictor, volume: Volume, members: list[Region]) -> np.ndarray | None:
     """Every coalition's readout from one ``predict_features`` call, or None.
 
     None means the per-volume path must run: the predictor has no feature
@@ -219,39 +217,32 @@ def _feature_readouts(
     readout = getattr(type(predictor), "predict_features", None)
     if readout is None or not isinstance(grid, PatchGrid) or grid.vol_dims != volume.dims:
         return None
-    tiles = [_patch_indices(grid, r) for r in members + context]
+    tiles = [_patch_indices(grid, r) for r in members]
     if any(t is None for t in tiles):
         return None
     n = len(members)
     masks = np.arange(1 << n)
     keep = np.ones((1 << n, len(grid)), dtype=bool)
-    for i, tile in enumerate(tiles[:n]):
+    for i, tile in enumerate(tiles):
         keep[np.ix_((masks >> i) & 1 == 0, tile)] = False
-    for tile in tiles[n:]:
-        keep[:, tile] = False
     features = np.where(keep, patch_means(volume, grid), 0.0)
     return _checked_readouts(readout(predictor, features), 1 << n)
 
 
-def _coalition_readouts(
-    predictor: Predictor,
-    volume: Volume,
-    members: list[Region],
-    context: list[Region],
-) -> np.ndarray:
+def _coalition_readouts(predictor: Predictor, volume: Volume, members: list[Region]) -> np.ndarray:
     """Readout for every coalition bitmask over ``members`` (2^n entries).
 
-    Bit i set means member i stays intact; everything else in ``members`` plus
-    the whole ``context`` is zero-filled.
+    Bit i set means member i stays intact; the members whose bit is clear are
+    zero-filled, and the rest of the volume is never touched.
     """
-    batched = _feature_readouts(predictor, volume, members, context)
+    batched = _feature_readouts(predictor, volume, members)
     if batched is not None:
         return batched
     n = len(members)
 
     def evaluate(mask: int) -> float:
         absent = [members[i] for i in range(n) if not (mask >> i) & 1]
-        return _checked_readouts(predictor.predict(perturb_zero(volume, absent + context)), 1)[0]
+        return _checked_readouts(predictor.predict(perturb_zero(volume, absent)), 1)[0]
 
     return np.array([evaluate(m) for m in range(1 << n)], dtype=np.float64)
 
@@ -299,23 +290,16 @@ def exact_shapley(predictor: Predictor, volume: Volume, regions: list[Region]) -
     for r in regions:
         if not volume.contains(r):
             raise InvalidArgumentError(f"region {r} outside volume dims {volume.dims}")
-    readouts = _coalition_readouts(predictor, volume, list(regions), [])
+    readouts = _coalition_readouts(predictor, volume, list(regions))
     return _shapley_from_readouts(readouts, n)
 
 
-def sibling_shapley(
-    predictor: Predictor, volume: Volume, siblings: list[Region], context=()
-) -> np.ndarray:
-    """Exact Shapley among <= 8 sibling regions, with ``context`` always zero-filled."""
-    n = len(siblings)
-    if not 1 <= n <= 8:
-        raise InvalidArgumentError(f"sibling games support 1..8 regions, got {n}")
-    context = list(context)
-    for r in list(siblings) + context:
-        if not volume.contains(r):
-            raise InvalidArgumentError(f"region {r} outside volume dims {volume.dims}")
-    readouts = _coalition_readouts(predictor, volume, list(siblings), context)
-    return _shapley_from_readouts(readouts, n)
+def sibling_shapley(predictor: Predictor, volume: Volume, siblings: list[Region]) -> np.ndarray:
+    """``exact_shapley`` over one octree node's 1..8 children: the sibling game
+    ``recursive_attribution`` plays at each node it splits."""
+    if not 1 <= len(siblings) <= 8:
+        raise InvalidArgumentError(f"sibling games support 1..8 regions, got {len(siblings)}")
+    return exact_shapley(predictor, volume, siblings)
 
 
 def _rule_fires(rule: str, value: float, tau: float) -> bool:
@@ -436,6 +420,12 @@ def cohort_average(maps: list[AttributionMap]) -> AttributionMap:
     )
 
 
+def _top(scores: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the ``m`` highest scores, best first. The stable sort breaks ties
+    by ascending index, so a top-m is the first m entries of every larger top-M."""
+    return np.argsort(-scores, kind="stable")[:m]
+
+
 def select_top(attribution: AttributionMap, m_patches: int, *, key: str = "magnitude") -> SelectionResult:
     """Pick the ``m_patches`` highest-ranked leaves, ties broken by ascending index.
 
@@ -456,8 +446,7 @@ def select_top(attribution: AttributionMap, m_patches: int, *, key: str = "magni
         scores = attribution.values
     else:
         raise InvalidArgumentError(f"unknown ranking key {key!r}")
-    order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
-    chosen = order[:m_patches]
+    chosen = _top(scores, m_patches)
     return SelectionResult(chosen=chosen, method="shap", scores=scores[chosen])
 
 
@@ -495,6 +484,5 @@ def ttest_select(manifest: DatasetManifest, grid: PatchGrid, m_patches: int) -> 
         )
     t[degenerate] = np.sign(diff[degenerate]) * T_STAT_SENTINEL
     mag = np.abs(t)
-    order = sorted(range(mag.size), key=lambda i: (-mag[i], i))
-    chosen = order[:m_patches]
+    chosen = _top(mag, m_patches)
     return SelectionResult(chosen=chosen, method="ttest", scores=mag[chosen])

@@ -224,6 +224,17 @@ class TestIdempotence:
         assert (tmp_path / "data" / "manifest.json").read_bytes() == manifest
         assert (tmp_path / "data" / "vol_0_0000.vol").read_bytes() == volume
 
+    def test_eval_and_compare_reruns_are_byte_identical(self, pipeline_dir):
+        tmp, cfg = pipeline_dir
+        out = tmp / "out"
+        names = ("eval_report.json", "roc.csv", "compare.json")
+        runs = []
+        for _ in range(2):
+            assert run(cfg, "eval") == 0
+            assert run(cfg, "compare") == 0
+            runs.append({name: (out / name).read_bytes() for name in names})
+        assert runs[0] == runs[1]
+
     def test_run_echo_reproduces_the_run(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run(cfg, "gen") == 0

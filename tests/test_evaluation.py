@@ -53,6 +53,14 @@ class TestMetrics:
         with pytest.raises(InvalidArgumentError):
             metrics([0, 1], [0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [metrics, auc, roc_points, evaluate_scores])
+    def test_non_finite_scores_rejected(self, fn, bad):
+        # A NaN would otherwise count as a negative prediction and sort as
+        # the best score of the ROC.
+        with pytest.raises(InvalidArgumentError, match="scores must be finite"):
+            fn([0, 1, 0, 1], [0.2, bad, 0.3, 0.9])
+
 
 class TestAuc:
     def test_perfect_separation(self):

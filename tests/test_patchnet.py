@@ -451,6 +451,43 @@ class TestCheckpoint:
             with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: config blob")):
                 load_checkpoint(path)
 
+    def test_tensor_stored_twice_rejected(self, tmp_path):
+        _, params, _ = self._trained_params()
+        path = tmp_path / "model.pnc"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        # Append a zeroed second classifier_b record and bump the tensor count.
+        name = b"classifier_b"
+        start = raw.index(name) - 4
+        rank_at = start + 4 + len(name)
+        rank = int.from_bytes(raw[rank_at:rank_at + 4], "little")
+        dims = [int.from_bytes(raw[rank_at + 4 + 4 * k:rank_at + 8 + 4 * k], "little")
+                for k in range(rank)]
+        header_end = rank_at + 4 + 4 * rank
+        copy = raw[start:header_end] + bytes(4 * int(np.prod(dims)))
+        count_at = 12 + int.from_bytes(raw[8:12], "little")
+        count = int.from_bytes(raw[count_at:count_at + 4], "little")
+        path.write_bytes(raw[:count_at] + (count + 1).to_bytes(4, "little")
+                         + raw[count_at + 4:] + copy)
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"{path}: tensor classifier_b is stored twice")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [5, [], "note", None])
+    def test_extra_that_is_not_an_object_rejected(self, tmp_path, extra):
+        _, params, _ = self._trained_params()
+        path = tmp_path / "model.pnc"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        blob_len = int.from_bytes(raw[8:12], "little")
+        blob = json.loads(raw[12:12 + blob_len]) | {"extra": extra}
+        encoded = json.dumps(blob).encode()
+        path.write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded
+                         + raw[12 + blob_len:])
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"{path}: config blob 'extra' must be a JSON object")):
+            load_checkpoint(path)
+
     def test_config_blob_cannot_force_an_allocation(self, tmp_path):
         # Building this config allocates about 44 MB; its file has no tensors.
         net = PatchNetConfig(patch_edge=1, patch_count=36, embed_dim=100_000, depth=0).to_json()

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import patchkit as pk
@@ -16,7 +16,7 @@ from patchkit.errors import (
     EmptyCohortError,
     InvalidArgumentError,
 )
-from patchkit.shapley import T_STAT_SENTINEL, _shapley_from_readouts
+from patchkit.shapley import T_STAT_SENTINEL, _shapley_from_readouts, _top
 from patchkit.surrogate import SurrogateParams, SurrogatePredictor
 
 from conftest import (
@@ -27,6 +27,12 @@ from conftest import (
     RegionMeanProbe,
     break_artifact,
     volume_with_region_means,
+)
+
+
+# Score draws that tie often, including both signed zeros.
+TIE_HEAVY_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e30]) | st.floats(
+    allow_nan=False, allow_infinity=False
 )
 
 
@@ -150,22 +156,10 @@ class TestSiblingShapley:
         v = pk.Volume(dims, rng.random(64, dtype=np.float32))
         probe = LogisticRegionProbe(list(grid.regions), rng.normal(0, 0.5, 8))
         target = grid.regions[3]
-        context = [grid.regions[0], grid.regions[6]]
-        (value,) = pk.sibling_shapley(probe, v, [target], context=context)
-        with_target = probe.predict(pk.perturb_zero(v, context))[1]
-        without = probe.predict(pk.perturb_zero(v, [target] + context))[1]
+        (value,) = pk.sibling_shapley(probe, v, [target])
+        with_target = probe.predict(v)[1]
+        without = probe.predict(pk.perturb_zero(v, [target]))[1]
         assert abs(value - (with_target - without)) < 1e-12
-
-    def test_additive_values_are_context_free(self):
-        dims = (8, 8, 8)
-        grid = pk.make_grid(dims, 4)
-        rng = np.random.default_rng(4)
-        v = pk.Volume(dims, rng.random(512, dtype=np.float32))
-        probe = RegionMeanProbe(list(grid.regions), rng.normal(0, 0.2, 8))
-        siblings = [grid.regions[i] for i in (1, 2, 3)]
-        no_ctx = pk.sibling_shapley(probe, v, siblings)
-        with_ctx = pk.sibling_shapley(probe, v, siblings, context=[grid.regions[6]])
-        assert np.allclose(no_ctx, with_ctx, atol=1e-9)
 
     def test_sibling_count_capped_at_8(self):
         dims = (16, 4, 4)
@@ -447,11 +441,10 @@ class TestFeatureSpaceGames:
         v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
         predictor = surrogate(data.draw(st.sampled_from(["identity", "logistic"])), grid, rng)
         members = [aligned_region(data.draw, grid) for _ in range(data.draw(st.integers(1, 6)))]
-        context = [aligned_region(data.draw, grid) for _ in range(data.draw(st.integers(0, 2)))]
 
         oracle = CountingPredictor(predictor)  # exposes predict only
-        batched = pk.sibling_shapley(predictor, v, members, context)
-        assert np.allclose(batched, pk.sibling_shapley(oracle, v, members, context),
+        batched = pk.sibling_shapley(predictor, v, members)
+        assert np.allclose(batched, pk.sibling_shapley(oracle, v, members),
                            rtol=0, atol=1e-12)
         assert oracle.calls == 2 ** len(members)
         batched = pk.exact_shapley(predictor, v, members)
@@ -701,6 +694,33 @@ class TestSelectTop:
         permuted = pk.select_top(self._map(permuted_values), 4)
         assert set(permuted.chosen) == {perm[i] for i in base.chosen}
 
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(TIE_HEAVY_SCORES, min_size=16, max_size=16),
+           key=st.sampled_from(["magnitude", "value"]))
+    @example(values=[0.0, -0.0, 2.0, -2.0] * 4, key="value")
+    @example(values=[0.0, -0.0, 2.0, -2.0] * 4, key="magnitude")
+    def test_top_m_is_a_prefix_of_top_larger_m(self, values, key):
+        amap = self._map(values)
+        for big in (1, 4, 9, 16):
+            top = pk.select_top(amap, big, key=key)
+            for m in (1, 4, 9, 16):
+                if m <= big:
+                    sel = pk.select_top(amap, m, key=key)
+                    assert sel.chosen == top.chosen[:m]
+                    assert np.array_equal(sel.scores, top.scores[:m])
+
+
+class TestTopRanking:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(TIE_HEAVY_SCORES, min_size=1, max_size=40))
+    @example(values=[-0.0, 0.0, 1.0, -0.0, -1.0, 0.0, 1.0])
+    def test_matches_the_sorted_reference(self, values):
+        s = np.array(values, dtype=np.float64)
+        n = s.size
+        reference = sorted(range(n), key=lambda i: (-s[i], i))
+        for m in range(n + 1):
+            assert _top(s, m).tolist() == reference[:m]
+
 
 class TestTTestSelect:
     def test_noise_free_phantom_selects_lesion_patches(self, tmp_path):
@@ -789,6 +809,37 @@ class TestTTestSelect:
         grid = pk.make_grid(small_phantom.spec.dims, 4)
         with pytest.raises(InvalidArgumentError, match="perfect square"):
             pk.ttest_select(small_phantom, grid, 5)
+
+    def test_top_m_is_a_prefix_of_top_larger_m(self, small_phantom, tmp_path):
+        # Left half: one value per volume, so its 8 patches tie on |t| > 0;
+        # right half: a constant, so its 8 patches tie at t = 0.
+        dims = (16, 8, 8)
+        half = np.zeros((8, 8, 16), dtype=np.float32)
+        half[..., 8:] = 0.5
+        for i, value in enumerate([0.5, 0.4, 0.6, 1.0, 0.9, 1.1]):
+            half[..., :8] = value
+            pk.write_vol(tmp_path / f"v{i}.vol", pk.Volume(dims, half.reshape(-1)))
+        spec = pk.PhantomSpec(
+            dims=dims, n_per_class=3, lesion_regions=(pk.Region((0, 0, 0), (8, 8, 8)),),
+            lesion_delta=0.5, noise_sigma=0.0, smooth_radius=0, seed=1,
+        )
+        tied = pk.DatasetManifest(
+            spec=spec, ground_truth=spec.lesion_regions,
+            entries=[(f"v{i}.vol", i // 3) for i in range(6)], root=tmp_path,
+        )
+        tops = []
+        for manifest in (tied, small_phantom):
+            grid = pk.make_grid(manifest.spec.dims, 4)
+            squares = [k * k for k in range(1, math.isqrt(len(grid)) + 1)]
+            tops.append(pk.ttest_select(manifest, grid, squares[-1]))
+            for m in squares:
+                sel = pk.ttest_select(manifest, grid, m)
+                assert sel.chosen == tops[-1].chosen[:m]
+                assert np.array_equal(sel.scores, tops[-1].scores[:m])
+        # Each tied half is taken in ascending index order.
+        assert tops[0].chosen == [0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15]
+        assert np.all(tops[0].scores[:8] == tops[0].scores[0]) and tops[0].scores[0] > 0.0
+        assert np.all(tops[0].scores[8:] == 0.0)
 
 
 class TestSelectionResult:
