@@ -5,16 +5,17 @@ residual connections and batch norm, average pooling, and an affine head.
 Each selected patch is flattened, projected to ``embed_dim`` and placed
 row-major on an m x m spatial plane, so the channel axis carries within-patch
 information and the spatial axes carry between-patch layout. Activations stay
-channels-last, (B, m, m, d), from the embedding to the pool, so the pointwise
-stage is a plain matmul and batch norm reduces over the leading axes. A block
-applies
+channels-last, (B, m, m, d), from the embedding to the pool. A block applies
 
-    spatial:  x + BN(depthwise_conv_mxm(x))          (no activation)
-    channel:  BN(relu(pointwise_conv_1x1(x)))
+    spatial:  x + BN(depthwise_conv_mxm(x) + b)      (no activation)
+    channel:  BN(relu(pointwise_conv_1x1(x) + b))
 
-in that order. The spatial convolution is depthwise (one m x m kernel per
-channel): a full channel-mixing spatial kernel would blow the parameter budget
-without adding anything the pointwise stage does not already provide.
+in that order, each stage one autodiff op (``tensor.spatial_block`` and
+``tensor.channel_block``) with an analytic backward, so a depth-D training
+step builds 2·D + 7 graph nodes. The spatial convolution is depthwise (one
+m x m kernel per channel): a full channel-mixing spatial kernel would blow the
+parameter budget without adding anything the pointwise stage does not already
+provide.
 """
 from __future__ import annotations
 
@@ -219,9 +220,12 @@ def tensor_shapes(cfg: PatchNetConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _batchnorm(x: Tensor, bn: BatchNormParams, mode: str) -> Tensor:
+def _batchnorm(x: Tensor, bn: BatchNormParams, mode: str, op=T.batch_norm, *weights) -> Tensor:
+    """Run ``op(x, *weights, gamma, beta, eps, stats)``, an op that ends in the
+    batch norm ``bn``: on batch statistics that update the running ones in
+    train mode, on the running statistics in eval mode."""
     if mode == "train":
-        y, mu, var = T.batch_norm(x, bn.gamma, bn.beta, BN_EPS)  # biased variance
+        y, mu, var = op(x, *weights, bn.gamma, bn.beta, BN_EPS)  # biased variance
         stats = bn.stats
         stats.running_mean *= 1.0 - BN_MOMENTUM
         stats.running_mean += BN_MOMENTUM * mu.astype(stats.running_mean.dtype)
@@ -233,7 +237,7 @@ def _batchnorm(x: Tensor, bn: BatchNormParams, mode: str) -> Tensor:
         if not bn.stats.ready:
             raise InvalidStateError("batch norm running stats are uninitialized; train first")
         stats = (bn.stats.running_mean, bn.stats.running_var)
-        return T.batch_norm(x, bn.gamma, bn.beta, BN_EPS, stats)[0]
+        return op(x, *weights, bn.gamma, bn.beta, BN_EPS, stats)[0]
     raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
@@ -242,7 +246,8 @@ def embed_patches(patches, params: PatchNetParams) -> Tensor:
 
     Patches (..., M, p^3) give channels-last activations (..., m, m, d):
     patch i lands at spatial site (i // m, i % m) with its embedding along the
-    last axis. Leading dimensions carry through.
+    last axis. Leading dimensions carry through. NaN or infinite voxels are
+    rejected: nothing downstream could give them a meaningful output.
     """
     cfg = params.config
     x = T._as_tensor(np.asarray(patches))
@@ -251,22 +256,20 @@ def embed_patches(patches, params: PatchNetParams) -> Tensor:
             f"expected {cfg.patch_count} patches of length {cfg.patch_len}, "
             f"got an array of shape {x.data.shape}"
         )
+    if not np.isfinite(x.data).all():
+        raise InvalidArgumentError("patches contain NaN or infinite voxels")
     emb = T.add(T.matmul(x, T._as_tensor(params.projection)), T._as_tensor(params.pos_embed))
     return T.reshape(emb, x.data.shape[:-2] + (cfg.side, cfg.side, cfg.embed_dim))
 
 
 def gsi_block(x: Tensor, bp: BlockParams, mode: str) -> Tensor:
-    """Depthwise spatial convolution + BN + residual (no activation)."""
-    y = T.add(T.depthwise_conv2d(x, T._as_tensor(bp.gsi_kernel)), T._as_tensor(bp.gsi_bias))
-    y = _batchnorm(y, bp.gsi_bn, mode)
-    return T.add(y, x)
+    """Depthwise spatial convolution + BN + residual (no activation), one op."""
+    return _batchnorm(x, bp.gsi_bn, mode, T.spatial_block, bp.gsi_kernel, bp.gsi_bias)
 
 
 def lpi_block(x: Tensor, bp: BlockParams, mode: str) -> Tensor:
-    """Pointwise channel mixing + ReLU + BN; spatial sites stay independent."""
-    mixed = T.matmul(x, T.transpose(T._as_tensor(bp.lpi_weight), (1, 0)))
-    y = T.relu(T.add(mixed, T._as_tensor(bp.lpi_bias)))
-    return _batchnorm(y, bp.lpi_bn, mode)
+    """Pointwise channel mixing + ReLU + BN, one op; spatial sites stay independent."""
+    return _batchnorm(x, bp.lpi_bn, mode, T.channel_block, bp.lpi_weight, bp.lpi_bias)
 
 
 def _forward_graph(patches, params: PatchNetParams, mode: str) -> Tensor:

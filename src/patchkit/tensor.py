@@ -1,10 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 This is not a general autodiff graph: it provides exactly the op set the patch
-network needs (broadcast add, matmul, reshape/transpose, mean, ReLU, batch
-norm over the last axis, same-size depthwise 2D convolution over channels-last
-(B, H, W, C) planes lowered to per-channel dense maps over the sites, and fused
-softmax cross-entropy).
+network needs. The network runs on broadcast add, matmul by a 2-D right
+operand, reshape, mean, fused softmax cross-entropy and its two block ops,
+each one graph node with an analytic backward:
+
+- ``spatial_block``: same-size depthwise 2D convolution over channels-last
+  (B, H, W, C) planes, bias, batch norm over the last axis, residual;
+- ``channel_block``: pointwise (1x1) convolution, bias, ReLU, batch norm.
+
+They share the convolution (:class:`_Conv`) and batch-norm (:class:`_Norm`)
+arithmetic with the single ops ``depthwise_conv2d`` and ``batch_norm``, which
+stay as their reference. Every product is laid out so numpy hands it to BLAS.
 Gradients accumulate in the dtype of the forward data, so running the graph in
 float64 gives a high-precision checking mode.
 """
@@ -90,6 +97,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _push(inputs: tuple[Tensor, ...], grads: tuple[np.ndarray, ...]) -> None:
+    """Accumulate each gradient into its input where that input wants one."""
+    for t, g in zip(inputs, grads):
+        if t.requires_grad:
+            t._accumulate(g)
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
@@ -103,28 +117,28 @@ def add(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``a @ b`` for ``a`` of shape (..., k) and ``b`` of shape (k, n).
+
+    The forward pass and both gradients are 2-D products over the flattened
+    leading axes of ``a``, so a weight shared across a batch gets its
+    gradient from one product.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
+    if b.data.ndim != 2 or a.data.ndim < 1 or a.data.shape[-1] != b.data.shape[0]:
+        raise InvalidArgumentError(
+            f"matmul needs shapes (..., k) and (k, n), got {a.data.shape} and {b.data.shape}"
+        )
+    k, n = b.data.shape
+    rows = a.data.reshape(-1, k)
 
     def backward(g):
+        g = g.reshape(-1, n)
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
+            a._accumulate((g @ b.data.T).reshape(a.data.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+            b._accumulate(rows.T @ g)
 
-    return _node(np.matmul(a.data, b.data), (a, b), backward)
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    return _node(np.where(mask, a.data, 0.0), (a,), backward)
+    return _node((rows @ b.data).reshape(a.data.shape[:-1] + (n,)), (a, b), backward)
 
 
 def reshape(a, shape) -> Tensor:
@@ -135,18 +149,6 @@ def reshape(a, shape) -> Tensor:
             a._accumulate(g.reshape(a.data.shape))
 
     return _node(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a, axes) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
-
-    return _node(a.data.transpose(axes), (a,), backward)
 
 
 def mean(a, axes, keepdims: bool = True) -> Tensor:
@@ -163,6 +165,45 @@ def mean(a, axes, keepdims: bool = True) -> Tensor:
     return _node(a.data.mean(axis=axes, keepdims=keepdims), (a,), backward)
 
 
+class _Norm:
+    """Batch-norm arithmetic over the rows of an (N, C) array: the forward
+    values and the backward map, shared by :func:`batch_norm` and the blocks.
+
+    With ``stats`` None, mean and biased variance are the batch statistics and
+    the gradient flows through them; otherwise ``stats`` is a constant
+    (mean, var) pair of per-channel arrays.
+    """
+
+    def __init__(self, rows: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, stats):
+        dt = rows.dtype
+        self.batch_stats = stats is None
+        if self.batch_stats:
+            self.mean = rows.mean(axis=0)
+            centered = rows - self.mean
+            self.var = (centered * centered).mean(axis=0)
+        else:
+            self.mean, self.var = stats[0].astype(dt), stats[1].astype(dt)
+            centered = rows - self.mean
+        self.inv = (self.var + np.asarray(eps, dtype=dt)) ** -0.5
+        centered *= self.inv
+        self.xhat = centered
+        self.gamma = gamma
+        out = self.xhat * gamma
+        out += beta
+        self.out = out.astype(dt, copy=False)
+
+    def grads(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gradients (input rows, gamma, beta) for the output gradient ``g``."""
+        g_xhat = g * self.gamma
+        if self.batch_stats:
+            # Through the batch mean and variance: subtract the mean gradient
+            # and its projection onto xhat.
+            g_xhat = (g_xhat - g_xhat.mean(axis=0)
+                      - self.xhat * (g_xhat * self.xhat).mean(axis=0))
+        g_rows = (g_xhat * self.inv).astype(g.dtype, copy=False)
+        return g_rows, (g * self.xhat).sum(axis=0), g.sum(axis=0)
+
+
 def batch_norm(x, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """``gamma · (x − mean) / sqrt(var + eps) + beta`` per channel (last axis).
 
@@ -172,35 +213,14 @@ def batch_norm(x, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarr
     the output with the mean and variance it used, shaped (C,).
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    dt = x.data.dtype
-    axes = tuple(range(x.data.ndim - 1))
-    batch_stats = stats is None
-    if batch_stats:
-        mu = x.data.mean(axis=axes)
-        centered = x.data - mu
-        var = (centered * centered).mean(axis=axes)
-    else:
-        mu, var = stats[0].astype(dt), stats[1].astype(dt)
-        centered = x.data - mu
-    inv = (var + np.asarray(eps, dtype=dt)) ** -0.5
-    xhat = centered * inv
+    shape = x.data.shape
+    norm = _Norm(x.data.reshape(-1, shape[-1]), gamma.data, beta.data, eps, stats)
 
     def backward(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=axes))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=axes))
-        if x.requires_grad:
-            g_xhat = g * gamma.data
-            if batch_stats:
-                # Through the batch mean and variance: subtract the mean
-                # gradient and its projection onto xhat.
-                g_xhat = (g_xhat - g_xhat.mean(axis=axes)
-                          - xhat * (g_xhat * xhat).mean(axis=axes))
-            x._accumulate((g_xhat * inv).astype(dt, copy=False))
+        g_rows, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
+        _push((x, gamma, beta), (g_rows.reshape(shape), g_gamma, g_beta))
 
-    out = xhat * gamma.data + beta.data
-    return _node(out.astype(dt, copy=False), (x, gamma, beta), backward), mu, var
+    return _node(norm.out.reshape(shape), (x, gamma, beta), backward), norm.mean, norm.var
 
 
 def conv_same_padding(k: int) -> tuple[int, int]:
@@ -214,16 +234,16 @@ def conv_same_padding(k: int) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=64)
 def _tap_index(h: int, w: int, kh: int, kw: int) -> np.ndarray:
-    """(H·W, H·W) kernel tap feeding each (output site, input site) pair.
+    """(H·W, H·W) kernel tap joining each (input site, output site) pair.
 
-    Entry [(i, j), (p, q)] is the flat tap ``u·kw + v`` with ``p = i + u − low_h``
+    Entry [(p, q), (i, j)] is the flat tap ``u·kw + v`` with ``p = i + u − low_h``
     and ``q = j + v − low_w`` under :func:`conv_same_padding`, or ``kh·kw`` (a
     zero appended to the kernel) where no tap joins the two sites.
     """
     (low_h, _), (low_w, _) = conv_same_padding(kh), conv_same_padding(kw)
     rows, cols = np.arange(h), np.arange(w)
-    u = rows[None, :] - rows[:, None] + low_h  # (i, p)
-    v = cols[None, :] - cols[:, None] + low_w  # (j, q)
+    u = rows[:, None] - rows[None, :] + low_h  # (p, i)
+    v = cols[:, None] - cols[None, :] + low_w  # (q, j)
     inside = ((u >= 0) & (u < kh))[:, None, :, None] & ((v >= 0) & (v < kw))[None, :, None, :]
     taps = np.where(inside, u[:, None, :, None] * kw + v[None, :, None, :], kh * kw)
     taps = taps.reshape(h * w, h * w)
@@ -231,42 +251,126 @@ def _tap_index(h: int, w: int, kh: int, kw: int) -> np.ndarray:
     return taps
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_one_hot(h: int, w: int, kh: int, kw: int, dtype: np.dtype) -> np.ndarray:
+    """(H·W·H·W, kh·kw) one-hot rows of :func:`_tap_index`: a product with it
+    sums every (input site, output site) entry onto its kernel tap."""
+    one_hot = (_tap_index(h, w, kh, kw).reshape(-1, 1) == np.arange(kh * kw)).astype(dtype)
+    one_hot.setflags(write=False)
+    return one_hot
+
+
+class _Conv:
+    """Same-padding depthwise correlation of channels-last (B, H, W, C) planes
+    with a (C, kh, kw) kernel, shared by :func:`depthwise_conv2d` and
+    :func:`spatial_block`.
+
+    Channel c is one dense (H·W × H·W) map over the sites, gathered
+    C-contiguous from its kernel through :func:`_tap_index`, and the planes
+    are copied to contiguous (C, B, H·W) site rows, so the forward pass and
+    both gradients are stacked products that numpy hands to BLAS.
+    """
+
+    def __init__(self, x: np.ndarray, kernel: np.ndarray):
+        B, H, W, C = x.shape
+        kc, kh, kw = kernel.shape
+        if kc != C:
+            raise InvalidArgumentError(f"kernel has {kc} channels, input has {C}")
+        if kh > 2 * H or kw > 2 * W:
+            raise InvalidArgumentError("kernel larger than padded input")
+        padded = np.concatenate([kernel.reshape(C, kh * kw), np.zeros((C, 1), kernel.dtype)], axis=1)
+        self.maps = np.take(padded, _tap_index(H, W, kh, kw), axis=1)  # (C, in site, out site)
+        self.sites = self._rows(x)
+        self.x_shape, self.kernel_shape = x.shape, kernel.shape
+        self.out = self._planes(np.matmul(self.sites, self.maps))
+
+    @staticmethod
+    def _rows(planes: np.ndarray) -> np.ndarray:
+        """(B, H, W, C) planes as contiguous (C, B, H·W) site rows."""
+        B, H, W, C = planes.shape
+        return np.ascontiguousarray(planes.reshape(B, H * W, C).transpose(2, 0, 1))
+
+    def _planes(self, rows: np.ndarray) -> np.ndarray:
+        """(C, B, H·W) site rows as contiguous (B, H, W, C) planes."""
+        return np.ascontiguousarray(rows.transpose(1, 2, 0)).reshape(self.x_shape)
+
+    def grad_input(self, g: np.ndarray) -> np.ndarray:
+        return self._planes(np.matmul(self._rows(g), self.maps.transpose(0, 2, 1)))
+
+    def grad_kernel(self, g: np.ndarray) -> np.ndarray:
+        C, kh, kw = self.kernel_shape
+        g_maps = np.matmul(self.sites.transpose(0, 2, 1), self._rows(g))  # (C, in site, out site)
+        one_hot = _tap_one_hot(self.x_shape[1], self.x_shape[2], kh, kw, g_maps.dtype)
+        return (g_maps.reshape(C, -1) @ one_hot).reshape(self.kernel_shape)
+
+
 def depthwise_conv2d(x, kernel) -> Tensor:
     """Per-channel 2D correlation with same-size zero padding.
 
     ``x`` has shape (B, H, W, C) and ``kernel`` (C, kh, kw); each channel is
     correlated with its own kernel and the output keeps the input shape.
-    With same padding, channel c is one dense (H·W × H·W) linear map over the
-    sites, gathered from its kernel through :func:`_tap_index`, so the forward
-    pass and both gradients are batched matmuls over a (C, B, H·W) view.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
-    B, H, W, C = x.data.shape
-    kc, kh, kw = kernel.data.shape
-    if kc != C:
-        raise InvalidArgumentError(f"kernel has {kc} channels, input has {C}")
-    if kh > 2 * H or kw > 2 * W:
-        raise InvalidArgumentError("kernel larger than padded input")
-    taps = _tap_index(H, W, kh, kw)
-    K = kh * kw
-    padded = np.concatenate([kernel.data.reshape(C, K), np.zeros((C, 1), kernel.data.dtype)], axis=1)
-    maps = padded[:, taps]  # (C, out site, in site)
-    sites = x.data.reshape(B, H * W, C).transpose(2, 0, 1)  # (C, B, H·W)
-    out_data = np.matmul(sites, maps.transpose(0, 2, 1)).transpose(1, 2, 0).reshape(B, H, W, C)
+    conv = _Conv(x.data, kernel.data)
 
     def backward(g):
-        g_sites = g.reshape(B, H * W, C).transpose(2, 0, 1)
         if kernel.requires_grad:
-            g_maps = np.matmul(g_sites.transpose(0, 2, 1), sites)  # (C, out site, in site)
-            # Scatter-add every (out, in) entry onto its tap, channel by channel.
-            flat = (np.arange(C)[:, None] * (K + 1) + taps.reshape(1, -1)).reshape(-1)
-            g_taps = np.bincount(flat, weights=g_maps.reshape(-1), minlength=C * (K + 1))
-            kernel._accumulate(g_taps.reshape(C, K + 1)[:, :K].reshape(C, kh, kw))
+            kernel._accumulate(conv.grad_kernel(g))
         if x.requires_grad:
-            gx = np.matmul(g_sites, maps).transpose(1, 2, 0).reshape(B, H, W, C)
-            x._accumulate(gx.astype(x.data.dtype, copy=False))
+            x._accumulate(conv.grad_input(g).astype(x.data.dtype, copy=False))
 
-    return _node(out_data.astype(x.data.dtype, copy=False), (x, kernel), backward)
+    return _node(conv.out.astype(x.data.dtype, copy=False), (x, kernel), backward)
+
+
+def spatial_block(x, weights, bias, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``x + batch_norm(depthwise_conv2d(x, weights) + bias)`` as one op.
+
+    ``x`` is (B, H, W, C) and ``weights`` (C, kh, kw); ``stats`` is as in
+    :func:`batch_norm`. Returns the output with the batch-norm mean and
+    variance, shaped (C,).
+    """
+    x, weights, bias, gamma, beta = (_as_tensor(t) for t in (x, weights, bias, gamma, beta))
+    shape = x.data.shape
+    conv = _Conv(x.data, weights.data)
+    norm = _Norm((conv.out + bias.data).reshape(-1, shape[-1]), gamma.data, beta.data, eps, stats)
+
+    def backward(g):
+        g_branch, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
+        g_conv = g_branch.reshape(shape)
+        g_x = g + conv.grad_input(g_conv) if x.requires_grad else None
+        g_weights = conv.grad_kernel(g_conv) if weights.requires_grad else None
+        _push((x, weights, bias, gamma, beta), (g_x, g_weights, g_branch.sum(axis=0), g_gamma, g_beta))
+
+    out = (x.data + norm.out.reshape(shape)).astype(x.data.dtype, copy=False)
+    return _node(out, (x, weights, bias, gamma, beta), backward), norm.mean, norm.var
+
+
+def channel_block(x, weights, bias, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``batch_norm(relu(x @ weights.T + bias))`` as one op.
+
+    ``x`` is (..., C_in) and ``weights`` (C_out, C_in); every leading index is
+    an independent site. ``stats`` is as in :func:`batch_norm`. Returns the
+    output with the batch-norm mean and variance, shaped (C_out,).
+    """
+    x, weights, bias, gamma, beta = (_as_tensor(t) for t in (x, weights, bias, gamma, beta))
+    c_out, c_in = weights.data.shape
+    if x.data.shape[-1] != c_in:
+        raise InvalidArgumentError(f"weights {weights.data.shape} take {c_in} channels, input has shape {x.data.shape}")
+    rows = x.data.reshape(-1, c_in)
+    pre = rows @ weights.data.T
+    pre += bias.data
+    np.maximum(pre, 0.0, out=pre)  # ReLU in place: pre > 0 stays its mask
+    norm = _Norm(pre, gamma.data, beta.data, eps, stats)
+
+    def backward(g):
+        g_relu, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
+        g_pre = g_relu * (pre > 0)
+        g_x = (g_pre @ weights.data).reshape(x.data.shape) if x.requires_grad else None
+        g_weights = g_pre.T @ rows if weights.requires_grad else None
+        _push((x, weights, bias, gamma, beta), (g_x, g_weights, g_pre.sum(axis=0), g_gamma, g_beta))
+
+    out = norm.out.reshape(x.data.shape[:-1] + (c_out,))
+    return _node(out, (x, weights, bias, gamma, beta), backward), norm.mean, norm.var
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -99,6 +99,25 @@ class TestEmbedPatches:
         for b in range(3):
             assert np.allclose(stacked[b], embed_patches(batch[b], params).data)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("call", ["eval", "train", "loss_and_grad"])
+    def test_non_finite_patches_rejected(self, call, bad):
+        cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=4)
+        params = init_params(cfg)
+        rng = np.random.default_rng(5)
+        labels = np.array([0, 1, 0, 1])
+        loss_and_grad(rng.normal(0, 1, (4, 4, 8)), labels, params, mode="train")
+        before = {name: arr.copy() for name, arr in params.named_arrays().items()}
+        patches = rng.normal(0, 1, (4, 4, 8)).astype(np.float32)
+        patches[2, 1, 5] = bad
+        with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
+            if call == "loss_and_grad":
+                loss_and_grad(patches, labels, params, mode="train")
+            else:
+                forward(patches, params, mode=call)
+        for name, arr in params.named_arrays().items():
+            assert np.array_equal(arr, before[name])
+
 
 class TestGsiBlock:
     def test_zero_kernel_identity_bn_is_exact_identity(self):
@@ -310,9 +329,9 @@ class TestLossAndGrad:
             assert np.array_equal(arr, arrays[name])
 
 
-    def test_depth_four_step_builds_43_graph_nodes(self, monkeypatch):
-        # 3 embedding nodes, 9 per block (4 spatial, 5 pointwise), then pool,
-        # head matmul, head bias and the loss: 9 * depth + 7.
+    def test_depth_four_step_builds_15_graph_nodes(self, monkeypatch):
+        # 3 embedding nodes, 2 per block (one spatial, one channel op), then
+        # pool, head matmul, head bias and the loss: 2 * depth + 7.
         cfg = PatchNetConfig(patch_edge=2, patch_count=36, embed_dim=8, depth=4)
         params = init_params(cfg)
         node, built = T._node, []
@@ -324,7 +343,7 @@ class TestLossAndGrad:
         monkeypatch.setattr(T, "_node", counting_node)
         rng = np.random.default_rng(23)
         loss_and_grad(rng.normal(0, 1, (8, 36, 8)), np.arange(8) % 2, params, mode="train")
-        assert len(built) == 9 * cfg.depth + 7 == 43
+        assert len(built) == 2 * cfg.depth + 7 == 15
 
 
 class TestParamsCopy:

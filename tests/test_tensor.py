@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,27 +67,11 @@ class TestElementwiseOps:
     def test_add_broadcast(self):
         check_op(lambda t: scalarize(T.add(t[0], t[1])), [(3, 4), (4,)])
 
-    def test_relu_away_from_kink(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(0, 1, (4, 4))
-        a[np.abs(a) < 0.1] = 0.5  # keep FD off the kink
-        t = Tensor(a.copy(), requires_grad=True)
-        loss = scalarize(T.relu(t))
-        loss.backward()
-
-        def value(arrs):
-            return float(scalarize(T.relu(Tensor(arrs[0]))).data)
-
-        (num,) = numeric_grads(value, [a])
-        assert np.allclose(t.grad, num, atol=1e-7)
-
 
 class TestShapeOps:
     def test_reshape_transpose_chain(self):
         def build(t):
-            x = T.reshape(t[0], (2, 6))
-            x = T.transpose(x, (1, 0))
-            return scalarize(x)
+            return scalarize(T.reshape(t[0], (2, 6)))
 
         check_op(build, [(3, 4)])
 
@@ -100,6 +86,13 @@ class TestMatmul:
 
     def test_batched_times_shared(self):
         check_op(lambda t: scalarize(T.matmul(t[0], t[1])), [(5, 3, 4), (4, 2)])
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3), (4, 2)), ((2, 3), (2, 3, 2)), ((2, 3), (3,)),
+                                                 ((), (1, 2))])
+    def test_operands_are_checked(self, a_shape, b_shape):
+        match = rf"{re.escape(str(a_shape))} and {re.escape(str(b_shape))}"
+        with pytest.raises(InvalidArgumentError, match=match):
+            T.matmul(np.ones(a_shape), np.ones(b_shape))
 
 
 class TestDepthwiseConv:
@@ -190,6 +183,103 @@ class TestLoweredConv:
     def test_kernel_larger_than_twice_the_plane_rejected(self):
         with pytest.raises(InvalidArgumentError, match="larger than padded input"):
             T.depthwise_conv2d(Tensor(np.zeros((1, 2, 3, 1))), Tensor(np.zeros((1, 5, 2))))
+
+
+
+def relu(a: Tensor) -> Tensor:
+    """Single-op ReLU, the reference for the one inside ``channel_block``."""
+    mask = a.data > 0
+    return T._node(np.where(mask, a.data, 0.0), (a,), lambda g: a._accumulate(g * mask))
+
+
+def composed_spatial(x, weights, bias, gamma, beta, eps, stats):
+    """``spatial_block`` built from single ops."""
+    y, mu, var = T.batch_norm(T.add(T.depthwise_conv2d(x, weights), bias), gamma, beta, eps, stats)
+    return T.add(y, x), mu, var
+
+
+def composed_channel(x, weights_t, bias, gamma, beta, eps, stats):
+    """``channel_block`` built from single ops, with the (in, out) weight ``weights_t``."""
+    return T.batch_norm(relu(T.add(T.matmul(x, weights_t), bias)), gamma, beta, eps, stats)
+
+
+STATS = (np.array([0.3, -1.0, 0.0]), np.array([0.5, 2.0, 1.0]))
+
+
+class TestBlockOps:
+    """``spatial_block`` and ``channel_block`` against finite differences and
+    against the composition of the single ops they fuse."""
+
+    SPATIAL = [(2, 3, 3, 3), (3, 3, 3), (3,), (3,), (3,)]
+    CHANNEL = [(2, 3, 2, 4), (3, 4), (3,), (3,), (3,)]
+
+    @pytest.mark.parametrize("stats", [None, STATS], ids=["batch", "constant"])
+    @pytest.mark.parametrize("op,shapes", [(T.spatial_block, SPATIAL), (T.channel_block, CHANNEL)],
+                             ids=["spatial", "channel"])
+    def test_gradients(self, op, shapes, stats):
+        check_op(lambda t: scalarize(op(*t, 1e-5, stats)[0]), shapes, seed=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equal_the_composition_of_single_ops(self, data):
+        B = data.draw(st.integers(1, 3), label="B")
+        m = data.draw(st.integers(1, 8), label="m")
+        k = data.draw(st.integers(1, min(2 * m, 8)), label="k")
+        C = data.draw(st.integers(1, 4), label="C")
+        C_out = data.draw(st.integers(1, 4), label="C_out")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        constant = data.draw(st.booleans(), label="constant stats")
+
+        def stats(c):
+            return (rng.normal(size=c), rng.uniform(0.1, 2.0, c)) if constant else None
+
+        def leaves(*arrays):
+            return [Tensor(a.copy(), requires_grad=True) for a in arrays]
+
+        x = rng.normal(size=(B, m, m, C))
+        spatial = [x, rng.normal(size=(C, k, k))] + [rng.normal(size=C) for _ in range(3)]
+        channel = [x, rng.normal(size=(C_out, C))] + [rng.normal(size=C_out) for _ in range(3)]
+        # The composed channel op takes the weight as (in, out); its gradient
+        # is compared transposed.
+        cases = [
+            (T.spatial_block, composed_spatial, spatial, False, stats(C)),
+            (T.channel_block, composed_channel, channel, True, stats(C_out)),
+        ]
+        for fused_op, composed_op, arrays, transposed, block_stats in cases:
+            fused = leaves(*arrays)
+            ref = leaves(arrays[0], arrays[1].T if transposed else arrays[1], *arrays[2:])
+            out, mu, var = fused_op(*fused, 1e-5, block_stats)
+            want, want_mu, want_var = composed_op(*ref, 1e-5, block_stats)
+            g = rng.normal(size=out.data.shape)
+            weighted_sum(out, g).backward()
+            weighted_sum(want, g).backward()
+            assert out.data.dtype == np.float64
+            want_grads = [t.grad for t in ref]
+            if transposed:
+                want_grads[1] = want_grads[1].T
+            pairs = [(out.data, want.data), (mu, want_mu), (var, want_var)]
+            for got, exp in pairs + [(t.grad, w) for t, w in zip(fused, want_grads)]:
+                assert np.allclose(got, exp, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stats", [None, STATS], ids=["batch", "constant"])
+    @pytest.mark.parametrize("op,shapes", [(T.spatial_block, SPATIAL), (T.channel_block, CHANNEL)],
+                             ids=["spatial", "channel"])
+    def test_float32_stays_float32(self, op, shapes, stats):
+        rng = np.random.default_rng(6)
+        leaves = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+        out, _, _ = op(*leaves, 1e-5, stats)
+        scalarize(out).backward()
+        assert out.data.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in leaves)
+
+    def test_tap_tables_are_cached_and_read_only(self):
+        for table in (lambda: T._tap_index(4, 3, 2, 3),
+                      lambda: T._tap_one_hot(4, 3, 2, 3, np.dtype(np.float32))):
+            first = table()
+            assert table() is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0, 0] = 0
 
 
 class TestBatchNorm:
