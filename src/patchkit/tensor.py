@@ -12,12 +12,17 @@ each one graph node with an analytic backward:
 They share the convolution (:class:`_Conv`) and batch-norm (:class:`_Norm`)
 arithmetic with the single ops ``depthwise_conv2d`` and ``batch_norm``, which
 stay as their reference. Every product is laid out so numpy hands it to BLAS.
+A convolution's dense per-channel maps are gathered once per kernel state
+(:func:`_conv_maps`), so repeated readouts of an unchanged network pay only
+for their products.
 Gradients accumulate in the dtype of the forward data, so running the graph in
 float64 gives a high-precision checking mode.
 """
 from __future__ import annotations
 
 import functools
+import threading
+import weakref
 
 import numpy as np
 
@@ -260,15 +265,45 @@ def _tap_one_hot(h: int, w: int, kh: int, kw: int, dtype: np.dtype) -> np.ndarra
     return one_hot
 
 
+_maps_lock = threading.Lock()
+_maps_by_kernel: dict[int, tuple[tuple, bytes, np.ndarray]] = {}
+
+
+def _conv_maps(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Read-only (C, H·W, H·W) dense maps of a (C, kh, kw) kernel over H×W
+    planes: channel c's entry [input site, output site] is its tap joining
+    the two sites (:func:`_tap_index`), or 0.
+
+    Each live kernel array keeps at most one entry, valid while the kernel's
+    bytes, shape and dtype and the plane size are unchanged: an in-place
+    update (as ``adam_step`` makes) replaces it, and freeing the array drops
+    it. Training and repeated readouts therefore share one set of maps.
+    """
+    key = (h, w, kernel.shape, kernel.dtype.str)
+    data = kernel.tobytes()
+    entry = _maps_by_kernel.get(id(kernel))
+    if entry is not None and entry[0] == key and entry[1] == data:
+        return entry[2]
+    C, kh, kw = kernel.shape
+    padded = np.concatenate([kernel.reshape(C, kh * kw), np.zeros((C, 1), kernel.dtype)], axis=1)
+    maps = np.take(padded, _tap_index(h, w, kh, kw), axis=1)
+    maps.setflags(write=False)
+    with _maps_lock:
+        if id(kernel) not in _maps_by_kernel:
+            weakref.finalize(kernel, _maps_by_kernel.pop, id(kernel), None).atexit = False
+        _maps_by_kernel[id(kernel)] = (key, data, maps)
+    return maps
+
+
 class _Conv:
     """Same-padding depthwise correlation of channels-last (B, H, W, C) planes
     with a (C, kh, kw) kernel, shared by :func:`depthwise_conv2d` and
     :func:`spatial_block`.
 
-    Channel c is one dense (H·W × H·W) map over the sites, gathered
-    C-contiguous from its kernel through :func:`_tap_index`, and the planes
-    are copied to contiguous (C, B, H·W) site rows, so the forward pass and
-    both gradients are stacked products that numpy hands to BLAS.
+    Channel c is one dense (H·W × H·W) map over the sites, gathered from its
+    kernel once per kernel state by :func:`_conv_maps`, and the planes are
+    copied to contiguous (C, B, H·W) site rows, so the forward pass and both
+    gradients are stacked products that numpy hands to BLAS.
     """
 
     def __init__(self, x: np.ndarray, kernel: np.ndarray):
@@ -278,8 +313,7 @@ class _Conv:
             raise InvalidArgumentError(f"kernel has {kc} channels, input has {C}")
         if kh > 2 * H or kw > 2 * W:
             raise InvalidArgumentError("kernel larger than padded input")
-        padded = np.concatenate([kernel.reshape(C, kh * kw), np.zeros((C, 1), kernel.dtype)], axis=1)
-        self.maps = np.take(padded, _tap_index(H, W, kh, kw), axis=1)  # (C, in site, out site)
+        self.maps = _conv_maps(kernel, H, W)  # (C, in site, out site)
         self.sites = self._rows(x)
         self.x_shape, self.kernel_shape = x.shape, kernel.shape
         self.out = self._planes(np.matmul(self.sites, self.maps))

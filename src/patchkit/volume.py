@@ -37,9 +37,10 @@ class Region:
         if any(s < 1 for s in self.size):
             raise InvalidArgumentError(f"region size must be >= 1 per axis, got {self.size}")
 
-    @property
+    @functools.cached_property
     def end(self) -> tuple[int, int, int]:
-        """Exclusive upper corner (x0+sx, y0+sy, z0+sz)."""
+        """Exclusive upper corner (x0+sx, y0+sy, z0+sz), computed once per region;
+        equality, hashing and JSON still see only ``origin`` and ``size``."""
         return tuple(o + s for o, s in zip(self.origin, self.size))
 
     def contains(self, other: "Region") -> bool:
@@ -108,7 +109,9 @@ class Volume:
         return Region((0, 0, 0), self.dims)
 
     def contains(self, r: Region) -> bool:
-        return all(r.end[a] <= self.dims[a] for a in range(3))
+        """Whether ``r`` lies inside the volume (region origins are nonnegative)."""
+        (x1, y1, z1), (w, h, d) = r.end, self.dims
+        return x1 <= w and y1 <= h and z1 <= d
 
     def __eq__(self, other) -> bool:
         return (
@@ -208,11 +211,11 @@ def perturb_zero(v: Volume, regions) -> Volume:
 
 
 def extract_patch(v: Volume, r: Region) -> np.ndarray:
-    """Copy a region's voxels into a flat vector in (z-major, x-fastest) order."""
+    """Copy a region's voxels into a fresh, writable flat float32 vector in
+    (z-major, x-fastest) order."""
     _check_inside(v, r)
-    (x0, y0, z0), (sx, sy, sz) = r.origin, r.size
-    block = v.as_array()[z0 : z0 + sz, y0 : y0 + sy, x0 : x0 + sx]
-    return np.ascontiguousarray(block, dtype=np.float32).reshape(-1)
+    (x0, y0, z0), (x1, y1, z1) = r.origin, r.end
+    return v.as_array()[z0:z1, y0:y1, x0:x1].flatten()
 
 
 def octree_children(r: Region) -> list[Region]:

@@ -262,3 +262,61 @@ class TestVolumeInvariants:
             pk.Region((0, 0, 0), (0, 1, 1))
         with pytest.raises(InvalidArgumentError):
             pk.Region((-1, 0, 0), (1, 1, 1))
+
+
+class TestExtractPatchCopies:
+    @pytest.mark.parametrize("region", [
+        pk.Region((0, 0, 0), (4, 4, 4)),  # the whole volume
+        pk.Region((0, 0, 2), (4, 4, 2)),  # a z-slab of whole x-y rows
+        pk.Region((1, 0, 0), (2, 4, 4)),
+    ])
+    def test_result_is_a_fresh_writable_float32_array(self, region):
+        v = layout_volume((4, 4, 4))
+        patch = pk.extract_patch(v, region)
+        assert patch.dtype == np.float32 and patch.ndim == 1
+        assert patch.flags.writeable and patch.flags.c_contiguous
+        assert not np.shares_memory(patch, v.voxels)
+        (x0, y0, z0), (x1, y1, z1) = region.origin, region.end
+        assert np.array_equal(patch, v.as_array()[z0:z1, y0:y1, x0:x1].reshape(-1))
+        patch[:] = -1.0
+        assert np.array_equal(v.voxels, np.arange(64, dtype=np.float32))
+
+
+class TestRegionEnd:
+    def test_end_is_the_exclusive_upper_corner(self):
+        r = pk.Region((1, 2, 3), (4, 5, 6))
+        assert r.end == (5, 7, 9)
+        assert r.end is r.end
+
+    def test_equality_hash_and_json_ignore_the_cached_end(self):
+        seen, fresh = pk.Region((1, 2, 3), (4, 5, 6)), pk.Region((1, 2, 3), (4, 5, 6))
+        seen.end
+        assert seen == fresh and hash(seen) == hash(fresh)
+        assert {seen: 1}[fresh] == 1
+        assert seen.to_json() == fresh.to_json() == {"origin": [1, 2, 3], "size": [4, 5, 6]}
+        assert pk.Region.from_json(seen.to_json()) == seen
+        assert repr(seen) == repr(fresh)
+        assert seen != pk.Region((1, 2, 3), (4, 5, 7))
+
+    def test_fields_stay_frozen(self):
+        r = pk.Region((0, 0, 0), (1, 1, 1))
+        r.end
+        with pytest.raises(AttributeError):
+            r.origin = (1, 1, 1)
+
+    @pytest.mark.parametrize("origin, size", [
+        ((3, 0, 0), (2, 1, 1)),
+        ((0, 3, 0), (1, 2, 1)),
+        ((0, 0, 3), (1, 1, 2)),
+        ((0, 0, 0), (5, 4, 4)),
+        ((4, 4, 4), (1, 1, 1)),
+    ])
+    def test_out_of_volume_regions_keep_their_messages(self, origin, size):
+        v = layout_volume((4, 4, 4))
+        r = pk.Region(origin, size)
+        message = f"region {r} extends outside volume dims (4, 4, 4)"
+        assert message.startswith(f"region Region(origin={origin}, size={size})")
+        for call in (lambda: pk.extract_patch(v, r), lambda: pk.perturb_zero(v, [r])):
+            with pytest.raises(InvalidArgumentError) as exc:
+                call()
+            assert str(exc.value) == message
