@@ -1,7 +1,13 @@
-"""Adam optimizer over named parameter dictionaries."""
+"""Adam over one flat parameter vector.
+
+PatchNet keeps every learnable tensor as a view into one float32 vector
+(``PatchNetParams.learnable``), so a step is one update over the (values, m,
+v) vectors fed one flat gradient. The update is element-wise, so it gives
+the same bits as updating each tensor on its own.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,46 +16,37 @@ from .errors import InvalidArgumentError
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def adam_init(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(a, dtype=np.float32) for k, a in params.items()},
-        v={k: np.zeros_like(a, dtype=np.float32) for k, a in params.items()},
-    )
+def adam_init(values: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(values, dtype=np.float32),
+                     v=np.zeros_like(values, dtype=np.float32))
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    values: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """One bias-corrected Adam update, applied to the arrays in place."""
+    """One bias-corrected Adam update, applied to ``values`` in place."""
+    g = np.asarray(grad, dtype=np.float32)
+    if g.shape != values.shape:
+        raise InvalidArgumentError(f"gradient shape {g.shape} != parameter shape {values.shape}")
     state.t += 1
     t = state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise InvalidArgumentError(f"missing gradient for parameter {name!r}")
-        g = np.asarray(g, dtype=np.float32)
-        if g.shape != p.shape:
-            raise InvalidArgumentError(
-                f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}"
-            )
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    values -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(values.dtype)
     return state

@@ -16,17 +16,23 @@ step builds 2·D + 7 graph nodes. The spatial convolution is depthwise (one
 m x m kernel per channel): a full channel-mixing spatial kernel would blow the
 parameter budget without adding anything the pointwise stage does not already
 provide.
+
+One layout table (:func:`tensor_layout`) lists every tensor as (name, shape,
+init tag) in PNC1 record order. Initialisation, the checkpoint reader and
+writer, ``tensor_shapes`` and the learnable/statistic split all read it. A
+:class:`PatchNetParams` holds two float32 vectors, the learnable tensors and
+the running batch-norm statistics, and one name -> view mapping into them, so
+an Adam step is one vector update and a copy is two vector copies. The
+forward reads its tensors by name; ``loss_and_grad`` lays graph leaves over
+the learnable views.
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 import struct
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -84,172 +90,129 @@ class PatchNetConfig:
         return cls(**{f.name: typed(obj, f.name, int) for f in fields(cls)})
 
 
-@dataclass
-class BNStats:
-    """Running statistics shared between a parameter set and its graph views."""
-
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    ready: bool = False
-
-
-@dataclass
-class BatchNormParams:
-    gamma: Any  # ndarray, or Tensor inside a differentiation view
-    beta: Any
-    stats: BNStats
+# Init tags of the layout table: "glorot" draws uniformly within the Glorot
+# bound of a (fan_in, fan_out) matrix, "normal" draws from N(0, 0.02), and
+# "zeros" and "ones" are constants. The running batch-norm statistics are
+# tagged "mean" (starting at 0) and "var" (starting at 1); they are not
+# learnable and live in their own vector.
+STATISTIC_TAGS = ("mean", "var")
 
 
-@dataclass
-class BlockParams:
-    gsi_kernel: Any  # (d, m, m)
-    gsi_bias: Any  # (d,)
-    gsi_bn: BatchNormParams
-    lpi_weight: Any  # (d, d) mapping input channels -> output channels
-    lpi_bias: Any  # (d,)
-    lpi_bn: BatchNormParams
+def tensor_layout(cfg: PatchNetConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """Every tensor of the network as (name, shape, init tag), in PNC1 record
+    order, which is also the order ``init_params`` draws random numbers in."""
+    d, m, C = cfg.embed_dim, cfg.side, cfg.class_count
+    rows = [("projection", (cfg.patch_len, d), "glorot"),
+            ("pos_embed", (cfg.patch_count, d), "normal")]
+    for i in range(cfg.depth):
+        for stage, weight, shape, init in (("gsi", "kernel", (d, m, m), "normal"),
+                                           ("lpi", "weight", (d, d), "glorot")):
+            p = f"blocks.{i}.{stage}_"
+            rows += [(p + weight, shape, init), (p + "bias", (d,), "zeros"),
+                     (p + "bn.gamma", (d,), "ones"), (p + "bn.beta", (d,), "zeros"),
+                     (p + "bn.running_mean", (d,), "mean"), (p + "bn.running_var", (d,), "var")]
+    return rows + [("classifier_w", (d, C), "glorot"), ("classifier_b", (C,), "zeros")]
 
 
 @dataclass
 class PatchNetParams:
+    """A network's tensors in two float32 vectors laid out by
+    :func:`tensor_layout`: ``learnable`` holds every learnable tensor and
+    ``stats`` the running batch-norm statistics. ``ready`` says the
+    statistics have seen a train-mode batch or came from a checkpoint.
+
+    Each named tensor is a view into one of the vectors, made once per
+    parameter set: an update of a vector in place (as ``adam_step`` makes)
+    is an update of its tensors, and a kernel view keeps its identity, which
+    the conv-map cache keys on.
+    """
+
     config: PatchNetConfig
-    projection: Any  # (p^3, d)
-    pos_embed: Any  # (M, d)
-    blocks: list[BlockParams]
-    classifier_w: Any  # (d, class_count)
-    classifier_b: Any  # (class_count,)
+    learnable: np.ndarray
+    stats: np.ndarray
+    ready: bool
+    _tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._tensors = {}
+        start = {False: 0, True: 0}
+        for name, shape, init in tensor_layout(self.config):
+            stat = init in STATISTIC_TAGS
+            vector, n = (self.stats if stat else self.learnable), math.prod(shape)
+            self._tensors[name] = vector[start[stat]:start[stat] + n].reshape(shape)
+            start[stat] += n
 
     def named_arrays(self) -> dict[str, np.ndarray]:
-        """All tensors (learnable + running stats) in canonical order."""
-        out = {"projection": self.projection, "pos_embed": self.pos_embed}
-        for i, b in enumerate(self.blocks):
-            p = f"blocks.{i}."
-            out[p + "gsi_kernel"] = b.gsi_kernel
-            out[p + "gsi_bias"] = b.gsi_bias
-            out[p + "gsi_bn.gamma"] = b.gsi_bn.gamma
-            out[p + "gsi_bn.beta"] = b.gsi_bn.beta
-            out[p + "gsi_bn.running_mean"] = b.gsi_bn.stats.running_mean
-            out[p + "gsi_bn.running_var"] = b.gsi_bn.stats.running_var
-            out[p + "lpi_weight"] = b.lpi_weight
-            out[p + "lpi_bias"] = b.lpi_bias
-            out[p + "lpi_bn.gamma"] = b.lpi_bn.gamma
-            out[p + "lpi_bn.beta"] = b.lpi_bn.beta
-            out[p + "lpi_bn.running_mean"] = b.lpi_bn.stats.running_mean
-            out[p + "lpi_bn.running_var"] = b.lpi_bn.stats.running_var
-        out["classifier_w"] = self.classifier_w
-        out["classifier_b"] = self.classifier_b
-        return out
+        """Every tensor (learnable + running stats), by name, in layout order."""
+        return dict(self._tensors)
 
     def learnable_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            name: arr
-            for name, arr in self.named_arrays().items()
-            if "running_" not in name
-        }
-
-    def batch_norms(self) -> Iterator[BatchNormParams]:
-        """Every batch norm in the network, block by block (spatial, then channel)."""
-        for b in self.blocks:
-            yield b.gsi_bn
-            yield b.lpi_bn
-
-    def with_tensors(self, leaves: dict[str, Tensor]) -> "PatchNetParams":
-        """View with learnable arrays replaced by graph tensors; BN stats shared."""
-        memo = {id(arr): leaves[name] for name, arr in self.learnable_arrays().items()}
-        memo.update((id(bn.stats), bn.stats) for bn in self.batch_norms())
-        return copy.deepcopy(self, memo)
+        """The views into ``learnable``, by name, in the vector's order."""
+        return {name: self._tensors[name] for name, _, init in tensor_layout(self.config)
+                if init not in STATISTIC_TAGS}
 
     def copy(self) -> "PatchNetParams":
-        return copy.deepcopy(self)
+        return PatchNetParams(self.config, self.learnable.copy(), self.stats.copy(), self.ready)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def _identity_bn(d: int) -> BatchNormParams:
-    return BatchNormParams(
-        gamma=np.ones(d, dtype=np.float32),
-        beta=np.zeros(d, dtype=np.float32),
-        stats=BNStats(np.zeros(d, dtype=np.float32), np.ones(d, dtype=np.float32)),
-    )
+def _zeros(cfg: PatchNetConfig) -> PatchNetParams:
+    size = {False: 0, True: 0}
+    for _, shape, init in tensor_layout(cfg):
+        size[init in STATISTIC_TAGS] += math.prod(shape)
+    return PatchNetParams(cfg, np.zeros(size[False], np.float32),
+                          np.zeros(size[True], np.float32), ready=False)
 
 
 def init_params(cfg: PatchNetConfig) -> PatchNetParams:
     """Seeded initialization: glorot-uniform projections/pointwise/classifier,
     N(0, 0.02) kernels and position embeddings, identity batch norm."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed,))))
-    d, m, plen = cfg.embed_dim, cfg.side, cfg.patch_len
-    blocks = []
-    projection = _glorot(rng, plen, d, (plen, d))
-    pos_embed = (0.02 * rng.standard_normal((cfg.patch_count, d))).astype(np.float32)
-    for _ in range(cfg.depth):
-        blocks.append(
-            BlockParams(
-                gsi_kernel=(0.02 * rng.standard_normal((d, m, m))).astype(np.float32),
-                gsi_bias=np.zeros(d, dtype=np.float32),
-                gsi_bn=_identity_bn(d),
-                lpi_weight=_glorot(rng, d, d, (d, d)),
-                lpi_bias=np.zeros(d, dtype=np.float32),
-                lpi_bn=_identity_bn(d),
-            )
-        )
-    classifier_w = _glorot(rng, d, cfg.class_count, (d, cfg.class_count))
-    classifier_b = np.zeros(cfg.class_count, dtype=np.float32)
-    return PatchNetParams(cfg, projection, pos_embed, blocks, classifier_w, classifier_b)
+    params = _zeros(cfg)
+    tensors = params.named_arrays()
+    for name, shape, init in tensor_layout(cfg):
+        if init == "glorot":
+            bound = math.sqrt(6.0 / (shape[0] + shape[1]))
+            tensors[name][...] = rng.uniform(-bound, bound, size=shape)
+        elif init == "normal":
+            tensors[name][...] = 0.02 * rng.standard_normal(shape)
+        elif init in ("ones", "var"):
+            tensors[name][...] = 1.0
+    return params
 
 
 def tensor_shapes(cfg: PatchNetConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every tensor ``init_params(cfg)`` builds, in
     ``named_arrays`` order, computed without allocating any of them."""
-    d, m = cfg.embed_dim, cfg.side
-    shapes = {"projection": (cfg.patch_len, d), "pos_embed": (cfg.patch_count, d)}
-    for i in range(cfg.depth):
-        p = f"blocks.{i}."
-        shapes[p + "gsi_kernel"] = (d, m, m)
-        for name in ("gsi_bias", "gsi_bn.gamma", "gsi_bn.beta", "gsi_bn.running_mean",
-                     "gsi_bn.running_var"):
-            shapes[p + name] = (d,)
-        shapes[p + "lpi_weight"] = (d, d)
-        for name in ("lpi_bias", "lpi_bn.gamma", "lpi_bn.beta", "lpi_bn.running_mean",
-                     "lpi_bn.running_var"):
-            shapes[p + name] = (d,)
-    shapes["classifier_w"] = (d, cfg.class_count)
-    shapes["classifier_b"] = (cfg.class_count,)
-    return shapes
+    return {name: shape for name, shape, _ in tensor_layout(cfg)}
 
 
-def _batchnorm(x: Tensor, bn: BatchNormParams, mode: str, op=T.batch_norm, *weights) -> Tensor:
+def _batchnorm(x: Tensor, t: dict, bn: str, mode: str, op, *weights) -> Tensor:
     """Run ``op(x, *weights, gamma, beta, eps, stats)``, an op that ends in the
-    batch norm ``bn``: on batch statistics that update the running ones in
-    train mode, on the running statistics in eval mode."""
+    batch norm whose tensors ``t`` holds under the name prefix ``bn``: on
+    batch statistics that update the running ones in train mode, on the
+    running statistics in eval mode."""
+    gamma, beta = t[bn + "gamma"], t[bn + "beta"]
+    running_mean, running_var = t[bn + "running_mean"], t[bn + "running_var"]
     if mode == "train":
-        y, mu, var = op(x, *weights, bn.gamma, bn.beta, BN_EPS)  # biased variance
-        stats = bn.stats
-        stats.running_mean *= 1.0 - BN_MOMENTUM
-        stats.running_mean += BN_MOMENTUM * mu.astype(stats.running_mean.dtype)
-        stats.running_var *= 1.0 - BN_MOMENTUM
-        stats.running_var += BN_MOMENTUM * var.astype(stats.running_var.dtype)
-        stats.ready = True
+        y, mu, var = op(x, *weights, gamma, beta, BN_EPS)  # biased variance
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu.astype(running_mean.dtype)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var.astype(running_var.dtype)
         return y
     if mode == "eval":
-        if not bn.stats.ready:
-            raise InvalidStateError("batch norm running stats are uninitialized; train first")
-        stats = (bn.stats.running_mean, bn.stats.running_var)
-        return op(x, *weights, bn.gamma, bn.beta, BN_EPS, stats)[0]
+        return op(x, *weights, gamma, beta, BN_EPS, (running_mean, running_var))[0]
     raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
-def embed_patches(patches, params: PatchNetParams) -> Tensor:
-    """Project flattened patches and add position embeddings.
+def embed_patches(patches, cfg: PatchNetConfig, t: dict) -> Tensor:
+    """Project flattened patches and add position embeddings (tensors by name).
 
     Patches (..., M, p^3) give channels-last activations (..., m, m, d):
     patch i lands at spatial site (i // m, i % m) with its embedding along the
     last axis. Leading dimensions carry through. NaN or infinite voxels are
     rejected: nothing downstream could give them a meaningful output.
     """
-    cfg = params.config
     x = T._as_tensor(np.asarray(patches))
     if x.data.shape[-2:] != (cfg.patch_count, cfg.patch_len):
         raise InvalidArgumentError(
@@ -258,27 +221,36 @@ def embed_patches(patches, params: PatchNetParams) -> Tensor:
         )
     if not np.isfinite(x.data).all():
         raise InvalidArgumentError("patches contain NaN or infinite voxels")
-    emb = T.add(T.matmul(x, T._as_tensor(params.projection)), T._as_tensor(params.pos_embed))
+    emb = T.add(T.matmul(x, T._as_tensor(t["projection"])), T._as_tensor(t["pos_embed"]))
     return T.reshape(emb, x.data.shape[:-2] + (cfg.side, cfg.side, cfg.embed_dim))
 
 
-def gsi_block(x: Tensor, bp: BlockParams, mode: str) -> Tensor:
-    """Depthwise spatial convolution + BN + residual (no activation), one op."""
-    return _batchnorm(x, bp.gsi_bn, mode, T.spatial_block, bp.gsi_kernel, bp.gsi_bias)
+def gsi_block(x: Tensor, t: dict, i: int, mode: str) -> Tensor:
+    """Block i's depthwise spatial convolution + BN + residual (no activation), one op."""
+    p = f"blocks.{i}.gsi_"
+    return _batchnorm(x, t, p + "bn.", mode, T.spatial_block, t[p + "kernel"], t[p + "bias"])
 
 
-def lpi_block(x: Tensor, bp: BlockParams, mode: str) -> Tensor:
-    """Pointwise channel mixing + ReLU + BN, one op; spatial sites stay independent."""
-    return _batchnorm(x, bp.lpi_bn, mode, T.channel_block, bp.lpi_weight, bp.lpi_bias)
+def lpi_block(x: Tensor, t: dict, i: int, mode: str) -> Tensor:
+    """Block i's pointwise channel mixing + ReLU + BN, one op; spatial sites stay independent."""
+    p = f"blocks.{i}.lpi_"
+    return _batchnorm(x, t, p + "bn.", mode, T.channel_block, t[p + "weight"], t[p + "bias"])
 
 
-def _forward_graph(patches, params: PatchNetParams, mode: str) -> Tensor:
-    x = embed_patches(patches, params)
-    for bp in params.blocks:
-        x = lpi_block(gsi_block(x, bp, mode), bp, mode)
+def _forward_graph(patches, params: PatchNetParams, t: dict, mode: str) -> Tensor:
+    """The network over the tensors ``t`` (``params``' arrays, or graph
+    leaves laid over them); ``params`` carries the config and ``ready``."""
+    cfg = params.config
+    if mode == "eval" and params.stats.size and not params.ready:
+        raise InvalidStateError("batch norm running stats are uninitialized; train first")
+    x = embed_patches(patches, cfg, t)
+    for i in range(cfg.depth):
+        x = lpi_block(gsi_block(x, t, i, mode), t, i, mode)
+    if mode == "train":
+        params.ready = True
     pooled = T.mean(x, (1, 2), keepdims=False)
-    return T.add(T.matmul(pooled, T._as_tensor(params.classifier_w)),
-                 T._as_tensor(params.classifier_b))
+    return T.add(T.matmul(pooled, T._as_tensor(t["classifier_w"])),
+                 T._as_tensor(t["classifier_b"]))
 
 
 def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +259,7 @@ def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.nda
     single = patches.ndim == 2
     if single:
         patches = patches[None]
-    logits = _forward_graph(patches, params, mode).data
+    logits = _forward_graph(patches, params, params.named_arrays(), mode).data
     probs = T.softmax(logits)
     if single:
         return logits[0], probs[0]
@@ -301,7 +273,8 @@ def loss_and_grad(
     mode: str = "train",
     dtype=np.float32,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the batch plus gradients for every learnable tensor.
+    """Mean cross-entropy over the batch plus gradients for every learnable
+    tensor, by name, in ``learnable_arrays`` order.
 
     Pass ``dtype=np.float64`` for the high-precision checking mode used by the
     finite-difference tests.
@@ -315,8 +288,7 @@ def loss_and_grad(
         name: Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
         for name, arr in params.learnable_arrays().items()
     }
-    view = params.with_tensors(leaves)
-    logits = _forward_graph(patches, view, mode)
+    logits = _forward_graph(patches, params, params.named_arrays() | leaves, mode)
     loss = T.softmax_cross_entropy(logits, labels)
     loss.backward()
     grads = {
@@ -409,11 +381,10 @@ def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
             f"{path}: checkpoint tensors differ from the config: missing "
             f"{sorted(set(shapes) - set(stored))}, unexpected {sorted(set(stored) - set(shapes))}"
         )
-    params = init_params(cfg)
+    params = _zeros(cfg)
     for name, arr in params.named_arrays().items():
         arr[...] = np.frombuffer(stored[name], dtype="<f4").reshape(shapes[name])
-    for bn in params.batch_norms():
-        bn.stats.ready = True
+    params.ready = True
     return params, blob.get("extra", {})
 
 

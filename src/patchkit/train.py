@@ -73,7 +73,7 @@ def train_patchnet(
     if len(x_train) == 0:
         raise InvalidArgumentError("training set is empty")
     params = init_params(cfg)
-    state = adam_init(params.learnable_arrays())
+    state = adam_init(params.learnable)
     n = len(x_train)
     steps_per_epoch = max(1, math.ceil(n / schedule.batch_size))
     total_steps = schedule.epochs * steps_per_epoch
@@ -89,7 +89,8 @@ def train_patchnet(
                 idx = order[start : start + schedule.batch_size]
                 lr = cosine_lr(step, total_steps, schedule.lr_start, schedule.lr_end)
                 loss, grads = loss_and_grad(x_train[idx], y_train[idx], params, mode="train")
-                adam_step(params.learnable_arrays(), grads, state, lr)
+                flat = np.concatenate([grads[name].ravel() for name in params.learnable_arrays()])
+                adam_step(params.learnable, flat, state, lr)
                 epoch_losses.append(loss)
                 step += 1
         except NumericalFailureError:
@@ -98,8 +99,7 @@ def train_patchnet(
             if result.best_epoch < 0:
                 # Diverged before any validation pass: serve the init-state
                 # checkpoint, whose 0/1 running stats are the identity map.
-                for bn in result.params.batch_norms():
-                    bn.stats.ready = True
+                result.params.ready = True
             return result
         train_acc = accuracy(params, x_train, y_train)
         val_acc = accuracy(params, x_val, y_val) if len(x_val) else train_acc

@@ -178,12 +178,13 @@ def smooth_check_params(cfg: PatchNetConfig, seed: int):
     params = init_params(cfg)
     rng = np.random.default_rng(seed)
     d, m = cfg.embed_dim, cfg.side
-    for b in params.blocks:
+    t = params.named_arrays()
+    for i in range(cfg.depth):
         kernel = 0.1 * rng.normal(0, 1, (d, m, m))
         kernel[:, (m - 1) // 2, (m - 1) // 2] += 1.0
-        b.gsi_kernel[...] = kernel.astype(np.float32)
-        b.lpi_weight[...] = rng.normal(0, 0.05, (d, d)).astype(np.float32)
-        b.lpi_bias[...] = np.where(np.arange(d) % 2 == 0, 1.0, -1.0).astype(np.float32)
+        t[f"blocks.{i}.gsi_kernel"][...] = kernel.astype(np.float32)
+        t[f"blocks.{i}.lpi_weight"][...] = rng.normal(0, 0.05, (d, d)).astype(np.float32)
+        t[f"blocks.{i}.lpi_bias"][...] = np.where(np.arange(d) % 2 == 0, 1.0, -1.0).astype(np.float32)
     return params
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from patchkit import tensor as T
+from patchkit.optim import adam_init, adam_step
 from patchkit.patchnet import PatchNetConfig, forward, init_params
 from patchkit.train import TrainSchedule, train_patchnet
 
@@ -18,11 +19,14 @@ def ready_params(seed=0, embed_dim=8, depth=2):
     cfg = PatchNetConfig(patch_edge=2, patch_count=9, embed_dim=embed_dim, depth=depth, seed=seed)
     params = init_params(cfg)
     rng = np.random.default_rng(seed)
-    for b in params.blocks:
-        b.gsi_kernel += rng.standard_normal(b.gsi_kernel.shape).astype(np.float32)
-    for bn in params.batch_norms():
-        bn.stats.running_mean += rng.standard_normal(bn.stats.running_mean.shape).astype(np.float32)
-        bn.stats.ready = True
+    t = params.named_arrays()
+    for i in range(depth):
+        kernel = t[f"blocks.{i}.gsi_kernel"]
+        kernel += rng.standard_normal(kernel.shape).astype(np.float32)
+    for name, arr in t.items():
+        if name.endswith("running_mean"):
+            arr += rng.standard_normal(arr.shape).astype(np.float32)
+    params.ready = True
     return params
 
 
@@ -48,11 +52,24 @@ class TestMapReuse:
     def test_in_place_kernel_update_invalidates_the_maps(self):
         params, x = ready_params(), patches()
         forward(x, params, mode="eval")
-        kernel = params.blocks[0].gsi_kernel
+        kernel = params.named_arrays()["blocks.0.gsi_kernel"]
         # The update adam_step makes: in place, same array, same shape and dtype.
         kernel -= (0.5 * np.sign(kernel) + 0.25).astype(kernel.dtype)
         logits, probs = forward(x, params, mode="eval")
         fresh_logits, fresh_probs = forward(x, params.copy(), mode="eval")
+        assert np.array_equal(logits, fresh_logits)
+        assert np.array_equal(probs, fresh_probs)
+
+    def test_in_place_update_of_the_learnable_vector_invalidates_the_maps(self):
+        params, x = ready_params(), patches()
+        before = forward(x, params, mode="eval")[0]
+        # The update training makes: one Adam step over the whole vector,
+        # which moves every kernel view without replacing it.
+        grad = np.random.default_rng(4).standard_normal(params.learnable.shape)
+        adam_step(params.learnable, grad, adam_init(params.learnable), lr=0.5)
+        logits, probs = forward(x, params, mode="eval")
+        fresh_logits, fresh_probs = forward(x, params.copy(), mode="eval")
+        assert not np.array_equal(logits, before)
         assert np.array_equal(logits, fresh_logits)
         assert np.array_equal(probs, fresh_probs)
 
@@ -78,7 +95,8 @@ class TestMapMemory:
         gc.collect()
         assert cached_kernel_ids() <= before  # the training arrays are gone with their entries
         forward(x, result.params, mode="eval")
-        kernel_ids = {id(b.gsi_kernel) for b in result.params.blocks}
+        kernel_ids = {id(arr) for name, arr in result.params.named_arrays().items()
+                      if name.endswith("gsi_kernel")}
         assert kernel_ids <= cached_kernel_ids()
         del result
         gc.collect()

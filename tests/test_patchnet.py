@@ -15,9 +15,7 @@ from patchkit.patchnet import (
     BN_EPS,
     BN_MOMENTUM,
     CHECKPOINT_MAGIC,
-    BatchNormParams,
-    BlockParams,
-    BNStats,
+    STATISTIC_TAGS,
     PatchNetConfig,
     embed_patches,
     forward,
@@ -29,6 +27,7 @@ from patchkit.patchnet import (
     op_count_report,
     _batchnorm,
     save_checkpoint,
+    tensor_layout,
     tensor_shapes,
 )
 from patchkit.tensor import Tensor
@@ -38,66 +37,59 @@ from conftest import nchw, nhwc
 DATA = Path(__file__).parent / "data"
 
 
-def identity_bn(d, ready=True, exact=False):
-    """BN that is the identity map in eval mode.
-
-    With ``exact`` the running variance absorbs the epsilon so the scale
-    factor is exactly 1.0 in float32.
-    """
-    var = np.full(d, 1.0 - BN_EPS if exact else 1.0, dtype=np.float32)
-    return BatchNormParams(
-        gamma=np.ones(d, dtype=np.float32),
-        beta=np.zeros(d, dtype=np.float32),
-        stats=BNStats(np.zeros(d, dtype=np.float32), var, ready=ready),
-    )
+GSI_BN = "blocks.0.gsi_bn."
 
 
 def make_block(d, m, *, gsi_kernel=None, lpi_weight=None, exact_bn=False):
-    return BlockParams(
-        gsi_kernel=(np.zeros((d, m, m), np.float32) if gsi_kernel is None else gsi_kernel),
-        gsi_bias=np.zeros(d, np.float32),
-        gsi_bn=identity_bn(d, exact=exact_bn),
-        lpi_weight=(np.eye(d, dtype=np.float32) if lpi_weight is None else lpi_weight),
-        lpi_bias=np.zeros(d, np.float32),
-        lpi_bn=identity_bn(d, exact=exact_bn),
-    )
+    """Block 0's tensors by name: a zero spatial kernel, an identity pointwise
+    weight and batch norms that are the identity map in eval mode.
+
+    With ``exact_bn`` the running variance absorbs the epsilon so the scale
+    factor is exactly 1.0 in float32.
+    """
+    t = init_params(PatchNetConfig(patch_edge=1, patch_count=m * m, embed_dim=d, depth=1)).named_arrays()
+    t["blocks.0.gsi_kernel"][...] = 0.0 if gsi_kernel is None else gsi_kernel
+    t["blocks.0.lpi_weight"][...] = np.eye(d) if lpi_weight is None else lpi_weight
+    for stage in ("gsi", "lpi"):
+        t[f"blocks.0.{stage}_bn.running_var"][...] = 1.0 - BN_EPS if exact_bn else 1.0
+    return t
 
 
 class TestEmbedPatches:
     def test_identity_projection_reproduces_patches(self):
         # d = p^3 = 8, E = I, E_pos = 0: row i lands verbatim at site (i//m, i%m).
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=8, depth=1, seed=0)
-        params = init_params(cfg)
-        params.projection[...] = np.eye(8, dtype=np.float32)
-        params.pos_embed[...] = 0.0
+        t = init_params(cfg).named_arrays()
+        t["projection"][...] = np.eye(8, dtype=np.float32)
+        t["pos_embed"][...] = 0.0
         rng = np.random.default_rng(0)
         patches = rng.normal(0, 1, (4, 8)).astype(np.float32)
-        out = nchw(embed_patches(patches, params).data)
+        out = nchw(embed_patches(patches, cfg, t).data)
         assert out.shape == (8, 2, 2)
         for i in range(4):
             assert np.allclose(out[:, i // 2, i % 2], patches[i])
 
     def test_zero_patches_give_position_embedding(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1, seed=1)
-        params = init_params(cfg)
-        out = nchw(embed_patches(np.zeros((4, 8), np.float32), params).data)
+        t = init_params(cfg).named_arrays()
+        out = nchw(embed_patches(np.zeros((4, 8), np.float32), cfg, t).data)
         for i in range(4):
-            assert np.allclose(out[:, i // 2, i % 2], params.pos_embed[i])
+            assert np.allclose(out[:, i // 2, i % 2], t["pos_embed"][i])
 
     def test_shape_mismatch_rejected(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1)
-        params = init_params(cfg)
+        t = init_params(cfg).named_arrays()
         with pytest.raises(InvalidArgumentError):
-            embed_patches(np.zeros((4, 9), np.float32), params)
+            embed_patches(np.zeros((4, 9), np.float32), cfg, t)
 
     def test_batched_matches_single(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1, seed=2)
-        params = init_params(cfg)
+        t = init_params(cfg).named_arrays()
         rng = np.random.default_rng(3)
         batch = rng.normal(0, 1, (3, 4, 8)).astype(np.float32)
-        stacked = embed_patches(batch, params).data
+        stacked = embed_patches(batch, cfg, t).data
         for b in range(3):
-            assert np.allclose(stacked[b], embed_patches(batch[b], params).data)
+            assert np.allclose(stacked[b], embed_patches(batch[b], cfg, t).data)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("call", ["eval", "train", "loss_and_grad"])
@@ -122,9 +114,9 @@ class TestEmbedPatches:
 class TestGsiBlock:
     def test_zero_kernel_identity_bn_is_exact_identity(self):
         d, m = 5, 3
-        bp = make_block(d, m)
+        t = make_block(d, m)
         x = Tensor(nhwc(np.random.default_rng(1).normal(0, 1, (2, d, m, m)).astype(np.float32)))
-        out = gsi_block(x, bp, mode="eval")
+        out = gsi_block(x, t, 0, mode="eval")
         assert np.array_equal(out.data, x.data)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -133,96 +125,85 @@ class TestGsiBlock:
         kernel = np.zeros((d, m, m), np.float32)
         tap = (m - 1) // 2
         kernel[:, tap, tap] = 1.0
-        bp = make_block(d, m, gsi_kernel=kernel, exact_bn=True)
+        t = make_block(d, m, gsi_kernel=kernel, exact_bn=True)
         x = Tensor(nhwc(np.random.default_rng(2).normal(0, 1, (2, d, m, m)).astype(np.float32)))
-        out = gsi_block(x, bp, mode="eval")
+        out = gsi_block(x, t, 0, mode="eval")
         assert np.allclose(out.data, 2.0 * x.data, atol=1e-6)
 
     def test_train_mode_normalizes_branch_to_gamma_beta(self):
         d, m = 6, 4
         rng = np.random.default_rng(5)
-        bp = make_block(d, m, gsi_kernel=rng.normal(0, 0.5, (d, m, m)).astype(np.float32))
-        bp.gsi_bn.gamma = np.full(d, 1.7, np.float32)
-        bp.gsi_bn.beta = np.full(d, 0.3, np.float32)
+        t = make_block(d, m, gsi_kernel=rng.normal(0, 0.5, (d, m, m)).astype(np.float32))
+        t[GSI_BN + "gamma"][...] = 1.7
+        t[GSI_BN + "beta"][...] = 0.3
         x = Tensor(nhwc(rng.normal(0, 1, (16, d, m, m)).astype(np.float32)))
-        out = gsi_block(x, bp, mode="train")
+        out = gsi_block(x, t, 0, mode="train")
         branch = nchw(out.data - x.data)
         mean = branch.mean(axis=(0, 2, 3))
         var = branch.var(axis=(0, 2, 3))
         assert np.allclose(mean, 0.3, atol=1e-3)
         assert np.allclose(var, 1.7**2, atol=1e-2)
-        assert bp.gsi_bn.stats.ready
-
-    def test_eval_before_any_training_rejected(self):
-        d, m = 3, 2
-        bp = make_block(d, m)
-        bp.gsi_bn.stats.ready = False
-        x = Tensor(np.zeros((1, m, m, d), np.float32))
-        with pytest.raises(InvalidStateError):
-            gsi_block(x, bp, mode="eval")
 
 
 class TestBatchNormLayer:
     def test_train_step_updates_running_stats_with_biased_variance(self):
         d = 4
         rng = np.random.default_rng(8)
-        bn = identity_bn(d, ready=False)
-        bn.stats.running_mean[:] = rng.normal(0, 1, d)
-        bn.stats.running_var[:] = rng.uniform(0.5, 2.0, d)
-        mean0, var0 = bn.stats.running_mean.copy(), bn.stats.running_var.copy()
+        t = make_block(d, 3)
+        mean, var = t[GSI_BN + "running_mean"], t[GSI_BN + "running_var"]
+        mean[:] = rng.normal(0, 1, d)
+        var[:] = rng.uniform(0.5, 2.0, d)
+        mean0, var0 = mean.copy(), var.copy()
         x = rng.normal(1.0, 2.0, (6, d, 3, 3)).astype(np.float32)
-        out = _batchnorm(Tensor(nhwc(x)), bn, "train")
+        out = _batchnorm(Tensor(nhwc(x)), t, GSI_BN, "train", T.batch_norm)
         assert BN_MOMENTUM == 0.1
         want_mean = (1 - BN_MOMENTUM) * mean0 + BN_MOMENTUM * x.mean(axis=(0, 2, 3))
         want_var = (1 - BN_MOMENTUM) * var0 + BN_MOMENTUM * x.var(axis=(0, 2, 3))
-        assert np.allclose(bn.stats.running_mean, want_mean, rtol=1e-6, atol=1e-6)
-        assert np.allclose(bn.stats.running_var, want_var, rtol=1e-6, atol=1e-6)
-        assert bn.stats.ready
+        assert np.allclose(mean, want_mean, rtol=1e-6, atol=1e-6)
+        assert np.allclose(var, want_var, rtol=1e-6, atol=1e-6)
         assert out.data.dtype == np.float32
 
-    def test_eval_uses_running_stats_and_needs_a_train_step(self):
+    def test_eval_uses_running_stats(self):
         d = 3
-        bn = identity_bn(d, ready=False)
+        t = make_block(d, 2)
         x = Tensor(nhwc(np.random.default_rng(9).normal(0, 1, (2, d, 2, 2)).astype(np.float32)))
-        with pytest.raises(InvalidStateError):
-            _batchnorm(x, bn, "eval")
-        bn.stats.running_mean[:] = [0.5, -0.5, 0.0]
-        bn.stats.running_var[:] = [4.0, 1.0, 0.25]
-        bn.stats.ready = True
-        out = nchw(_batchnorm(x, bn, "eval").data)
-        want = (nchw(x.data) - bn.stats.running_mean[:, None, None]) / np.sqrt(
-            bn.stats.running_var[:, None, None] + BN_EPS)
+        mean, var = t[GSI_BN + "running_mean"], t[GSI_BN + "running_var"]
+        mean[:] = [0.5, -0.5, 0.0]
+        var[:] = [4.0, 1.0, 0.25]
+        out = nchw(_batchnorm(x, t, GSI_BN, "eval", T.batch_norm).data)
+        want = (nchw(x.data) - mean[:, None, None]) / np.sqrt(var[:, None, None] + BN_EPS)
         assert np.allclose(out, want, rtol=1e-6, atol=1e-6)
 
     def test_unknown_mode_rejected(self):
+        x = Tensor(np.zeros((1, 2, 2, 2)))
         with pytest.raises(InvalidArgumentError, match="mode"):
-            _batchnorm(Tensor(np.zeros((1, 2, 2, 2))), identity_bn(2), "test")
+            _batchnorm(x, make_block(2, 2), GSI_BN, "test", T.batch_norm)
 
 
 class TestLpiBlock:
     def test_identity_weight_nonnegative_input_passthrough(self):
         d, m = 4, 3
-        bp = make_block(d, m, exact_bn=True)
+        t = make_block(d, m, exact_bn=True)
         x = Tensor(nhwc(np.abs(np.random.default_rng(3).normal(0, 1, (2, d, m, m))).astype(np.float32)))
-        out = lpi_block(x, bp, mode="eval")
+        out = lpi_block(x, t, 0, mode="eval")
         assert np.array_equal(out.data, x.data)
 
     def test_all_negative_input_maps_to_zero(self):
         d, m = 4, 2
-        bp = make_block(d, m)
+        t = make_block(d, m)
         x = Tensor(nhwc(-np.abs(np.random.default_rng(4).normal(1, 0.2, (2, d, m, m))).astype(np.float32)))
-        out = lpi_block(x, bp, mode="eval")
+        out = lpi_block(x, t, 0, mode="eval")
         assert np.all(out.data == 0.0)
 
     def test_locality_site_independence(self):
         d, m = 5, 3
         rng = np.random.default_rng(6)
-        bp = make_block(d, m, lpi_weight=rng.normal(0, 0.5, (d, d)).astype(np.float32))
+        t = make_block(d, m, lpi_weight=rng.normal(0, 0.5, (d, d)).astype(np.float32))
         x = rng.normal(0, 1, (1, d, m, m)).astype(np.float32)
-        base = nchw(lpi_block(Tensor(nhwc(x)), bp, mode="eval").data)
+        base = nchw(lpi_block(Tensor(nhwc(x)), t, 0, mode="eval").data)
         x2 = x.copy()
         x2[0, :, 1, 2] += 3.0
-        bumped = nchw(lpi_block(Tensor(nhwc(x2)), bp, mode="eval").data)
+        bumped = nchw(lpi_block(Tensor(nhwc(x2)), t, 0, mode="eval").data)
         changed = np.any(base != bumped, axis=(0, 1))
         assert changed[1, 2]
         changed[1, 2] = False
@@ -233,8 +214,9 @@ class TestForward:
     def test_symmetric_classifier_gives_half_half(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=9)
         params = init_params(cfg)
-        params.classifier_w[:, 1] = params.classifier_w[:, 0]
-        params.classifier_b[...] = 0.0
+        t = params.named_arrays()
+        t["classifier_w"][:, 1] = t["classifier_w"][:, 0]
+        t["classifier_b"][...] = 0.0
         _, probs = forward(np.zeros((4, 8), np.float32), params, mode="train")
         assert np.allclose(probs, [0.5, 0.5])
 
@@ -263,17 +245,27 @@ class TestForward:
         params = init_params(cfg)
         rng = np.random.default_rng(15)
         loss_and_grad(rng.normal(0, 1, (4, 4, 8)), np.array([0, 1, 0, 1]), params, mode="train")
-        stats_before = [
-            (b.gsi_bn.stats.running_mean.copy(), b.lpi_bn.stats.running_var.copy())
-            for b in params.blocks
-        ]
+        stats_before = params.stats.copy()
         x = rng.normal(0, 1, (3, 4, 8))
         a = forward(x, params, mode="eval")[0]
         b = forward(x, params, mode="eval")[0]
         assert np.array_equal(a, b)
-        for blk, (rm, rv) in zip(params.blocks, stats_before):
-            assert np.array_equal(blk.gsi_bn.stats.running_mean, rm)
-            assert np.array_equal(blk.lpi_bn.stats.running_var, rv)
+        assert np.array_equal(params.stats, stats_before)
+
+    def test_eval_before_any_training_rejected(self):
+        # One flag for the whole network: eval mode needs running statistics
+        # from a train-mode step or a checkpoint. A network without batch
+        # norms has no statistics to wait for.
+        cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=3, depth=2, seed=24)
+        params = init_params(cfg)
+        x = np.random.default_rng(25).normal(0, 1, (4, 4, 8))
+        with pytest.raises(InvalidStateError, match="train first"):
+            forward(x, params, mode="eval")
+        assert not params.ready
+        loss_and_grad(x, np.array([0, 1, 0, 1]), params, mode="train")
+        assert params.ready
+        forward(x, params, mode="eval")
+        forward(x, init_params(PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=3, depth=0)))
 
     def test_forward_graphs_leave_no_cyclic_garbage(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=16)
@@ -313,20 +305,17 @@ class TestLossAndGrad:
     def test_train_mode_updates_original_batch_norms_through_the_view(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=18)
         params = init_params(cfg)
-        arrays = {name: arr.copy() for name, arr in params.learnable_arrays().items()}
-        stats = [(bn.stats.running_mean.copy(), bn.stats.running_var.copy())
-                 for bn in params.batch_norms()]
-        assert len(stats) == 2 * cfg.depth
-        assert not any(bn.stats.ready for bn in params.batch_norms())
+        before = {name: arr.copy() for name, arr in params.named_arrays().items()}
+        layout = tensor_layout(cfg)
+        assert sum(init in STATISTIC_TAGS for _, _, init in layout) == 2 * 2 * cfg.depth
+        assert not params.ready
         rng = np.random.default_rng(19)
         loss_and_grad(rng.normal(0, 1, (4, 4, 8)), np.array([0, 1, 1, 0]), params, mode="train")
-        for bn, (rm, rv) in zip(params.batch_norms(), stats):
-            assert bn.stats.ready
-            assert not np.array_equal(bn.stats.running_mean, rm)
-            assert not np.array_equal(bn.stats.running_var, rv)
-        for name, arr in params.learnable_arrays().items():
-            assert type(arr) is np.ndarray
-            assert np.array_equal(arr, arrays[name])
+        assert params.ready
+        after = params.named_arrays()
+        for name, _, init in layout:  # every running statistic moves, no learnable does
+            assert np.array_equal(after[name], before[name]) != (init in STATISTIC_TAGS), name
+        assert all(type(arr) is np.ndarray for arr in params.learnable_arrays().values())
 
 
     def test_depth_four_step_builds_15_graph_nodes(self, monkeypatch):
@@ -354,17 +343,45 @@ class TestParamsCopy:
         assert dup.config == cfg
         for name, arr in params.named_arrays().items():
             assert np.array_equal(dup.named_arrays()[name], arr)
-        dup.projection[0, 0] += 1.0
-        dup.blocks[1].lpi_bias[:] = 2.0
-        first = next(dup.batch_norms())
-        first.gamma[:] = 3.0
-        first.stats.running_mean[:] = 4.0
-        for bn in dup.batch_norms():
-            bn.stats.ready = True
+        t = dup.named_arrays()
+        t["projection"][0, 0] += 1.0
+        t["blocks.1.lpi_bias"][:] = 2.0
+        t["blocks.0.gsi_bn.gamma"][:] = 3.0
+        t["blocks.0.gsi_bn.running_mean"][:] = 4.0
+        dup.ready = True
         fresh = init_params(cfg)
         for name, arr in params.named_arrays().items():
             assert np.array_equal(arr, fresh.named_arrays()[name]), name
-        assert not any(bn.stats.ready for bn in params.batch_norms())
+        assert not params.ready
+
+
+class TestParamsStorage:
+    def test_every_tensor_is_a_view_into_its_vector(self):
+        cfg = PatchNetConfig(patch_edge=2, patch_count=9, embed_dim=4, depth=2, class_count=3)
+        params = init_params(cfg)
+        tensors = params.named_arrays()
+        for name, shape, init in tensor_layout(cfg):
+            stat = init in STATISTIC_TAGS
+            assert tensors[name].shape == shape
+            assert np.shares_memory(tensors[name], params.stats if stat else params.learnable), name
+            assert not np.shares_memory(tensors[name], params.learnable if stat else params.stats)
+        assert params.named_arrays()["blocks.0.gsi_kernel"] is tensors["blocks.0.gsi_kernel"]
+        dup = params.copy()
+        for vector in (params.learnable, params.stats):
+            assert not np.shares_memory(dup.learnable, vector)
+            assert not np.shares_memory(dup.stats, vector)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_learnable_vector_holds_the_reported_parameter_count(self, depth):
+        cfg = PatchNetConfig(patch_edge=2, patch_count=9, embed_dim=5, depth=depth, class_count=3)
+        params = init_params(cfg)
+        assert params.learnable.dtype == params.stats.dtype == np.float32
+        assert params.learnable.size == op_count_report(cfg).total_params
+        assert params.stats.size == 2 * 2 * cfg.embed_dim * depth
+
+    def test_benchmark_scale_parameter_count(self):
+        cfg = PatchNetConfig(patch_edge=8, patch_count=36, embed_dim=64, depth=4)
+        assert init_params(cfg).learnable.size == op_count_report(cfg).total_params == 62_338
 
 
 class TestCheckpoint:

@@ -6,7 +6,7 @@ import pytest
 import patchkit as pk
 from patchkit.errors import InvalidArgumentError
 from patchkit.optim import adam_init, adam_step
-from patchkit.patchnet import PatchNetConfig, save_checkpoint
+from patchkit.patchnet import PatchNetConfig, save_checkpoint, tensor_shapes
 from patchkit.train import (
     TrainSchedule,
     class_scores,
@@ -17,35 +17,78 @@ from patchkit.train import (
 )
 
 
+def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one named tensor at a time: the loop the vector update replaced,
+    kept as its reference. ``state`` holds per-name ``m`` and ``v`` and ``t``."""
+    state["t"] += 1
+    t = state["t"]
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=np.float32)
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        params = {"w": np.array([1.0, -2.0], dtype=np.float32)}
-        state = adam_init(params)
-        adam_step(params, {"w": np.zeros(2, dtype=np.float32)}, state, lr=0.1)
-        assert np.array_equal(params["w"], [1.0, -2.0])
+        values = np.array([1.0, -2.0], dtype=np.float32)
+        state = adam_init(values)
+        adam_step(values, np.zeros(2, dtype=np.float32), state, lr=0.1)
+        assert np.array_equal(values, [1.0, -2.0])
 
     def test_first_step_magnitude_is_bias_corrected_lr(self):
         # After one step m_hat = g, v_hat = g^2, so the update is lr * sign(g)
         # up to the epsilon in the denominator.
-        params = {"w": np.zeros(3, dtype=np.float32)}
-        state = adam_init(params)
+        values = np.zeros(3, dtype=np.float32)
+        state = adam_init(values)
         g = np.array([3.0, -0.5, 10.0], dtype=np.float32)
-        adam_step(params, {"w": g}, state, lr=1e-3)
-        assert np.allclose(np.abs(params["w"]), 1e-3, rtol=1e-4)
-        assert np.all(np.sign(params["w"]) == -np.sign(g))
+        adam_step(values, g, state, lr=1e-3)
+        assert np.allclose(np.abs(values), 1e-3, rtol=1e-4)
+        assert np.all(np.sign(values) == -np.sign(g))
 
     def test_quadratic_bowl_convergence(self):
-        params = {"x": np.array([1.0], dtype=np.float32)}
-        state = adam_init(params)
+        values = np.array([1.0], dtype=np.float32)
+        state = adam_init(values)
         for _ in range(500):
-            adam_step(params, {"x": 2.0 * params["x"]}, state, lr=1e-2)
-        assert abs(float(params["x"][0])) < 1e-3
+            adam_step(values, 2.0 * values, state, lr=1e-2)
+        assert abs(float(values[0])) < 1e-3
 
     def test_shape_mismatch_rejected(self):
-        params = {"w": np.zeros(3, dtype=np.float32)}
-        state = adam_init(params)
-        with pytest.raises(InvalidArgumentError):
-            adam_step(params, {"w": np.zeros(4, dtype=np.float32)}, state, lr=0.1)
+        values = np.zeros(3, dtype=np.float32)
+        state = adam_init(values)
+        with pytest.raises(InvalidArgumentError, match="gradient shape"):
+            adam_step(values, np.zeros(4, dtype=np.float32), state, lr=0.1)
+        assert state.t == 0
+
+    def test_vector_update_matches_the_per_tensor_loop_bit_for_bit(self):
+        shapes = tensor_shapes(PatchNetConfig(patch_edge=8, patch_count=36, embed_dim=64, depth=4))
+        rng = np.random.default_rng(0)
+        tensors = {name: rng.normal(0, 0.1, shape).astype(np.float32) for name, shape in shapes.items()}
+        values = np.concatenate([a.ravel() for a in tensors.values()])
+        state = adam_init(values)
+        reference = {"t": 0, "m": {n: np.zeros_like(a) for n, a in tensors.items()},
+                     "v": {n: np.zeros_like(a) for n, a in tensors.items()}}
+        steps = 50
+        for step in range(steps):
+            # Gradients over six decades, so the epsilon and the rounding of
+            # small second moments both show.
+            grads = {name: (rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 1, shape))
+                     .astype(np.float32) for name, shape in shapes.items()}
+            lr = cosine_lr(step, steps, 1e-3, 1e-6)
+            reference_adam_step(tensors, grads, reference, lr)
+            adam_step(values, np.concatenate([g.ravel() for g in grads.values()]), state, lr)
+        flat = {key: np.concatenate([a.ravel() for a in part.values()])
+                for key, part in (("values", tensors), ("m", reference["m"]), ("v", reference["v"]))}
+        assert state.t == reference["t"] == steps
+        assert values.tobytes() == flat["values"].tobytes()
+        assert state.m.tobytes() == flat["m"].tobytes()
+        assert state.v.tobytes() == flat["v"].tobytes()
 
 
 class TestCosineSchedule:
