@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -158,7 +157,6 @@ def cmd_explain(cfg: RunConfig) -> int:
                 rule=ex.rule,
                 max_depth=ex.max_depth,
                 budget=ex.budget,
-                threads=cfg.threads,
             )
         )
         cohort_ids.append(i)
@@ -209,19 +207,24 @@ def cmd_select(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _fit_and_score(cfg, features, labels, seed):
+def _holdout_split(cfg, labels, seed):
+    """Stratified (train, val, test) indices at the configured fractions."""
     test_idx, val_idx, train_idx = stratified_split(
         labels, (cfg.train.test_fraction, cfg.train.val_fraction), seed
     )
-    net_cfg = _net_config(cfg, features.shape[1], seed)
+    return train_idx, val_idx, test_idx
+
+
+def _fit_and_score(cfg, features, labels, split, seed):
+    """Fit a PatchNet on the ``(train, val, test)`` index split and return the
+    fit with its class-1 scores on the test part."""
+    train_idx, val_idx, test_idx = split
     result = train_patchnet(
         features[train_idx], labels[train_idx],
         features[val_idx], labels[val_idx],
-        net_cfg, _schedule(cfg), seed,
+        _net_config(cfg, features.shape[1], seed), _schedule(cfg), seed,
     )
-    scores = class_scores(result.params, features[test_idx])
-    report = evaluate_scores(labels[test_idx], scores)
-    return result, report, (train_idx, val_idx, test_idx)
+    return result, class_scores(result.params, features[test_idx])
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -230,9 +233,10 @@ def cmd_train(cfg: RunConfig) -> int:
     selection = SelectionResult.load(_require(out / "selection.json", "select"))
     grid = make_grid(manifest.spec.dims, cfg.grid.patch_edge)
     features, labels = extract_selected_patches(manifest, grid, selection)
-    result, report, (train_idx, val_idx, test_idx) = _fit_and_score(
-        cfg, features, labels, cfg.stage_seed("train")
-    )
+    seed = cfg.stage_seed("train")
+    train_idx, val_idx, test_idx = split = _holdout_split(cfg, labels, seed)
+    result, scores = _fit_and_score(cfg, features, labels, split, seed)
+    report = evaluate_scores(labels[test_idx], scores)
     ckpt = out / "checkpoint.pnc"
     save_checkpoint(ckpt, result.params, extra={
         "selection": selection.to_json(),
@@ -282,13 +286,9 @@ def cmd_eval(cfg: RunConfig) -> int:
                 labels[rest], (cfg.train.val_fraction,), seed + fold_id + 1000 * rep
             )]
             fold_seed = seed + 17 * (rep * len(folds) + fold_id + 1)
-            net_cfg = _net_config(cfg, len(selection.chosen), fold_seed)
-            result = train_patchnet(
-                features[train_idx], labels[train_idx],
-                features[val_idx], labels[val_idx],
-                net_cfg, _schedule(cfg), fold_seed,
+            _, scores = _fit_and_score(
+                cfg, features, labels, (train_idx, val_idx, test_idx), fold_seed
             )
-            scores = class_scores(result.params, features[test_idx])
             rep_metrics = evaluate_scores(labels[test_idx], scores)
             fold_reports.append({
                 "repeat": rep, "fold": fold_id,
@@ -332,7 +332,9 @@ def cmd_compare(cfg: RunConfig) -> int:
         features, labels = extract_selected_patches(manifest, grid, ranking)
         for m in cfg.compare.m_values:
             seed = cfg.stage_seed("compare") + 101 * m + (0 if method == "shap" else 7)
-            _, report, _ = _fit_and_score(cfg, features[:, :m], labels, seed)
+            split = _holdout_split(cfg, labels, seed)
+            _, scores = _fit_and_score(cfg, features[:, :m], labels, split, seed)
+            report = evaluate_scores(labels[split[2]], scores)
             recall = (
                 len(lesion_patches & set(ranking.chosen[:m])) / len(lesion_patches)
                 if lesion_patches else float("nan")
@@ -384,9 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
     common.add_argument("--seed", type=int, metavar="N", help="override the global seed")
     common.add_argument("--out", metavar="DIR", help="override the output directory")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="explain-stage threads for the sibling games of one octree "
-                             "level (fallback: PATCHKIT_THREADS)")
     common.add_argument("--set", action="append", default=[], metavar="K=V",
                         dest="overrides", help="override a config field by dotted path")
     parser = argparse.ArgumentParser(prog="patchkit", description=__doc__)
@@ -402,15 +401,6 @@ def _resolve_config(args) -> RunConfig:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.paths.out_dir = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
-    elif os.environ.get("PATCHKIT_THREADS"):
-        try:
-            cfg.threads = int(os.environ["PATCHKIT_THREADS"])
-        except ValueError as exc:
-            raise ConfigError("PATCHKIT_THREADS", "must be an integer") from exc
-    if cfg.threads < 1:
-        raise ConfigError("threads", "must be >= 1")
     return cfg
 
 

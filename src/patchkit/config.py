@@ -129,7 +129,6 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     compare: CompareConfig = field(default_factory=CompareConfig)
     seed: int = 2024
-    threads: int = 1
 
     def stage_seed(self, stage: str) -> int:
         return self.seed * 1000 + STAGE_SEED_OFFSETS[stage]
@@ -167,9 +166,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         if not isinstance(section, dict):
             raise ConfigError(name, "must be an object")
         kwargs[name] = _build_section(cls, section, name)
-    for scalar in ("seed", "threads"):
-        if scalar in raw:
-            kwargs[scalar] = raw.pop(scalar)
+    if "seed" in raw:
+        kwargs["seed"] = raw.pop("seed")
     if raw:
         raise ConfigError(next(iter(raw)), "unknown field")
     cfg = RunConfig(**kwargs)
@@ -299,4 +297,3 @@ def validate_config(cfg: RunConfig) -> None:
     for i, m in enumerate(cm.m_values):
         check(m >= 1 and math.isqrt(m) ** 2 == m,
               f"compare.m_values[{i}]", "every M must be a perfect square")
-    check(cfg.threads >= 1, "threads", "must be >= 1")

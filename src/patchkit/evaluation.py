@@ -97,16 +97,11 @@ def auc(labels, scores) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(labels.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # 1-based average rank of each distinct score: a tie group ending at rank
+    # ``end`` with ``count`` members spans ranks end - count + 1 .. end.
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (0.5 * (2 * ends - counts + 1))[group]
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

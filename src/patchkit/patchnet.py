@@ -186,6 +186,11 @@ def tensor_shapes(cfg: PatchNetConfig) -> dict[str, tuple[int, ...]]:
     return {name: shape for name, shape, _ in tensor_layout(cfg)}
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("train", "eval"):
+        raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
+
+
 def _batchnorm(x: Tensor, t: dict, bn: str, mode: str, op, *weights) -> Tensor:
     """Run ``op(x, *weights, gamma, beta, eps, stats)``, an op that ends in the
     batch norm whose tensors ``t`` holds under the name prefix ``bn``: on
@@ -193,16 +198,15 @@ def _batchnorm(x: Tensor, t: dict, bn: str, mode: str, op, *weights) -> Tensor:
     running statistics in eval mode."""
     gamma, beta = t[bn + "gamma"], t[bn + "beta"]
     running_mean, running_var = t[bn + "running_mean"], t[bn + "running_var"]
-    if mode == "train":
-        y, mu, var = op(x, *weights, gamma, beta, BN_EPS)  # biased variance
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mu.astype(running_mean.dtype)
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var.astype(running_var.dtype)
-        return y
+    _check_mode(mode)
     if mode == "eval":
         return op(x, *weights, gamma, beta, BN_EPS, (running_mean, running_var))[0]
-    raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
+    y, mu, var = op(x, *weights, gamma, beta, BN_EPS)  # biased variance
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu.astype(running_mean.dtype)
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var.astype(running_var.dtype)
+    return y
 
 
 def embed_patches(patches, cfg: PatchNetConfig, t: dict) -> Tensor:
@@ -241,6 +245,7 @@ def _forward_graph(patches, params: PatchNetParams, t: dict, mode: str) -> Tenso
     """The network over the tensors ``t`` (``params``' arrays, or graph
     leaves laid over them); ``params`` carries the config and ``ready``."""
     cfg = params.config
+    _check_mode(mode)  # a depth-0 network has no batch norm to check it
     if mode == "eval" and params.stats.size and not params.ready:
         raise InvalidStateError("batch norm running stats are uninitialized; train first")
     x = embed_patches(patches, cfg, t)

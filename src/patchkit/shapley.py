@@ -12,18 +12,12 @@ in feature space when every region is a union of whole patches of that grid:
 zero-filling a region zeroes exactly its patches' means, so a game's 2^n
 coalitions become one feature matrix and one readout call. Any other
 predictor or region gets one zero-filled volume per coalition.
-
-On either path, ``recursive_attribution`` may play the sibling games of one
-octree level on a thread pool. Each game reduces in a fixed order and levels
-are merged in tree order, so results are bit-stable regardless of worker count.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -52,11 +46,7 @@ T_STAT_SENTINEL = 1e30
 
 @runtime_checkable
 class Predictor(Protocol):
-    """Black-box classifier over volumes: predict() returns a 2-class probability vector.
-
-    With ``threads > 1``, ``predict`` and ``predict_features`` may be called
-    from several threads at once.
-    """
+    """Black-box classifier over volumes: predict() returns a 2-class probability vector."""
 
     def predict(self, v: Volume) -> np.ndarray: ...
 
@@ -333,8 +323,9 @@ def recursive_attribution(
     Remainder voxels past the last whole patch belong to no node and are never
     zero-filled.
 
-    The tree is walked one level at a time; with ``threads > 1`` a level's
-    independent games run on one thread pool.
+    The tree is walked one level at a time, and a level's games are played in
+    tree order on the calling thread. ``threads`` is accepted for existing
+    callers, is rejected below 1 and otherwise has no effect.
 
     ``tau`` may be +/-inf (forcing one rule to always or never fire); NaN is
     rejected. A level whose games would take the map past ``budget`` predictor
@@ -352,39 +343,33 @@ def recursive_attribution(
     values = np.empty((nz, ny, nx), dtype=np.float64)
     refined = np.zeros((nz, ny, nx), dtype=bool)
     leaf = (1, 1, 1)
-
-    def play(children: list[Region]) -> np.ndarray:
-        siblings = [
-            Region([o * leaf_edge for o in c.origin], [s * leaf_edge for s in c.size])
-            for c in children
-        ]
-        return sibling_shapley(predictor, volume, siblings)
-
     evaluations = 0
     levels = 0
     # Nodes whose children play a game at the current level. Levels are
     # written in order, so a child's values overwrite its parent's.
     frontier = [Region((0, 0, 0), grid.counts)]
-    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
-        play_all = map if pool is None else pool.map
-        while frontier:
-            games = [octree_children(node) if node.size != leaf else [node] for node in frontier]
-            cost = sum(1 << len(children) for children in games)
-            if evaluations + cost > budget:
-                raise BudgetExceededError(
-                    f"attribution would need more than {budget} predictor calls"
-                )
-            levels += 1
-            frontier = []
-            for children, game in zip(games, play_all(play, games)):
-                for child, value in zip(children, game):
-                    (x0, y0, z0), (x1, y1, z1) = child.origin, child.end
-                    is_leaf = child.size == leaf
-                    values[z0:z1, y0:y1, x0:x1] = value
-                    refined[z0:z1, y0:y1, x0:x1] = is_leaf
-                    if not is_leaf and levels < max_depth and _rule_fires(rule, value, tau):
-                        frontier.append(child)
-            evaluations += cost
+    while frontier:
+        games = [octree_children(node) if node.size != leaf else [node] for node in frontier]
+        cost = sum(1 << len(children) for children in games)
+        if evaluations + cost > budget:
+            raise BudgetExceededError(
+                f"attribution would need more than {budget} predictor calls"
+            )
+        levels += 1
+        frontier = []
+        for children in games:
+            siblings = [
+                Region([o * leaf_edge for o in c.origin], [s * leaf_edge for s in c.size])
+                for c in children
+            ]
+            for child, value in zip(children, sibling_shapley(predictor, volume, siblings)):
+                (x0, y0, z0), (x1, y1, z1) = child.origin, child.end
+                is_leaf = child.size == leaf
+                values[z0:z1, y0:y1, x0:x1] = value
+                refined[z0:z1, y0:y1, x0:x1] = is_leaf
+                if not is_leaf and levels < max_depth and _rule_fires(rule, value, tau):
+                    frontier.append(child)
+        evaluations += cost
     return AttributionMap(
         grid=grid,
         values=values,

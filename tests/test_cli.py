@@ -198,15 +198,6 @@ class TestOverrides:
         echo = json.loads((tmp_path / "out" / "run-gen.json").read_text())
         assert echo["config"]["seed"] == 123
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        monkeypatch.setenv("PATCHKIT_THREADS", "3")
-        assert main(["gen", "--config", str(cfg)]) == 0
-        echo = json.loads((tmp_path / "out" / "run-gen.json").read_text())
-        assert echo["config"]["threads"] == 3
-        monkeypatch.setenv("PATCHKIT_THREADS", "junk")
-        assert main(["gen", "--config", str(cfg)]) == 2
-
     def test_out_flag_redirects_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)
         other = tmp_path / "elsewhere"

@@ -220,6 +220,18 @@ class TestForward:
         _, probs = forward(np.zeros((4, 8), np.float32), params, mode="train")
         assert np.allclose(probs, [0.5, 0.5])
 
+    def test_unknown_mode_rejected_without_batch_norm(self):
+        # A depth-0 network has no batch norm to check the mode on the way.
+        params = init_params(PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=3, depth=0))
+        x = np.zeros((4, 4, 8))
+        with pytest.raises(InvalidArgumentError, match="mode must be 'train' or 'eval'"):
+            forward(x, params, mode="bogus")
+        with pytest.raises(InvalidArgumentError, match="mode must be 'train' or 'eval'"):
+            loss_and_grad(x, np.array([0, 1, 0, 1]), params, mode="bogus")
+        # The mode is checked before the patches reach the embedding.
+        with pytest.raises(InvalidArgumentError, match="mode"):
+            forward(np.full((4, 8), np.nan), params, mode="bogus")
+
     def test_probabilities_sum_to_one(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=10)
         params = init_params(cfg)

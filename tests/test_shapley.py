@@ -2,7 +2,6 @@ import json
 import math
 import re
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -280,7 +279,7 @@ class TestRecursiveAttribution:
         b = pk.recursive_attribution(opaque, v, 4, tau=0.0, rule="refine_below", threads=4)
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
-    def test_threads_play_a_levels_batched_games_concurrently(self):
+    def test_every_game_is_played_on_the_calling_thread(self):
         dims = (16, 16, 16)
         grid = pk.make_grid(dims, 4)
         rng = np.random.default_rng(43)
@@ -292,21 +291,20 @@ class TestRecursiveAttribution:
 
             def __init__(self):
                 self.grid = grid
-                self.threads = set()
+                self.threads = []
 
             def predict(self, v):
                 raise AssertionError("aligned games must take the batched path")
 
             def predict_features(self, features):
-                self.threads.add(threading.get_ident())
-                time.sleep(0.01)  # long enough for sibling games to overlap
+                self.threads.append(threading.get_ident())
                 return predictor.predict_features(features)
 
-        serial, pooled = ThreadSpy(), ThreadSpy()
-        a = pk.recursive_attribution(serial, v, 4, tau=math.inf, threads=1)
-        b = pk.recursive_attribution(pooled, v, 4, tau=math.inf, threads=2)
-        assert len(pooled.threads) == 2
-        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+        spy = ThreadSpy()
+        amap = pk.recursive_attribution(spy, v, 4, tau=math.inf, threads=4)
+        assert len(spy.threads) == 9  # one game at level 1, eight at level 2
+        assert set(spy.threads) == {threading.get_ident()}
+        assert amap.evaluations == 256 + 8 * 256
 
     def test_level1_only_grid_equals_exact_shapley(self):
         # When the octree halves coincide with the leaf grid, the recursive
