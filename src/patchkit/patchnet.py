@@ -10,12 +10,15 @@ channels-last, (B, m, m, d), from the embedding to the pool. A block applies
     spatial:  x + BN(depthwise_conv_mxm(x) + b)      (no activation)
     channel:  BN(relu(pointwise_conv_1x1(x) + b))
 
-in that order, each stage one autodiff op (``tensor.spatial_block`` and
-``tensor.channel_block``) with an analytic backward, so a depth-D training
-step builds 2·D + 7 graph nodes. The spatial convolution is depthwise (one
-m x m kernel per channel): a full channel-mixing spatial kernel would blow the
-parameter budget without adding anything the pointwise stage does not already
-provide.
+in that order. In training each stage is one autodiff op
+(``tensor.spatial_block`` and ``tensor.channel_block``) with an analytic
+backward, so a depth-D training step builds 2·D + 7 graph nodes. An eval
+forward builds none: it runs the same stages as plain array code on the
+running statistics, where each batch norm is one per-channel scale and shift
+(the spatial stage's bias folded into the shift). The spatial convolution is
+depthwise (one m x m kernel per channel): a full channel-mixing spatial kernel
+would blow the parameter budget without adding anything the pointwise stage
+does not already provide.
 
 One layout table (:func:`tensor_layout`) lists every tensor as (name, shape,
 init tag) in PNC1 record order. Initialisation, the checkpoint reader and
@@ -191,17 +194,25 @@ def _check_mode(mode: str) -> None:
         raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
-def _batchnorm(x: Tensor, t: dict, bn: str, mode: str, op, *weights) -> Tensor:
-    """Run ``op(x, *weights, gamma, beta, eps, stats)``, an op that ends in the
-    batch norm whose tensors ``t`` holds under the name prefix ``bn``: on
-    batch statistics that update the running ones in train mode, on the
-    running statistics in eval mode."""
-    gamma, beta = t[bn + "gamma"], t[bn + "beta"]
+def _patch_batch(patches, dtype=None) -> np.ndarray:
+    """``patches`` as a (B, M, p^3) array: one (M, p^3) stack gains a batch
+    axis, and any rank other than 2 or 3 is rejected."""
+    patches = np.asarray(patches, dtype=dtype)
+    if patches.ndim not in (2, 3):
+        raise InvalidArgumentError(
+            f"patches must be one (M, p^3) stack or a (B, M, p^3) batch, "
+            f"got an array of shape {patches.shape}"
+        )
+    return patches[None] if patches.ndim == 2 else patches
+
+
+def _batchnorm(x, t: dict, bn: str, op, *weights) -> Tensor:
+    """Run ``op(x, *weights, gamma, beta, eps)``, a graph op that ends in the
+    batch norm whose tensors ``t`` holds under the name prefix ``bn``, on
+    batch statistics, and fold those into the running statistics (train
+    mode; eval mode never builds a graph)."""
+    y, mu, var = op(x, *weights, t[bn + "gamma"], t[bn + "beta"], BN_EPS)  # biased variance
     running_mean, running_var = t[bn + "running_mean"], t[bn + "running_var"]
-    _check_mode(mode)
-    if mode == "eval":
-        return op(x, *weights, gamma, beta, BN_EPS, (running_mean, running_var))[0]
-    y, mu, var = op(x, *weights, gamma, beta, BN_EPS)  # biased variance
     running_mean *= 1.0 - BN_MOMENTUM
     running_mean += BN_MOMENTUM * mu.astype(running_mean.dtype)
     running_var *= 1.0 - BN_MOMENTUM
@@ -209,62 +220,128 @@ def _batchnorm(x: Tensor, t: dict, bn: str, mode: str, op, *weights) -> Tensor:
     return y
 
 
-def embed_patches(patches, cfg: PatchNetConfig, t: dict) -> Tensor:
+def _eval_norm(t: dict, bn: str, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The eval-mode batch norm under the name prefix ``bn`` as one per-channel
+    (scale, shift) pair in ``dtype``. On the running statistics μ and σ² the
+    norm is the affine map ``s = γ·(σ² + ε)^-½`` and ``shift = β − μ·s``."""
+    scale = t[bn + "gamma"] / np.sqrt(np.add(t[bn + "running_var"], BN_EPS, dtype=dtype))
+    return scale, t[bn + "beta"] - t[bn + "running_mean"] * scale
+
+
+def embed_patches(patches, cfg: PatchNetConfig, t: dict):
     """Project flattened patches and add position embeddings (tensors by name).
 
-    Patches (..., M, p^3) give channels-last activations (..., m, m, d):
-    patch i lands at spatial site (i // m, i % m) with its embedding along the
-    last axis. Leading dimensions carry through. NaN or infinite voxels are
-    rejected: nothing downstream could give them a meaningful output.
+    One stack of patches (M, p^3) gives channels-last activations (m, m, d),
+    and a batch (B, M, p^3) gives (B, m, m, d): patch i lands at spatial site
+    (i // m, i % m) with its embedding along the last axis. NaN or infinite
+    voxels are rejected: nothing downstream could give them a meaningful
+    output. When ``t`` holds graph leaves (training) the result is a graph
+    node; over plain arrays (eval) it is a plain array.
     """
-    x = T._as_tensor(np.asarray(patches))
-    if x.data.shape[-2:] != (cfg.patch_count, cfg.patch_len):
+    x = np.asarray(patches)
+    if x.shape[-2:] != (cfg.patch_count, cfg.patch_len):
         raise InvalidArgumentError(
             f"expected {cfg.patch_count} patches of length {cfg.patch_len}, "
-            f"got an array of shape {x.data.shape}"
+            f"got an array of shape {x.shape}"
         )
-    if not np.isfinite(x.data).all():
+    if not np.isfinite(x).all():
         raise InvalidArgumentError("patches contain NaN or infinite voxels")
-    emb = T.add(T.matmul(x, T._as_tensor(t["projection"])), T._as_tensor(t["pos_embed"]))
-    return T.reshape(emb, x.data.shape[:-2] + (cfg.side, cfg.side, cfg.embed_dim))
+    shape = x.shape[:-2] + (cfg.side, cfg.side, cfg.embed_dim)
+    projection, pos_embed = t["projection"], t["pos_embed"]
+    if isinstance(projection, Tensor):
+        return T.reshape(T.add(T.matmul(x, projection), pos_embed), shape)
+    emb = (x.reshape(-1, cfg.patch_len) @ projection).reshape(x.shape[:-1] + (cfg.embed_dim,))
+    emb += pos_embed
+    return emb.reshape(shape)
 
 
-def gsi_block(x: Tensor, t: dict, i: int, mode: str) -> Tensor:
-    """Block i's depthwise spatial convolution + BN + residual (no activation), one op."""
+def gsi_block(x, t: dict, i: int, mode: str):
+    """Block i's depthwise spatial convolution + bias + BN + residual (no
+    activation).
+
+    Train mode runs it as one graph op on batch statistics. Eval mode takes
+    and returns (B, m, m, d) arrays, ``x + s·conv(x) + shift``, with the
+    bias folded into the batch norm's shift and the convolution one product
+    with the kernel's cached dense maps.
+    """
     p = f"blocks.{i}.gsi_"
-    return _batchnorm(x, t, p + "bn.", mode, T.spatial_block, t[p + "kernel"], t[p + "bias"])
+    _check_mode(mode)
+    if mode == "train":
+        return _batchnorm(x, t, p + "bn.", T.spatial_block, t[p + "kernel"], t[p + "bias"])
+    B, H, W, C = x.shape
+    scale, shift = _eval_norm(t, p + "bn.", x.dtype)
+    shift += t[p + "bias"] * scale
+    sites = x.reshape(B, H * W, C).transpose(2, 0, 1)  # (C, B, H·W)
+    conv = np.matmul(sites, T._conv_maps(t[p + "kernel"], H, W))
+    conv *= scale[:, None, None]
+    conv += shift[:, None, None]
+    return x + conv.transpose(1, 2, 0).reshape(x.shape)
 
 
-def lpi_block(x: Tensor, t: dict, i: int, mode: str) -> Tensor:
-    """Block i's pointwise channel mixing + ReLU + BN, one op; spatial sites stay independent."""
+def lpi_block(x, t: dict, i: int, mode: str):
+    """Block i's pointwise channel mixing + bias + ReLU + BN; spatial sites
+    stay independent.
+
+    Train mode runs it as one graph op on batch statistics. Eval mode takes
+    and returns (B, m, m, d) arrays, ``s·relu(x @ W.T + b) + shift``.
+    """
     p = f"blocks.{i}.lpi_"
-    return _batchnorm(x, t, p + "bn.", mode, T.channel_block, t[p + "weight"], t[p + "bias"])
+    _check_mode(mode)
+    if mode == "train":
+        return _batchnorm(x, t, p + "bn.", T.channel_block, t[p + "weight"], t[p + "bias"])
+    weight = t[p + "weight"]
+    scale, shift = _eval_norm(t, p + "bn.", x.dtype)
+    pre = x.reshape(-1, weight.shape[1]) @ weight.T
+    pre += t[p + "bias"]
+    np.maximum(pre, 0.0, out=pre)
+    pre *= scale
+    pre += shift
+    return pre.reshape(x.shape[:-1] + (weight.shape[0],))
 
 
-def _forward_graph(patches, params: PatchNetParams, t: dict, mode: str) -> Tensor:
-    """The network over the tensors ``t`` (``params``' arrays, or graph
-    leaves laid over them); ``params`` carries the config and ``ready``."""
+def _forward_eval(patches: np.ndarray, params: PatchNetParams) -> np.ndarray:
+    """Logits of a (B, M, p^3) batch on the running statistics, as plain
+    array code: no graph, and ``params`` is left as it was."""
     cfg = params.config
-    _check_mode(mode)  # a depth-0 network has no batch norm to check it
-    if mode == "eval" and params.stats.size and not params.ready:
+    if params.stats.size and not params.ready:
         raise InvalidStateError("batch norm running stats are uninitialized; train first")
+    t = params.named_arrays()
     x = embed_patches(patches, cfg, t)
     for i in range(cfg.depth):
-        x = lpi_block(gsi_block(x, t, i, mode), t, i, mode)
-    if mode == "train":
-        params.ready = True
+        x = lpi_block(gsi_block(x, t, i, "eval"), t, i, "eval")
+    return x.mean(axis=(1, 2)) @ t["classifier_w"] + t["classifier_b"]
+
+
+def _forward_graph(patches: np.ndarray, params: PatchNetParams, t: dict) -> Tensor:
+    """The train-mode network over the tensors ``t`` (``params``' arrays, or
+    graph leaves laid over them), on batch statistics that update the
+    running ones; ``params`` carries the config and ``ready``."""
+    cfg = params.config
+    x = embed_patches(patches, cfg, t)
+    for i in range(cfg.depth):
+        x = lpi_block(gsi_block(x, t, i, "train"), t, i, "train")
+    params.ready = True
     pooled = T.mean(x, (1, 2), keepdims=False)
     return T.add(T.matmul(pooled, T._as_tensor(t["classifier_w"])),
                  T._as_tensor(t["classifier_b"]))
 
 
 def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.ndarray, np.ndarray]:
-    """Logits and softmax probabilities for a batch of selected-patch stacks."""
+    """Logits and softmax probabilities for one selected-patch stack
+    (M, p^3) or a batch of them (B, M, p^3).
+
+    Eval mode reads the running statistics, builds no graph and leaves
+    ``params`` unchanged; train mode runs the training graph on batch
+    statistics and updates the running ones.
+    """
+    _check_mode(mode)
     patches = np.asarray(patches)
     single = patches.ndim == 2
-    if single:
-        patches = patches[None]
-    logits = _forward_graph(patches, params, params.named_arrays(), mode).data
+    batch = _patch_batch(patches)
+    if mode == "eval":
+        logits = _forward_eval(batch, params)
+    else:
+        logits = _forward_graph(batch, params, params.named_arrays()).data
     probs = T.softmax(logits)
     if single:
         return logits[0], probs[0]
@@ -281,19 +358,21 @@ def loss_and_grad(
     """Mean cross-entropy over the batch plus gradients for every learnable
     tensor, by name, in ``learnable_arrays`` order.
 
-    Pass ``dtype=np.float64`` for the high-precision checking mode used by the
-    finite-difference tests.
+    Only train mode has a gradient: an eval forward builds no graph, so
+    ``mode="eval"`` is rejected. Pass ``dtype=np.float64`` for the
+    high-precision checking mode used by the finite-difference tests.
     """
-    patches = np.asarray(patches, dtype=dtype)
-    if patches.ndim == 2:
-        patches = patches[None]
+    _check_mode(mode)
+    if mode == "eval":
+        raise InvalidArgumentError("loss_and_grad runs in train mode only; an eval forward builds no graph")
+    patches = _patch_batch(patches, dtype)
     if patches.shape[0] == 0:
         raise InvalidArgumentError("batch must be nonempty")
     leaves = {
         name: Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
         for name, arr in params.learnable_arrays().items()
     }
-    logits = _forward_graph(patches, params, params.named_arrays() | leaves, mode)
+    logits = _forward_graph(patches, params, params.named_arrays() | leaves)
     loss = T.softmax_cross_entropy(logits, labels)
     loss.backward()
     grads = {

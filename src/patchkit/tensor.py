@@ -11,7 +11,10 @@ each one graph node with an analytic backward:
 
 They share the convolution (:class:`_Conv`) and batch-norm (:class:`_Norm`)
 arithmetic with the single ops ``depthwise_conv2d`` and ``batch_norm``, which
-stay as their reference. Every product is laid out so numpy hands it to BLAS.
+stay as their reference. The network's eval forward builds no graph (it is
+plain array code in ``patchnet``), so the ops' ``stats=`` argument, constant
+running statistics, stays only as that forward's test reference. Every product
+is laid out so numpy hands it to BLAS.
 A convolution's dense per-channel maps are gathered once per kernel state
 (:func:`_conv_maps`), so repeated readouts of an unchanged network pay only
 for their products.
@@ -214,7 +217,8 @@ def batch_norm(x, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarr
 
     With ``stats`` None, mean and biased variance are the batch statistics
     over every leading axis and the gradient flows through them; otherwise
-    ``stats`` is a constant (mean, var) pair of per-channel arrays. Returns
+    ``stats`` is a constant (mean, var) pair of per-channel arrays, kept as
+    the test reference for the network's graph-free eval forward. Returns
     the output with the mean and variance it used, shaped (C,).
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
@@ -360,8 +364,9 @@ def spatial_block(x, weights, bias, gamma, beta, eps: float, stats=None) -> tupl
     """``x + batch_norm(depthwise_conv2d(x, weights) + bias)`` as one op.
 
     ``x`` is (B, H, W, C) and ``weights`` (C, kh, kw); ``stats`` is as in
-    :func:`batch_norm`. Returns the output with the batch-norm mean and
-    variance, shaped (C,).
+    :func:`batch_norm` (training passes none; constant statistics are the
+    test reference for ``patchnet.gsi_block`` in eval mode). Returns the
+    output with the batch-norm mean and variance, shaped (C,).
     """
     x, weights, bias, gamma, beta = (_as_tensor(t) for t in (x, weights, bias, gamma, beta))
     shape = x.data.shape
@@ -383,8 +388,10 @@ def channel_block(x, weights, bias, gamma, beta, eps: float, stats=None) -> tupl
     """``batch_norm(relu(x @ weights.T + bias))`` as one op.
 
     ``x`` is (..., C_in) and ``weights`` (C_out, C_in); every leading index is
-    an independent site. ``stats`` is as in :func:`batch_norm`. Returns the
-    output with the batch-norm mean and variance, shaped (C_out,).
+    an independent site. ``stats`` is as in :func:`batch_norm` (training
+    passes none; constant statistics are the test reference for
+    ``patchnet.lpi_block`` in eval mode). Returns the output with the
+    batch-norm mean and variance, shaped (C_out,).
     """
     x, weights, bias, gamma, beta = (_as_tensor(t) for t in (x, weights, bias, gamma, beta))
     c_out, c_in = weights.data.shape

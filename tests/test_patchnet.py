@@ -17,6 +17,7 @@ from patchkit.patchnet import (
     CHECKPOINT_MAGIC,
     STATISTIC_TAGS,
     PatchNetConfig,
+    PatchNetParams,
     embed_patches,
     forward,
     gsi_block,
@@ -26,11 +27,13 @@ from patchkit.patchnet import (
     lpi_block,
     op_count_report,
     _batchnorm,
+    _eval_norm,
     save_checkpoint,
     tensor_layout,
     tensor_shapes,
 )
 from patchkit.tensor import Tensor
+from patchkit.train import accuracy, class_scores
 
 from conftest import nchw, nhwc
 
@@ -64,7 +67,7 @@ class TestEmbedPatches:
         t["pos_embed"][...] = 0.0
         rng = np.random.default_rng(0)
         patches = rng.normal(0, 1, (4, 8)).astype(np.float32)
-        out = nchw(embed_patches(patches, cfg, t).data)
+        out = nchw(embed_patches(patches, cfg, t))
         assert out.shape == (8, 2, 2)
         for i in range(4):
             assert np.allclose(out[:, i // 2, i % 2], patches[i])
@@ -72,7 +75,7 @@ class TestEmbedPatches:
     def test_zero_patches_give_position_embedding(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1, seed=1)
         t = init_params(cfg).named_arrays()
-        out = nchw(embed_patches(np.zeros((4, 8), np.float32), cfg, t).data)
+        out = nchw(embed_patches(np.zeros((4, 8), np.float32), cfg, t))
         for i in range(4):
             assert np.allclose(out[:, i // 2, i % 2], t["pos_embed"][i])
 
@@ -87,9 +90,9 @@ class TestEmbedPatches:
         t = init_params(cfg).named_arrays()
         rng = np.random.default_rng(3)
         batch = rng.normal(0, 1, (3, 4, 8)).astype(np.float32)
-        stacked = embed_patches(batch, cfg, t).data
+        stacked = embed_patches(batch, cfg, t)
         for b in range(3):
-            assert np.allclose(stacked[b], embed_patches(batch[b], cfg, t).data)
+            assert np.allclose(stacked[b], embed_patches(batch[b], cfg, t))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("call", ["eval", "train", "loss_and_grad"])
@@ -115,9 +118,9 @@ class TestGsiBlock:
     def test_zero_kernel_identity_bn_is_exact_identity(self):
         d, m = 5, 3
         t = make_block(d, m)
-        x = Tensor(nhwc(np.random.default_rng(1).normal(0, 1, (2, d, m, m)).astype(np.float32)))
+        x = nhwc(np.random.default_rng(1).normal(0, 1, (2, d, m, m)).astype(np.float32))
         out = gsi_block(x, t, 0, mode="eval")
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_centered_delta_kernel_doubles_input(self, m):
@@ -126,9 +129,9 @@ class TestGsiBlock:
         tap = (m - 1) // 2
         kernel[:, tap, tap] = 1.0
         t = make_block(d, m, gsi_kernel=kernel, exact_bn=True)
-        x = Tensor(nhwc(np.random.default_rng(2).normal(0, 1, (2, d, m, m)).astype(np.float32)))
+        x = nhwc(np.random.default_rng(2).normal(0, 1, (2, d, m, m)).astype(np.float32))
         out = gsi_block(x, t, 0, mode="eval")
-        assert np.allclose(out.data, 2.0 * x.data, atol=1e-6)
+        assert np.allclose(out, 2.0 * x, atol=1e-6)
 
     def test_train_mode_normalizes_branch_to_gamma_beta(self):
         d, m = 6, 4
@@ -155,7 +158,7 @@ class TestBatchNormLayer:
         var[:] = rng.uniform(0.5, 2.0, d)
         mean0, var0 = mean.copy(), var.copy()
         x = rng.normal(1.0, 2.0, (6, d, 3, 3)).astype(np.float32)
-        out = _batchnorm(Tensor(nhwc(x)), t, GSI_BN, "train", T.batch_norm)
+        out = _batchnorm(Tensor(nhwc(x)), t, GSI_BN, T.batch_norm)
         assert BN_MOMENTUM == 0.1
         want_mean = (1 - BN_MOMENTUM) * mean0 + BN_MOMENTUM * x.mean(axis=(0, 2, 3))
         want_var = (1 - BN_MOMENTUM) * var0 + BN_MOMENTUM * x.var(axis=(0, 2, 3))
@@ -166,44 +169,46 @@ class TestBatchNormLayer:
     def test_eval_uses_running_stats(self):
         d = 3
         t = make_block(d, 2)
-        x = Tensor(nhwc(np.random.default_rng(9).normal(0, 1, (2, d, 2, 2)).astype(np.float32)))
+        x = nhwc(np.random.default_rng(9).normal(0, 1, (2, d, 2, 2)).astype(np.float32))
         mean, var = t[GSI_BN + "running_mean"], t[GSI_BN + "running_var"]
         mean[:] = [0.5, -0.5, 0.0]
         var[:] = [4.0, 1.0, 0.25]
-        out = nchw(_batchnorm(x, t, GSI_BN, "eval", T.batch_norm).data)
-        want = (nchw(x.data) - mean[:, None, None]) / np.sqrt(var[:, None, None] + BN_EPS)
+        scale, shift = _eval_norm(t, GSI_BN, x.dtype)
+        out = nchw(x * scale + shift)
+        want = (nchw(x) - mean[:, None, None]) / np.sqrt(var[:, None, None] + BN_EPS)
         assert np.allclose(out, want, rtol=1e-6, atol=1e-6)
 
     def test_unknown_mode_rejected(self):
-        x = Tensor(np.zeros((1, 2, 2, 2)))
-        with pytest.raises(InvalidArgumentError, match="mode"):
-            _batchnorm(x, make_block(2, 2), GSI_BN, "test", T.batch_norm)
+        x = np.zeros((1, 2, 2, 2))
+        for block in (gsi_block, lpi_block):
+            with pytest.raises(InvalidArgumentError, match="mode"):
+                block(x, make_block(2, 2), 0, "test")
 
 
 class TestLpiBlock:
     def test_identity_weight_nonnegative_input_passthrough(self):
         d, m = 4, 3
         t = make_block(d, m, exact_bn=True)
-        x = Tensor(nhwc(np.abs(np.random.default_rng(3).normal(0, 1, (2, d, m, m))).astype(np.float32)))
+        x = nhwc(np.abs(np.random.default_rng(3).normal(0, 1, (2, d, m, m))).astype(np.float32))
         out = lpi_block(x, t, 0, mode="eval")
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
 
     def test_all_negative_input_maps_to_zero(self):
         d, m = 4, 2
         t = make_block(d, m)
-        x = Tensor(nhwc(-np.abs(np.random.default_rng(4).normal(1, 0.2, (2, d, m, m))).astype(np.float32)))
+        x = nhwc(-np.abs(np.random.default_rng(4).normal(1, 0.2, (2, d, m, m))).astype(np.float32))
         out = lpi_block(x, t, 0, mode="eval")
-        assert np.all(out.data == 0.0)
+        assert np.all(out == 0.0)
 
     def test_locality_site_independence(self):
         d, m = 5, 3
         rng = np.random.default_rng(6)
         t = make_block(d, m, lpi_weight=rng.normal(0, 0.5, (d, d)).astype(np.float32))
         x = rng.normal(0, 1, (1, d, m, m)).astype(np.float32)
-        base = nchw(lpi_block(Tensor(nhwc(x)), t, 0, mode="eval").data)
+        base = nchw(lpi_block(nhwc(x), t, 0, mode="eval"))
         x2 = x.copy()
         x2[0, :, 1, 2] += 3.0
-        bumped = nchw(lpi_block(Tensor(nhwc(x2)), t, 0, mode="eval").data)
+        bumped = nchw(lpi_block(nhwc(x2), t, 0, mode="eval"))
         changed = np.any(base != bumped, axis=(0, 1))
         assert changed[1, 2]
         changed[1, 2] = False
@@ -297,7 +302,116 @@ class TestForward:
         assert (eval_garbage, train_garbage) == (0, 0)
 
 
+def graph_eval_logits(patches, params):
+    """The eval forward as the graph ops' composition on constant running
+    statistics (``stats=``): the reference for the array forward."""
+    cfg, t = params.config, params.named_arrays()
+    shape = (patches.shape[0], cfg.side, cfg.side, cfg.embed_dim)
+    x = T.reshape(T.add(T.matmul(patches, t["projection"]), t["pos_embed"]), shape)
+    for i in range(cfg.depth):
+        for op, p, weight in ((T.spatial_block, f"blocks.{i}.gsi_", "kernel"),
+                              (T.channel_block, f"blocks.{i}.lpi_", "weight")):
+            stats = (t[p + "bn.running_mean"], t[p + "bn.running_var"])
+            x = op(x, t[p + weight], t[p + "bias"], t[p + "bn.gamma"], t[p + "bn.beta"], BN_EPS, stats)[0]
+    pooled = T.mean(x, (1, 2), keepdims=False)
+    return T.add(T.matmul(pooled, t["classifier_w"]), t["classifier_b"]).data
+
+
+def trained_net(depth=2, seed=30):
+    """A small network whose running statistics have seen one train-mode batch."""
+    params = init_params(PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=depth, seed=seed))
+    rng = np.random.default_rng(seed)
+    loss_and_grad(rng.normal(0, 1, (4, 4, 8)), np.array([0, 1, 0, 1]), params, mode="train")
+    return params
+
+
+class TestEvalForward:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        depth=st.integers(0, 3),
+        patch_count=st.sampled_from([1, 4, 9, 16]),
+        embed_dim=st.integers(1, 8),
+        batch=st.integers(1, 4),
+        param_dtype=st.sampled_from([np.float32, np.float64]),
+        patch_dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_graph_on_running_statistics(
+        self, depth, patch_count, embed_dim, batch, param_dtype, patch_dtype, seed
+    ):
+        # Tolerances: float64 within 1e-12 absolute; float32 within 2e-5 of
+        # the largest logit magnitude (at least 1). Sampling found 3e-14 and
+        # 1.3e-6 at worst.
+        cfg = PatchNetConfig(patch_edge=2, patch_count=patch_count, embed_dim=embed_dim, depth=depth)
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg)
+        t = params.named_arrays()
+        for name, shape, init in tensor_layout(cfg):
+            if init == "var":
+                t[name][...] = rng.uniform(0.2, 3.0, shape)
+            elif name.endswith("gamma"):  # both signs
+                t[name][...] = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 2.0, shape)
+            else:  # weights, biases, beta and the running means
+                t[name][...] = rng.normal(0, 0.5, shape)
+        params = PatchNetParams(cfg, params.learnable.astype(param_dtype),
+                                params.stats.astype(param_dtype), ready=True)
+        patches = rng.normal(0, 1, (batch, patch_count, cfg.patch_len)).astype(patch_dtype)
+        logits, probs = forward(patches, params, mode="eval")
+        want = graph_eval_logits(patches, params)
+        assert logits.dtype == want.dtype == np.result_type(param_dtype, patch_dtype)
+        assert logits.shape == (batch, cfg.class_count)
+        if want.dtype == np.float64:
+            np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(logits, want, rtol=0, atol=2e-5 * max(1.0, np.abs(want).max()))
+        np.testing.assert_allclose(probs, T.softmax(logits))
+
+    def test_builds_no_tensor_and_leaves_params_unchanged(self, monkeypatch):
+        params = trained_net()
+        learnable, stats = params.learnable.tobytes(), params.stats.tobytes()
+        x = np.random.default_rng(31).normal(0, 1, (3, 4, 8)).astype(np.float32)
+        init, built = Tensor.__init__, []
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        forward(x, params, mode="eval")
+        forward(x[0], params)
+        class_scores(params, x)
+        accuracy(params, x, np.array([0, 1, 0]))
+        assert built == []
+        assert params.learnable.tobytes() == learnable
+        assert params.stats.tobytes() == stats
+        # The checks of the graph path still hold, still without a Tensor.
+        with pytest.raises(InvalidStateError, match="train first"):
+            forward(x, init_params(params.config), mode="eval")
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = x.copy()
+            poisoned[1, 2, 3] = bad
+            with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
+                forward(poisoned, params, mode="eval")
+        assert built == []
+
+    @pytest.mark.parametrize("shape", [(2, 2, 4, 8), (1, 1, 4, 8), (8,), ()])
+    def test_patches_of_other_rank_rejected(self, shape):
+        params = trained_net(depth=1)
+        labels = np.zeros(2, dtype=np.int64)
+        for mode in ("eval", "train"):
+            with pytest.raises(InvalidArgumentError, match=re.escape(f"shape {shape}")):
+                forward(np.zeros(shape), params, mode=mode)
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"shape {shape}")):
+            loss_and_grad(np.zeros(shape), labels, params, mode="train")
+
+
 class TestLossAndGrad:
+    def test_eval_mode_rejected(self):
+        # An eval forward builds no graph, so it has no gradient to give.
+        params = trained_net()
+        with pytest.raises(InvalidArgumentError, match="train mode only"):
+            loss_and_grad(np.zeros((4, 4, 8)), np.array([0, 1, 0, 1]), params, mode="eval")
+
     def test_empty_batch_rejected(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1)
         params = init_params(cfg)
