@@ -14,17 +14,20 @@ in that order. In training each stage is one autodiff op
 (``tensor.spatial_block`` and ``tensor.channel_block``) with an analytic
 backward, so a depth-D training step builds 2·D + 7 graph nodes. An eval
 forward builds none: it runs the same stages as plain array code on the
-running statistics, where each batch norm is one per-channel scale and shift
-(the spatial stage's bias folded into the shift). The spatial convolution is
-depthwise (one m x m kernel per channel): a full channel-mixing spatial kernel
-would blow the parameter budget without adding anything the pointwise stage
-does not already provide.
+stored population statistics, where each batch norm is one per-channel scale
+and shift (the spatial stage's bias folded into the shift). A train-mode batch
+norm stores the batch mean and biased variance it used, so one train-mode
+forward over a training set leaves that set's population statistics, each
+layer's taken with the layers below it normalised by theirs. The spatial
+convolution is depthwise (one m x m kernel per channel): a full channel-mixing
+spatial kernel would blow the parameter budget without adding anything the
+pointwise stage does not already provide.
 
 One layout table (:func:`tensor_layout`) lists every tensor as (name, shape,
 init tag) in PNC1 record order. Initialisation, the checkpoint reader and
 writer, ``tensor_shapes`` and the learnable/statistic split all read it. A
 :class:`PatchNetParams` holds two float32 vectors, the learnable tensors and
-the running batch-norm statistics, and one name -> view mapping into them, so
+the stored batch-norm statistics, and one name -> view mapping into them, so
 an Adam step is one vector update and a copy is two vector copies. The
 forward reads its tensors by name; ``loss_and_grad`` lays graph leaves over
 the learnable views.
@@ -46,7 +49,6 @@ from .shapley import is_perfect_square
 from .tensor import Tensor
 
 BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
 
 CHECKPOINT_MAGIC = b"PNC1"
 CHECKPOINT_VERSION = 1
@@ -95,7 +97,7 @@ class PatchNetConfig:
 
 # Init tags of the layout table: "glorot" draws uniformly within the Glorot
 # bound of a (fan_in, fan_out) matrix, "normal" draws from N(0, 0.02), and
-# "zeros" and "ones" are constants. The running batch-norm statistics are
+# "zeros" and "ones" are constants. The stored batch-norm statistics are
 # tagged "mean" (starting at 0) and "var" (starting at 1); they are not
 # learnable and live in their own vector.
 STATISTIC_TAGS = ("mean", "var")
@@ -121,8 +123,8 @@ def tensor_layout(cfg: PatchNetConfig) -> list[tuple[str, tuple[int, ...], str]]
 class PatchNetParams:
     """A network's tensors in two float32 vectors laid out by
     :func:`tensor_layout`: ``learnable`` holds every learnable tensor and
-    ``stats`` the running batch-norm statistics. ``ready`` says the
-    statistics have seen a train-mode batch or came from a checkpoint.
+    ``stats`` the stored population statistics of the batch norms. ``ready``
+    says the statistics come from a train-mode forward or a checkpoint.
 
     Each named tensor is a view into one of the vectors, made once per
     parameter set: an update of a vector in place (as ``adam_step`` makes)
@@ -146,7 +148,7 @@ class PatchNetParams:
             start[stat] += n
 
     def named_arrays(self) -> dict[str, np.ndarray]:
-        """Every tensor (learnable + running stats), by name, in layout order."""
+        """Every tensor (learnable + stored stats), by name, in layout order."""
         return dict(self._tensors)
 
     def learnable_arrays(self) -> dict[str, np.ndarray]:
@@ -209,21 +211,18 @@ def _patch_batch(patches, dtype=None) -> np.ndarray:
 def _batchnorm(x, t: dict, bn: str, op, *weights) -> Tensor:
     """Run ``op(x, *weights, gamma, beta, eps)``, a graph op that ends in the
     batch norm whose tensors ``t`` holds under the name prefix ``bn``, on
-    batch statistics, and fold those into the running statistics (train
+    batch statistics, and store those as the layer's statistics (train
     mode; eval mode never builds a graph)."""
     y, mu, var = op(x, *weights, t[bn + "gamma"], t[bn + "beta"], BN_EPS)  # biased variance
-    running_mean, running_var = t[bn + "running_mean"], t[bn + "running_var"]
-    running_mean *= 1.0 - BN_MOMENTUM
-    running_mean += BN_MOMENTUM * mu.astype(running_mean.dtype)
-    running_var *= 1.0 - BN_MOMENTUM
-    running_var += BN_MOMENTUM * var.astype(running_var.dtype)
+    t[bn + "running_mean"][...] = mu
+    t[bn + "running_var"][...] = var
     return y
 
 
 def _eval_norm(t: dict, bn: str, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The eval-mode batch norm under the name prefix ``bn`` as one per-channel
-    (scale, shift) pair in ``dtype``. On the running statistics μ and σ² the
-    norm is the affine map ``s = γ·(σ² + ε)^-½`` and ``shift = β − μ·s``."""
+    (scale, shift) pair in ``dtype``. On the stored population statistics μ, σ²
+    it is the affine map ``s = γ·(σ² + ε)^-½`` and ``shift = β − μ·s``."""
     scale = t[bn + "gamma"] / np.sqrt(np.add(t[bn + "running_var"], BN_EPS, dtype=dtype))
     return scale, t[bn + "beta"] - t[bn + "running_mean"] * scale
 
@@ -300,11 +299,11 @@ def lpi_block(x, t: dict, i: int, mode: str):
 
 
 def _forward_eval(patches: np.ndarray, params: PatchNetParams) -> np.ndarray:
-    """Logits of a (B, M, p^3) batch on the running statistics, as plain
+    """Logits of a (B, M, p^3) batch on the stored statistics, as plain
     array code: no graph, and ``params`` is left as it was."""
     cfg = params.config
     if params.stats.size and not params.ready:
-        raise InvalidStateError("batch norm running stats are uninitialized; train first")
+        raise InvalidStateError("batch norm statistics are uninitialized; train first")
     t = params.named_arrays()
     x = embed_patches(patches, cfg, t)
     for i in range(cfg.depth):
@@ -314,8 +313,8 @@ def _forward_eval(patches: np.ndarray, params: PatchNetParams) -> np.ndarray:
 
 def _forward_graph(patches: np.ndarray, params: PatchNetParams, t: dict) -> Tensor:
     """The train-mode network over the tensors ``t`` (``params``' arrays, or
-    graph leaves laid over them), on batch statistics that update the
-    running ones; ``params`` carries the config and ``ready``."""
+    graph leaves laid over them), on batch statistics that become the
+    stored ones; ``params`` carries the config and ``ready``."""
     cfg = params.config
     x = embed_patches(patches, cfg, t)
     for i in range(cfg.depth):
@@ -330,9 +329,9 @@ def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.nda
     """Logits and softmax probabilities for one selected-patch stack
     (M, p^3) or a batch of them (B, M, p^3).
 
-    Eval mode reads the running statistics, builds no graph and leaves
+    Eval mode reads the stored statistics, builds no graph and leaves
     ``params`` unchanged; train mode runs the training graph on batch
-    statistics and updates the running ones.
+    statistics and stores them.
     """
     _check_mode(mode)
     patches = np.asarray(patches)
@@ -359,7 +358,8 @@ def loss_and_grad(
     tensor, by name, in ``learnable_arrays`` order.
 
     Only train mode has a gradient: an eval forward builds no graph, so
-    ``mode="eval"`` is rejected. Pass ``dtype=np.float64`` for the
+    ``mode="eval"`` is rejected. Labels are checked before the forward, so a
+    rejected call leaves ``params`` as it was. Pass ``dtype=np.float64`` for the
     high-precision checking mode used by the finite-difference tests.
     """
     _check_mode(mode)
@@ -368,6 +368,7 @@ def loss_and_grad(
     patches = _patch_batch(patches, dtype)
     if patches.shape[0] == 0:
         raise InvalidArgumentError("batch must be nonempty")
+    labels = T.check_labels(labels, patches.shape[0], params.config.class_count)
     leaves = {
         name: Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
         for name, arr in params.learnable_arrays().items()
@@ -527,6 +528,6 @@ def op_count_report(cfg: PatchNetConfig) -> OpCountReport:
     total_macs = sum(mac for _, _, mac in rows)
     notes = [
         "spatial convolution is depthwise (one m x m kernel per channel)",
-        "BN running statistics are not counted as learnable parameters",
+        "BN statistics are not counted as learnable parameters",
     ]
     return OpCountReport(rows=rows, total_params=total_params, total_macs=total_macs, notes=notes)

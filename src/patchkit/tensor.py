@@ -13,7 +13,7 @@ They share the convolution (:class:`_Conv`) and batch-norm (:class:`_Norm`)
 arithmetic with the single ops ``depthwise_conv2d`` and ``batch_norm``, which
 stay as their reference. The network's eval forward builds no graph (it is
 plain array code in ``patchnet``), so the ops' ``stats=`` argument, constant
-running statistics, stays only as that forward's test reference. Every product
+stored statistics, stays only as that forward's test reference. Every product
 is laid out so numpy hands it to BLAS.
 A convolution's dense per-channel maps are gathered once per kernel state
 (:func:`_conv_maps`), so repeated readouts of an unchanged network pay only
@@ -176,10 +176,7 @@ def mean(a, axes, keepdims: bool = True) -> Tensor:
 class _Norm:
     """Batch-norm arithmetic over the rows of an (N, C) array: the forward
     values and the backward map, shared by :func:`batch_norm` and the blocks.
-
-    With ``stats`` None, mean and biased variance are the batch statistics and
-    the gradient flows through them; otherwise ``stats`` is a constant
-    (mean, var) pair of per-channel arrays.
+    ``stats`` is as in :func:`batch_norm`.
     """
 
     def __init__(self, rows: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, stats):
@@ -364,9 +361,8 @@ def spatial_block(x, weights, bias, gamma, beta, eps: float, stats=None) -> tupl
     """``x + batch_norm(depthwise_conv2d(x, weights) + bias)`` as one op.
 
     ``x`` is (B, H, W, C) and ``weights`` (C, kh, kw); ``stats`` is as in
-    :func:`batch_norm` (training passes none; constant statistics are the
-    test reference for ``patchnet.gsi_block`` in eval mode). Returns the
-    output with the batch-norm mean and variance, shaped (C,).
+    :func:`batch_norm`. Returns the output with the batch-norm mean and
+    variance, shaped (C,).
     """
     x, weights, bias, gamma, beta = (_as_tensor(t) for t in (x, weights, bias, gamma, beta))
     shape = x.data.shape
@@ -388,10 +384,8 @@ def channel_block(x, weights, bias, gamma, beta, eps: float, stats=None) -> tupl
     """``batch_norm(relu(x @ weights.T + bias))`` as one op.
 
     ``x`` is (..., C_in) and ``weights`` (C_out, C_in); every leading index is
-    an independent site. ``stats`` is as in :func:`batch_norm` (training
-    passes none; constant statistics are the test reference for
-    ``patchnet.lpi_block`` in eval mode). Returns the output with the
-    batch-norm mean and variance, shaped (C_out,).
+    an independent site. ``stats`` is as in :func:`batch_norm`. Returns the
+    output with the batch-norm mean and variance, shaped (C_out,).
     """
     x, weights, bias, gamma, beta = (_as_tensor(t) for t in (x, weights, bias, gamma, beta))
     c_out, c_in = weights.data.shape
@@ -421,19 +415,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def check_labels(labels, B: int, C: int) -> np.ndarray:
+    """``labels`` as int64, rejected unless one class index in [0, C) per sample of B."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if labels.size != B:
+        raise InvalidArgumentError(f"{labels.size} labels for batch of {B}")
+    outside = labels[(labels < 0) | (labels >= C)]
+    if outside.size:
+        raise InvalidArgumentError(f"label {outside[0]} is outside the {C} classes [0, {C})")
+    return labels
+
+
 def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of integer ``labels`` under softmax(``logits``).
 
     Returns a scalar tensor; raises on non-finite losses.
     """
     logits = _as_tensor(logits)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     B, C = logits.data.shape
-    if labels.size != B:
-        raise InvalidArgumentError(f"{labels.size} labels for batch of {B}")
-    outside = labels[(labels < 0) | (labels >= C)]
-    if outside.size:
-        raise InvalidArgumentError(f"label {outside[0]} is outside the {C} classes [0, {C})")
+    labels = check_labels(labels, B, C)
     with np.errstate(invalid="ignore", over="ignore"):
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))

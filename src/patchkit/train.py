@@ -2,8 +2,11 @@
 
 The learning rate follows a cosine decay between the configured endpoints,
 batches are drawn from a per-epoch seeded shuffle, and the checkpoint kept is
-the one with the best validation accuracy. A non-finite loss aborts training
-and returns the last good checkpoint.
+the one with the best validation accuracy. Each epoch ends with one
+train-mode forward over the whole training set: its batch statistics become
+the stored batch-norm statistics (precise batch norm) and its logits give the
+training accuracy. A non-finite loss aborts training and returns the last
+good checkpoint.
 """
 from __future__ import annotations
 
@@ -72,6 +75,9 @@ def train_patchnet(
 ) -> TrainResult:
     if len(x_train) == 0:
         raise InvalidArgumentError("training set is empty")
+    for name, x, y in (("training", x_train, y_train), ("validation", x_val, y_val)):
+        if len(x) != len(y):
+            raise InvalidArgumentError(f"{name} set has {len(x)} samples but {len(y)} labels")
     params = init_params(cfg)
     state = adam_init(params.learnable)
     n = len(x_train)
@@ -98,20 +104,14 @@ def train_patchnet(
             result.log.append({"epoch": epoch, "event": "aborted", "reason": "non-finite loss"})
             if result.best_epoch < 0:
                 # Diverged before any validation pass: serve the init-state
-                # checkpoint, whose 0/1 running stats are the identity map.
+                # checkpoint, whose 0/1 stored stats are the identity map.
                 result.params.ready = True
             return result
-        train_acc = accuracy(params, x_train, y_train)
+        logits, _ = forward(x_train, params, mode="train")
+        train_acc = float((logits.argmax(axis=1) == y_train).mean())
         val_acc = accuracy(params, x_val, y_val) if len(x_val) else train_acc
-        result.log.append(
-            {
-                "epoch": epoch,
-                "lr": lr,
-                "loss": float(np.mean(epoch_losses)),
-                "train_acc": train_acc,
-                "val_acc": val_acc,
-            }
-        )
+        result.log.append({"epoch": epoch, "lr": lr, "loss": float(np.mean(epoch_losses)),
+                           "train_acc": train_acc, "val_acc": val_acc})
         if val_acc > result.best_val_acc or result.best_epoch < 0:
             result.best_val_acc = val_acc
             result.best_epoch = epoch

@@ -13,7 +13,6 @@ from patchkit import tensor as T
 from patchkit.errors import InvalidArgumentError, InvalidStateError
 from patchkit.patchnet import (
     BN_EPS,
-    BN_MOMENTUM,
     CHECKPOINT_MAGIC,
     STATISTIC_TAGS,
     PatchNetConfig,
@@ -149,22 +148,22 @@ class TestGsiBlock:
 
 
 class TestBatchNormLayer:
-    def test_train_step_updates_running_stats_with_biased_variance(self):
+    def test_train_step_stores_the_batch_biased_moments(self):
+        # Whatever the layer held before, one train step leaves exactly the
+        # batch's mean and biased (1/N) variance: no trace of the old values.
         d = 4
         rng = np.random.default_rng(8)
         t = make_block(d, 3)
         mean, var = t[GSI_BN + "running_mean"], t[GSI_BN + "running_var"]
         mean[:] = rng.normal(0, 1, d)
         var[:] = rng.uniform(0.5, 2.0, d)
-        mean0, var0 = mean.copy(), var.copy()
         x = rng.normal(1.0, 2.0, (6, d, 3, 3)).astype(np.float32)
         out = _batchnorm(Tensor(nhwc(x)), t, GSI_BN, T.batch_norm)
-        assert BN_MOMENTUM == 0.1
-        want_mean = (1 - BN_MOMENTUM) * mean0 + BN_MOMENTUM * x.mean(axis=(0, 2, 3))
-        want_var = (1 - BN_MOMENTUM) * var0 + BN_MOMENTUM * x.var(axis=(0, 2, 3))
-        assert np.allclose(mean, want_mean, rtol=1e-6, atol=1e-6)
-        assert np.allclose(var, want_var, rtol=1e-6, atol=1e-6)
-        assert out.data.dtype == np.float32
+        rows = nhwc(x).reshape(-1, d).astype(np.float64)
+        np.testing.assert_allclose(mean, rows.mean(axis=0), rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(var, rows.var(axis=0, ddof=0), rtol=1e-6, atol=1e-6)
+        assert not np.allclose(var, rows.var(axis=0, ddof=1), rtol=1e-3)
+        assert mean.dtype == var.dtype == out.data.dtype == np.float32
 
     def test_eval_uses_running_stats(self):
         d = 3
@@ -270,7 +269,7 @@ class TestForward:
         assert np.array_equal(params.stats, stats_before)
 
     def test_eval_before_any_training_rejected(self):
-        # One flag for the whole network: eval mode needs running statistics
+        # One flag for the whole network: eval mode needs stored statistics
         # from a train-mode step or a checkpoint. A network without batch
         # norms has no statistics to wait for.
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=3, depth=2, seed=24)
@@ -318,7 +317,7 @@ def graph_eval_logits(patches, params):
 
 
 def trained_net(depth=2, seed=30):
-    """A small network whose running statistics have seen one train-mode batch."""
+    """A small network whose stored statistics come from one train-mode batch."""
     params = init_params(PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=depth, seed=seed))
     rng = np.random.default_rng(seed)
     loss_and_grad(rng.normal(0, 1, (4, 4, 8)), np.array([0, 1, 0, 1]), params, mode="train")
@@ -418,6 +417,23 @@ class TestLossAndGrad:
         with pytest.raises(InvalidArgumentError):
             loss_and_grad(np.zeros((0, 4, 8)), np.zeros(0, dtype=np.int64), params)
 
+    @pytest.mark.parametrize("labels, match", [
+        ([0, 1, 5, 1], r"label 5 is outside the 2 classes \[0, 2\)"),
+        ([0, 1, -1, 1], r"label -1 is outside the 2 classes"),
+        ([0, 1, 0], "3 labels for batch of 4"),
+    ], ids=["above", "negative", "count"])
+    def test_rejected_labels_leave_params_unchanged(self, labels, match):
+        # The labels are checked before the train-mode forward, which would
+        # otherwise store its batch statistics and set ``ready``.
+        params = init_params(PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=26))
+        stats, learnable = params.stats.copy(), params.learnable.copy()
+        x = np.random.default_rng(27).normal(0, 1, (4, 4, 8))
+        with pytest.raises(InvalidArgumentError, match=match):
+            loss_and_grad(x, np.array(labels), params)
+        assert np.array_equal(params.stats, stats)
+        assert np.array_equal(params.learnable, learnable)
+        assert not params.ready
+
     def test_gradients_cover_every_learnable_tensor(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=16)
         params = init_params(cfg)
@@ -439,7 +455,7 @@ class TestLossAndGrad:
         loss_and_grad(rng.normal(0, 1, (4, 4, 8)), np.array([0, 1, 1, 0]), params, mode="train")
         assert params.ready
         after = params.named_arrays()
-        for name, _, init in layout:  # every running statistic moves, no learnable does
+        for name, _, init in layout:  # every stored statistic moves, no learnable does
             assert np.array_equal(after[name], before[name]) != (init in STATISTIC_TAGS), name
         assert all(type(arr) is np.ndarray for arr in params.learnable_arrays().values())
 

@@ -6,7 +6,8 @@ import pytest
 import patchkit as pk
 from patchkit.errors import InvalidArgumentError
 from patchkit.optim import adam_init, adam_step
-from patchkit.patchnet import PatchNetConfig, save_checkpoint, tensor_shapes
+from patchkit.patchnet import PatchNetConfig, forward, save_checkpoint, tensor_shapes
+from patchkit.shapley import ttest_select
 from patchkit.train import (
     TrainSchedule,
     class_scores,
@@ -157,6 +158,17 @@ class TestTrainLoop:
         acc = float(((scores >= 0.5) == y[50:]).mean())
         assert acc >= 0.9
 
+    @pytest.mark.parametrize("n_train, n_train_labels, n_val, n_val_labels, message", [
+        (12, 11, 4, 4, "training set has 12 samples but 11 labels"),
+        (12, 12, 6, 1, "validation set has 6 samples but 1 labels"),
+    ], ids=["training", "validation"])
+    def test_sample_and_label_counts_must_match(self, n_train, n_train_labels, n_val, n_val_labels, message):
+        x, y = separable_batch(n=24)
+        cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=4, depth=1, seed=6)
+        with pytest.raises(InvalidArgumentError, match=message):
+            train_patchnet(x[:n_train], y[:n_train_labels], x[12:12 + n_val], y[12:12 + n_val_labels],
+                           cfg, TrainSchedule(epochs=1, batch_size=4), seed=1)
+
     def test_per_epoch_log_schema(self):
         x, y = separable_batch()
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=8, depth=1, seed=5)
@@ -186,3 +198,43 @@ class TestDataPlumbing:
         assert np.array_equal(labels, small_phantom.labels())
         vol = small_phantom.load_volume(3)
         assert np.array_equal(feats[3, 1], pk.extract_patch(vol, grid.regions[2]))
+
+
+@pytest.fixture(scope="module")
+def phantom_fit(tmp_path_factory):
+    """A short fit on a 32³ phantom: the t-test top 16 of the 4³ patches of
+    40 volumes, split 24 / 6 / 10, embed 64, depth 4, batch 8, 8 epochs from
+    lr 2e-3. Its loss falls below 0.1 by epoch 2, yet with batch-norm
+    statistics averaged over past batch-8 steps its eval-mode accuracies
+    read 0.5 in most epochs."""
+    spec = pk.PhantomSpec(dims=(32, 32, 32), n_per_class=20, lesion_regions=(pk.Region((11, 13, 10), (6, 6, 6)),),
+                          lesion_delta=0.35, noise_sigma=0.05, smooth_radius=1, seed=5)
+    manifest = pk.generate(spec, tmp_path_factory.mktemp("phantom32"))
+    grid = pk.make_grid(spec.dims, 4)
+    x, y = extract_selected_patches(manifest, grid, ttest_select(manifest, grid, 16))
+    _, val_idx, train_idx = stratified_split(y, (0.25, 0.15), 3)
+    cfg = PatchNetConfig(patch_edge=4, patch_count=16, embed_dim=64, depth=4, seed=3)
+    schedule = TrainSchedule(epochs=8, batch_size=8, lr_start=2e-3)
+    result = train_patchnet(x[train_idx], y[train_idx], x[val_idx], y[val_idx], cfg, schedule, seed=3)
+    return result, x[train_idx]
+
+
+class TestPreciseBatchNorm:
+    def test_low_loss_epochs_classify_above_chance(self, phantom_fit):
+        result, _ = phantom_fit
+        low = [row for row in result.log if row["loss"] < 0.1]
+        assert len(low) >= 5
+        for row in low:
+            assert row["train_acc"] > 0.5 and row["val_acc"] > 0.5, row
+
+    def test_kept_statistics_reproduce_a_train_mode_forward(self, phantom_fit):
+        # The kept checkpoint's stored statistics are its training set's
+        # population statistics, so eval mode on that set is the train-mode
+        # forward over it. Float32 tolerance: 1e-4 of the largest logit.
+        result, x_train = phantom_fit
+        eval_logits, _ = forward(x_train, result.params, mode="eval")
+        params = result.params.copy()
+        train_logits, _ = forward(x_train, params, mode="train")
+        np.testing.assert_allclose(eval_logits, train_logits, rtol=0,
+                                   atol=1e-4 * max(1.0, np.abs(train_logits).max()))
+        np.testing.assert_allclose(params.stats, result.params.stats, rtol=1e-4, atol=1e-5)
