@@ -251,7 +251,7 @@ def validate_config(cfg: RunConfig) -> None:
           "phantom.dims", "must be three integers >= 1")
     check(ph.n_per_class >= 1, "phantom.n_per_class", "must be >= 1")
     check(0.0 < ph.lesion_delta <= 1.0, "phantom.lesion_delta", "must be in (0, 1]")
-    check(ph.noise_sigma >= 0.0, "phantom.noise_sigma", "must be >= 0")
+    check(0.0 <= ph.noise_sigma < math.inf, "phantom.noise_sigma", "must be finite and >= 0")
     check(ph.smooth_radius >= 0, "phantom.smooth_radius", "must be >= 0")
     check(len(ph.lesion_regions) >= 1, "phantom.lesion_regions", "must list at least one region")
     for i, r in enumerate(ph.lesion_regions):

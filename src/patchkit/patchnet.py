@@ -10,17 +10,19 @@ channels-last, (B, m, m, d), from the embedding to the pool. A block applies
     spatial:  x + BN(depthwise_conv_mxm(x) + b)      (no activation)
     channel:  BN(relu(pointwise_conv_1x1(x) + b))
 
-in that order. In training each stage is one autodiff op
-(``tensor.spatial_block`` and ``tensor.channel_block``) with an analytic
-backward, so a depth-D training step builds 2·D + 7 graph nodes. An eval
-forward builds none: it runs the same stages as plain array code on the
-stored population statistics, where each batch norm is one per-channel scale
-and shift (the spatial stage's bias folded into the shift). A train-mode batch
-norm stores the batch mean and biased variance it used, so one train-mode
-forward over a training set leaves that set's population statistics, each
-layer's taken with the layers below it normalised by theirs. The spatial
-convolution is depthwise (one m x m kernel per channel): a full channel-mixing
-spatial kernel would blow the parameter budget without adding anything the
+in that order. ``loss_and_grad`` builds the network's only autodiff graph:
+each stage is one op (``tensor.spatial_block`` and ``tensor.channel_block``)
+with an analytic backward on batch statistics, so a depth-D training step
+builds 2·D + 7 graph nodes, and it writes nothing to the parameters.
+``forward`` builds none in either mode: it runs the same stages as plain
+array code, where each batch norm is one per-channel scale and shift (the
+spatial stage's bias folded into the shift). Eval mode reads the stored
+population statistics. Train mode first stores each layer's batch mean and
+biased variance, then applies them, so one train-mode forward over a
+training set leaves that set's population statistics, each layer's taken
+with the layers below it normalised by theirs. The spatial convolution is
+depthwise (one m x m kernel per channel): a full channel-mixing spatial
+kernel would blow the parameter budget without adding anything the
 pointwise stage does not already provide.
 
 One layout table (:func:`tensor_layout`) lists every tensor as (name, shape,
@@ -124,7 +126,8 @@ class PatchNetParams:
     """A network's tensors in two float32 vectors laid out by
     :func:`tensor_layout`: ``learnable`` holds every learnable tensor and
     ``stats`` the stored population statistics of the batch norms. ``ready``
-    says the statistics come from a train-mode forward or a checkpoint.
+    says the statistics come from a train-mode ``forward`` or a checkpoint;
+    a training step (``loss_and_grad``) writes neither them nor ``ready``.
 
     Each named tensor is a view into one of the vectors, made once per
     parameter set: an update of a vector in place (as ``adam_step`` makes)
@@ -196,6 +199,17 @@ def _check_mode(mode: str) -> None:
         raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
+def _on_graph(t: dict, weight: str, mode: str) -> bool:
+    """Whether a block runs as its graph op: ``t`` holds graph leaves (as in
+    ``loss_and_grad``), which only train mode may take."""
+    _check_mode(mode)
+    if not isinstance(t[weight], Tensor):
+        return False
+    if mode != "train":
+        raise InvalidArgumentError("graph leaves run in train mode only; an eval forward builds no graph")
+    return True
+
+
 def _patch_batch(patches, dtype=None) -> np.ndarray:
     """``patches`` as a (B, M, p^3) array: one (M, p^3) stack gains a batch
     axis, and any rank other than 2 or 3 is rejected."""
@@ -208,21 +222,18 @@ def _patch_batch(patches, dtype=None) -> np.ndarray:
     return patches[None] if patches.ndim == 2 else patches
 
 
-def _batchnorm(x, t: dict, bn: str, op, *weights) -> Tensor:
-    """Run ``op(x, *weights, gamma, beta, eps)``, a graph op that ends in the
-    batch norm whose tensors ``t`` holds under the name prefix ``bn``, on
-    batch statistics, and store those as the layer's statistics (train
-    mode; eval mode never builds a graph)."""
-    y, mu, var = op(x, *weights, t[bn + "gamma"], t[bn + "beta"], BN_EPS)  # biased variance
-    t[bn + "running_mean"][...] = mu
-    t[bn + "running_var"][...] = var
-    return y
+def _store_moments(t: dict, bn: str, branch: np.ndarray, axes: tuple[int, ...]) -> None:
+    """Store the batch mean and biased variance of ``branch`` over ``axes``
+    as the statistics of the batch norm under the name prefix ``bn``."""
+    mean = branch.mean(axis=axes, keepdims=True)
+    t[bn + "running_mean"][...] = mean.ravel()
+    t[bn + "running_var"][...] = np.square(branch - mean).mean(axis=axes)
 
 
 def _eval_norm(t: dict, bn: str, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The eval-mode batch norm under the name prefix ``bn`` as one per-channel
-    (scale, shift) pair in ``dtype``. On the stored population statistics μ, σ²
-    it is the affine map ``s = γ·(σ² + ε)^-½`` and ``shift = β − μ·s``."""
+    """The batch norm under the name prefix ``bn`` as one per-channel
+    (scale, shift) pair in ``dtype``. On the stored statistics μ, σ² it is
+    the affine map ``s = γ·(σ² + ε)^-½`` and ``shift = β − μ·s``."""
     scale = t[bn + "gamma"] / np.sqrt(np.add(t[bn + "running_var"], BN_EPS, dtype=dtype))
     return scale, t[bn + "beta"] - t[bn + "running_mean"] * scale
 
@@ -234,8 +245,8 @@ def embed_patches(patches, cfg: PatchNetConfig, t: dict):
     and a batch (B, M, p^3) gives (B, m, m, d): patch i lands at spatial site
     (i // m, i % m) with its embedding along the last axis. NaN or infinite
     voxels are rejected: nothing downstream could give them a meaningful
-    output. When ``t`` holds graph leaves (training) the result is a graph
-    node; over plain arrays (eval) it is a plain array.
+    output. When ``t`` holds graph leaves (``loss_and_grad``) the result is
+    a graph node; over plain arrays (``forward``) it is a plain array.
     """
     x = np.asarray(patches)
     if x.shape[-2:] != (cfg.patch_count, cfg.patch_len):
@@ -258,20 +269,22 @@ def gsi_block(x, t: dict, i: int, mode: str):
     """Block i's depthwise spatial convolution + bias + BN + residual (no
     activation).
 
-    Train mode runs it as one graph op on batch statistics. Eval mode takes
-    and returns (B, m, m, d) arrays, ``x + s·conv(x) + shift``, with the
-    bias folded into the batch norm's shift and the convolution one product
-    with the kernel's cached dense maps.
+    Over graph leaves it is one graph op on batch statistics. Over arrays it
+    takes and returns (B, m, m, d) arrays, ``x + s·conv(x) + shift``, with
+    the bias folded into the batch norm's shift and the convolution one
+    product with the kernel's cached dense maps; train mode first stores the
+    batch statistics of the branch conv(x) + bias.
     """
     p = f"blocks.{i}.gsi_"
-    _check_mode(mode)
-    if mode == "train":
-        return _batchnorm(x, t, p + "bn.", T.spatial_block, t[p + "kernel"], t[p + "bias"])
+    if _on_graph(t, p + "kernel", mode):
+        return T.spatial_block(x, t[p + "kernel"], t[p + "bias"], t[p + "bn.gamma"], t[p + "bn.beta"], BN_EPS)[0]
     B, H, W, C = x.shape
-    scale, shift = _eval_norm(t, p + "bn.", x.dtype)
-    shift += t[p + "bias"] * scale
     sites = x.reshape(B, H * W, C).transpose(2, 0, 1)  # (C, B, H·W)
     conv = np.matmul(sites, T._conv_maps(t[p + "kernel"], H, W))
+    if mode == "train":
+        _store_moments(t, p + "bn.", conv + t[p + "bias"][:, None, None], (1, 2))
+    scale, shift = _eval_norm(t, p + "bn.", x.dtype)
+    shift += t[p + "bias"] * scale
     conv *= scale[:, None, None]
     conv += shift[:, None, None]
     return x + conv.transpose(1, 2, 0).reshape(x.shape)
@@ -281,99 +294,77 @@ def lpi_block(x, t: dict, i: int, mode: str):
     """Block i's pointwise channel mixing + bias + ReLU + BN; spatial sites
     stay independent.
 
-    Train mode runs it as one graph op on batch statistics. Eval mode takes
-    and returns (B, m, m, d) arrays, ``s·relu(x @ W.T + b) + shift``.
+    Over graph leaves it is one graph op on batch statistics. Over arrays it
+    takes and returns (B, m, m, d) arrays, ``s·relu(x @ W.T + b) + shift``;
+    train mode first stores the batch statistics of relu(x @ W.T + b).
     """
     p = f"blocks.{i}.lpi_"
-    _check_mode(mode)
-    if mode == "train":
-        return _batchnorm(x, t, p + "bn.", T.channel_block, t[p + "weight"], t[p + "bias"])
     weight = t[p + "weight"]
-    scale, shift = _eval_norm(t, p + "bn.", x.dtype)
+    if _on_graph(t, p + "weight", mode):
+        return T.channel_block(x, weight, t[p + "bias"], t[p + "bn.gamma"], t[p + "bn.beta"], BN_EPS)[0]
     pre = x.reshape(-1, weight.shape[1]) @ weight.T
     pre += t[p + "bias"]
     np.maximum(pre, 0.0, out=pre)
+    if mode == "train":
+        _store_moments(t, p + "bn.", pre, (0,))
+    scale, shift = _eval_norm(t, p + "bn.", x.dtype)
     pre *= scale
     pre += shift
     return pre.reshape(x.shape[:-1] + (weight.shape[0],))
 
 
-def _forward_eval(patches: np.ndarray, params: PatchNetParams) -> np.ndarray:
-    """Logits of a (B, M, p^3) batch on the stored statistics, as plain
-    array code: no graph, and ``params`` is left as it was."""
-    cfg = params.config
-    if params.stats.size and not params.ready:
-        raise InvalidStateError("batch norm statistics are uninitialized; train first")
-    t = params.named_arrays()
-    x = embed_patches(patches, cfg, t)
-    for i in range(cfg.depth):
-        x = lpi_block(gsi_block(x, t, i, "eval"), t, i, "eval")
-    return x.mean(axis=(1, 2)) @ t["classifier_w"] + t["classifier_b"]
-
-
-def _forward_graph(patches: np.ndarray, params: PatchNetParams, t: dict) -> Tensor:
-    """The train-mode network over the tensors ``t`` (``params``' arrays, or
-    graph leaves laid over them), on batch statistics that become the
-    stored ones; ``params`` carries the config and ``ready``."""
-    cfg = params.config
-    x = embed_patches(patches, cfg, t)
-    for i in range(cfg.depth):
-        x = lpi_block(gsi_block(x, t, i, "train"), t, i, "train")
-    params.ready = True
-    pooled = T.mean(x, (1, 2), keepdims=False)
-    return T.add(T.matmul(pooled, T._as_tensor(t["classifier_w"])),
-                 T._as_tensor(t["classifier_b"]))
-
-
 def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.ndarray, np.ndarray]:
     """Logits and softmax probabilities for one selected-patch stack
-    (M, p^3) or a batch of them (B, M, p^3).
+    (M, p^3) or a batch of them (B, M, p^3), as plain array code: no graph.
 
-    Eval mode reads the stored statistics, builds no graph and leaves
-    ``params`` unchanged; train mode runs the training graph on batch
-    statistics and stores them.
+    Eval mode reads the stored statistics and leaves ``params`` unchanged.
+    Train mode normalises each layer by its batch statistics, stores them
+    as the layer's statistics and sets ``ready``; the learnable tensors are
+    left as they were.
     """
     _check_mode(mode)
     patches = np.asarray(patches)
     single = patches.ndim == 2
     batch = _patch_batch(patches)
-    if mode == "eval":
-        logits = _forward_eval(batch, params)
-    else:
-        logits = _forward_graph(batch, params, params.named_arrays()).data
+    cfg = params.config
+    if mode == "eval" and params.stats.size and not params.ready:
+        raise InvalidStateError("batch norm statistics are uninitialized; train first")
+    t = params.named_arrays()
+    x = embed_patches(batch, cfg, t)
+    for i in range(cfg.depth):
+        x = lpi_block(gsi_block(x, t, i, mode), t, i, mode)
+    if mode == "train":
+        params.ready = True
+    logits = x.mean(axis=(1, 2)) @ t["classifier_w"] + t["classifier_b"]
     probs = T.softmax(logits)
     if single:
         return logits[0], probs[0]
     return logits, probs
 
 
-def loss_and_grad(
-    patches,
-    labels,
-    params: PatchNetParams,
-    mode: str = "train",
-    dtype=np.float32,
-) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_grad(patches, labels, params: PatchNetParams, dtype=np.float32) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch plus gradients for every learnable
     tensor, by name, in ``learnable_arrays`` order.
 
-    Only train mode has a gradient: an eval forward builds no graph, so
-    ``mode="eval"`` is rejected. Labels are checked before the forward, so a
-    rejected call leaves ``params`` as it was. Pass ``dtype=np.float64`` for the
-    high-precision checking mode used by the finite-difference tests.
+    This is the network's only graph: its leaves are the learnable tensors
+    in ``dtype``, and every batch norm runs on batch statistics, so the call
+    reads no stored statistic and writes nothing to ``params``. Pass
+    ``dtype=np.float64`` for the high-precision checking mode used by the
+    finite-difference tests.
     """
-    _check_mode(mode)
-    if mode == "eval":
-        raise InvalidArgumentError("loss_and_grad runs in train mode only; an eval forward builds no graph")
     patches = _patch_batch(patches, dtype)
     if patches.shape[0] == 0:
         raise InvalidArgumentError("batch must be nonempty")
-    labels = T.check_labels(labels, patches.shape[0], params.config.class_count)
+    cfg = params.config
     leaves = {
         name: Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
         for name, arr in params.learnable_arrays().items()
     }
-    logits = _forward_graph(patches, params, params.named_arrays() | leaves)
+    x = embed_patches(patches, cfg, leaves)
+    for i in range(cfg.depth):
+        x = lpi_block(gsi_block(x, leaves, i, "train"), leaves, i, "train")
+    pooled = T.mean(x, (1, 2), keepdims=False)
+    logits = T.add(T.matmul(pooled, leaves["classifier_w"]), leaves["classifier_b"])
     loss = T.softmax_cross_entropy(logits, labels)
     loss.backward()
     grads = {

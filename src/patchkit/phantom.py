@@ -41,8 +41,8 @@ class PhantomSpec:
             raise InvalidArgumentError(
                 f"lesion_delta must be in (0, 1], got {self.lesion_delta}"
             )
-        if self.noise_sigma < 0:
-            raise InvalidArgumentError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < float("inf"):  # NaN fails both
+            raise InvalidArgumentError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.smooth_radius < 0:
             raise InvalidArgumentError("smooth_radius must be >= 0")
         if not self.lesion_regions:

@@ -11,10 +11,12 @@ each one graph node with an analytic backward:
 
 They share the convolution (:class:`_Conv`) and batch-norm (:class:`_Norm`)
 arithmetic with the single ops ``depthwise_conv2d`` and ``batch_norm``, which
-stay as their reference. The network's eval forward builds no graph (it is
-plain array code in ``patchnet``), so the ops' ``stats=`` argument, constant
-stored statistics, stays only as that forward's test reference. Every product
-is laid out so numpy hands it to BLAS.
+stay as their reference. The network builds a graph only to take a
+gradient; its forward in either batch-norm mode is plain array code in
+``patchnet``. So the ops' ``stats=`` argument, constant stored statistics,
+stays only as the eval forward's test reference, and the batch (mean, var)
+the ops return as the train-mode forward's. Every product is laid out so
+numpy hands it to BLAS.
 A convolution's dense per-channel maps are gathered once per kernel state
 (:func:`_conv_maps`), so repeated readouts of an unchanged network pay only
 for their products.
@@ -415,25 +417,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def check_labels(labels, B: int, C: int) -> np.ndarray:
-    """``labels`` as int64, rejected unless one class index in [0, C) per sample of B."""
+def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of integer ``labels`` under softmax(``logits``).
+
+    Returns a scalar tensor; rejects labels that are not one class index in
+    [0, C) per row, and raises on non-finite losses.
+    """
+    logits = _as_tensor(logits)
+    B, C = logits.data.shape
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if labels.size != B:
         raise InvalidArgumentError(f"{labels.size} labels for batch of {B}")
     outside = labels[(labels < 0) | (labels >= C)]
     if outside.size:
         raise InvalidArgumentError(f"label {outside[0]} is outside the {C} classes [0, {C})")
-    return labels
-
-
-def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of integer ``labels`` under softmax(``logits``).
-
-    Returns a scalar tensor; raises on non-finite losses.
-    """
-    logits = _as_tensor(logits)
-    B, C = logits.data.shape
-    labels = check_labels(labels, B, C)
     with np.errstate(invalid="ignore", over="ignore"):
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))

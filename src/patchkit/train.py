@@ -2,11 +2,12 @@
 
 The learning rate follows a cosine decay between the configured endpoints,
 batches are drawn from a per-epoch seeded shuffle, and the checkpoint kept is
-the one with the best validation accuracy. Each epoch ends with one
-train-mode forward over the whole training set: its batch statistics become
-the stored batch-norm statistics (precise batch norm) and its logits give the
-training accuracy. A non-finite loss aborts training and returns the last
-good checkpoint.
+the one with the best validation accuracy. A training step normalises on
+its batch's statistics and neither reads nor writes the stored ones. Each
+epoch ends with one train-mode forward over the whole training set, plain
+array code with no graph: its batch statistics become the stored batch-norm
+statistics (precise batch norm) and its logits give the training accuracy.
+A non-finite loss aborts training and returns the last good checkpoint.
 """
 from __future__ import annotations
 
@@ -94,7 +95,7 @@ def train_patchnet(
             for start in range(0, n, schedule.batch_size):
                 idx = order[start : start + schedule.batch_size]
                 lr = cosine_lr(step, total_steps, schedule.lr_start, schedule.lr_end)
-                loss, grads = loss_and_grad(x_train[idx], y_train[idx], params, mode="train")
+                loss, grads = loss_and_grad(x_train[idx], y_train[idx], params)
                 flat = np.concatenate([grads[name].ravel() for name in params.learnable_arrays()])
                 adam_step(params.learnable, flat, state, lr)
                 epoch_losses.append(loss)

@@ -195,7 +195,7 @@ def test_ac05_gradient_fidelity_by_central_finite_differences():
     rng = np.random.default_rng(1)
     x = rng.normal(0, 1, (4, 4, 8))
     y = np.array([0, 1, 0, 1])
-    _, grads = loss_and_grad(x, y, params, mode="train", dtype=np.float64)
+    _, grads = loss_and_grad(x, y, params, dtype=np.float64)
     eps = 1e-3
     worst = 0.0
     total = 0
@@ -205,9 +205,9 @@ def test_ac05_gradient_fidelity_by_central_finite_differences():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            lp, _ = loss_and_grad(x, y, params, mode="train", dtype=np.float64)
+            lp, _ = loss_and_grad(x, y, params, dtype=np.float64)
             flat[i] = orig - eps
-            lm, _ = loss_and_grad(x, y, params, mode="train", dtype=np.float64)
+            lm, _ = loss_and_grad(x, y, params, dtype=np.float64)
             flat[i] = orig
             fd = (lp - lm) / (2 * eps)
             # Relative error; coordinates with near-zero gradient (where the

@@ -148,6 +148,7 @@ class TestErrors:
         ("grid.patch_edge", 2.5, "grid.patch_edge"),
         ("phantom.lesion_regions", [{"origin": ["a", 0, 0], "size": [6, 6, 6]}],
          "phantom.lesion_regions[0].origin"),
+        ("phantom.noise_sigma", float("inf"), "phantom.noise_sigma"),
     ])
     def test_invalid_field_value_exits_2_with_path(self, tmp_path, capsys, key, value, path):
         cfg = write_config(tmp_path, **{key: value})

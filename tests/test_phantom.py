@@ -30,6 +30,12 @@ def test_lesion_delta_zero_rejected():
         small_spec(lesion_delta=0.0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_noise_sigma_must_be_finite_and_non_negative(sigma):
+    with pytest.raises(InvalidArgumentError, match="noise_sigma must be finite and >= 0"):
+        small_spec(noise_sigma=sigma)
+
+
 def test_lesion_outside_dims_rejected():
     with pytest.raises(InvalidArgumentError):
         small_spec(lesion_regions=(pk.Region((12, 12, 12), (6, 6, 6)),))
