@@ -10,20 +10,21 @@ channels-last, (B, m, m, d), from the embedding to the pool. A block applies
     spatial:  x + BN(depthwise_conv_mxm(x) + b)      (no activation)
     channel:  BN(relu(pointwise_conv_1x1(x) + b))
 
-in that order. ``loss_and_grad`` builds the network's only autodiff graph:
-each stage is one op (``tensor.spatial_block`` and ``tensor.channel_block``)
-with an analytic backward on batch statistics, so a depth-D training step
-builds 2·D + 7 graph nodes, and it writes nothing to the parameters.
-``forward`` builds none in either mode: it runs the same stages as plain
-array code, where each batch norm is one per-channel scale and shift (the
-spatial stage's bias folded into the shift). Eval mode reads the stored
-population statistics. Train mode first stores each layer's batch mean and
-biased variance, then applies them, so one train-mode forward over a
-training set leaves that set's population statistics, each layer's taken
-with the layers below it normalised by theirs. The spatial convolution is
-depthwise (one m x m kernel per channel): a full channel-mixing spatial
-kernel would blow the parameter budget without adding anything the
-pointwise stage does not already provide.
+in that order, then average pooling and the affine head. Each stage
+(``embed_patches``, ``gsi_block``, ``lpi_block``, ``pool_head``) is the only
+code for its forward, built on the convolution and batch-norm arithmetic of
+``tensor``. Over plain arrays it returns an array: ``forward`` builds no
+graph. Eval mode reads the stored population statistics. Train mode
+normalises each layer by its batch mean and biased variance and stores
+them, so one train-mode forward over a training set leaves that set's
+population statistics, each layer's taken with the layers below it
+normalised by theirs. Given graph leaves, as in ``loss_and_grad``, a stage
+runs the same code on batch statistics, stores nothing, and returns one
+graph node whose closure is the stage's analytic backward; a depth-D
+training step chains 2·D + 3 nodes and writes nothing to the parameters.
+The spatial convolution is depthwise (one m x m kernel per channel): a
+full channel-mixing spatial kernel would blow the parameter budget without
+adding anything the pointwise stage does not already provide.
 
 One layout table (:func:`tensor_layout`) lists every tensor as (name, shape,
 init tag) in PNC1 record order. Initialisation, the checkpoint reader and
@@ -200,7 +201,7 @@ def _check_mode(mode: str) -> None:
 
 
 def _on_graph(t: dict, weight: str, mode: str) -> bool:
-    """Whether a block runs as its graph op: ``t`` holds graph leaves (as in
+    """Whether a stage adds a graph node: ``t`` holds graph leaves (as in
     ``loss_and_grad``), which only train mode may take."""
     _check_mode(mode)
     if not isinstance(t[weight], Tensor):
@@ -211,31 +212,33 @@ def _on_graph(t: dict, weight: str, mode: str) -> bool:
 
 
 def _patch_batch(patches, dtype=None) -> np.ndarray:
-    """``patches`` as a (B, M, p^3) array: one (M, p^3) stack gains a batch
-    axis, and any rank other than 2 or 3 is rejected."""
+    """``patches`` as a nonempty (B, M, p^3) array: one (M, p^3) stack gains
+    a batch axis, and any rank other than 2 or 3 is rejected."""
     patches = np.asarray(patches, dtype=dtype)
     if patches.ndim not in (2, 3):
         raise InvalidArgumentError(
             f"patches must be one (M, p^3) stack or a (B, M, p^3) batch, "
             f"got an array of shape {patches.shape}"
         )
-    return patches[None] if patches.ndim == 2 else patches
+    batch = patches[None] if patches.ndim == 2 else patches
+    if batch.shape[0] == 0:
+        raise InvalidArgumentError("batch must be nonempty")
+    return batch
 
 
-def _store_moments(t: dict, bn: str, branch: np.ndarray, axes: tuple[int, ...]) -> None:
-    """Store the batch mean and biased variance of ``branch`` over ``axes``
-    as the statistics of the batch norm under the name prefix ``bn``."""
-    mean = branch.mean(axis=axes, keepdims=True)
-    t[bn + "running_mean"][...] = mean.ravel()
-    t[bn + "running_var"][...] = np.square(branch - mean).mean(axis=axes)
-
-
-def _eval_norm(t: dict, bn: str, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The batch norm under the name prefix ``bn`` as one per-channel
-    (scale, shift) pair in ``dtype``. On the stored statistics μ, σ² it is
-    the affine map ``s = γ·(σ² + ε)^-½`` and ``shift = β − μ·s``."""
-    scale = t[bn + "gamma"] / np.sqrt(np.add(t[bn + "running_var"], BN_EPS, dtype=dtype))
-    return scale, t[bn + "beta"] - t[bn + "running_mean"] * scale
+def _batch_norm(rows: np.ndarray, t: dict, bn: str, mode: str, graph: bool) -> T._Norm:
+    """The batch norm under the name prefix ``bn`` over (N, C) ``rows``. Eval
+    mode reads the stored statistics. Train mode uses the batch mean and
+    biased variance, which an array forward stores and a graph stage does
+    not."""
+    gamma, beta = t[bn + "gamma"], t[bn + "beta"]
+    if graph:
+        return T._Norm(rows, gamma.data, beta.data, BN_EPS, None)
+    mean, var = t[bn + "running_mean"], t[bn + "running_var"]
+    norm = T._Norm(rows, gamma, beta, BN_EPS, (mean, var) if mode == "eval" else None)
+    if mode == "train":
+        mean[...], var[...] = norm.mean, norm.var
+    return norm
 
 
 def embed_patches(patches, cfg: PatchNetConfig, t: dict):
@@ -257,60 +260,105 @@ def embed_patches(patches, cfg: PatchNetConfig, t: dict):
     if not np.isfinite(x).all():
         raise InvalidArgumentError("patches contain NaN or infinite voxels")
     shape = x.shape[:-2] + (cfg.side, cfg.side, cfg.embed_dim)
-    projection, pos_embed = t["projection"], t["pos_embed"]
-    if isinstance(projection, Tensor):
-        return T.reshape(T.add(T.matmul(x, projection), pos_embed), shape)
-    emb = (x.reshape(-1, cfg.patch_len) @ projection).reshape(x.shape[:-1] + (cfg.embed_dim,))
+    inputs = (t["projection"], t["pos_embed"])
+    graph = isinstance(inputs[0], Tensor)
+    projection, pos_embed = (v.data for v in inputs) if graph else inputs
+    rows = x.reshape(-1, cfg.patch_len)
+    emb = (rows @ projection).reshape(x.shape[:-1] + (cfg.embed_dim,))
     emb += pos_embed
-    return emb.reshape(shape)
+    if not graph:
+        return emb.reshape(shape)
+
+    def backward(g):
+        g = g.reshape(-1, cfg.embed_dim)
+        T._push(inputs, (rows.T @ g, g.reshape((-1,) + pos_embed.shape).sum(axis=0)))
+
+    return T._node(emb.reshape(shape), inputs, backward)
 
 
 def gsi_block(x, t: dict, i: int, mode: str):
     """Block i's depthwise spatial convolution + bias + BN + residual (no
-    activation).
+    activation): (B, m, m, d) in and out.
 
-    Over graph leaves it is one graph op on batch statistics. Over arrays it
-    takes and returns (B, m, m, d) arrays, ``x + s·conv(x) + shift``, with
-    the bias folded into the batch norm's shift and the convolution one
-    product with the kernel's cached dense maps; train mode first stores the
-    batch statistics of the branch conv(x) + bias.
+    Over arrays it returns an array; train mode stores the batch statistics
+    of the branch conv(x) + bias. Over a graph node and graph leaves it runs
+    the same code on batch statistics, stores nothing, and returns one node.
     """
     p = f"blocks.{i}.gsi_"
-    if _on_graph(t, p + "kernel", mode):
-        return T.spatial_block(x, t[p + "kernel"], t[p + "bias"], t[p + "bn.gamma"], t[p + "bn.beta"], BN_EPS)[0]
-    B, H, W, C = x.shape
-    sites = x.reshape(B, H * W, C).transpose(2, 0, 1)  # (C, B, H·W)
-    conv = np.matmul(sites, T._conv_maps(t[p + "kernel"], H, W))
-    if mode == "train":
-        _store_moments(t, p + "bn.", conv + t[p + "bias"][:, None, None], (1, 2))
-    scale, shift = _eval_norm(t, p + "bn.", x.dtype)
-    shift += t[p + "bias"] * scale
-    conv *= scale[:, None, None]
-    conv += shift[:, None, None]
-    return x + conv.transpose(1, 2, 0).reshape(x.shape)
+    graph = _on_graph(t, p + "kernel", mode)
+    inputs = (x, t[p + "kernel"], t[p + "bias"], t[p + "bn.gamma"], t[p + "bn.beta"])
+    xs, kernel, bias, _, _ = (v.data for v in inputs) if graph else inputs
+    conv = T._Conv(xs, kernel)
+    norm = _batch_norm((conv.out + bias).reshape(-1, xs.shape[-1]), t, p + "bn.", mode, graph)
+    out = xs + norm.out.reshape(xs.shape)
+    if not graph:
+        return out
+
+    def backward(g):
+        g_branch, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
+        g_conv = g_branch.reshape(xs.shape)
+        g_x = g + conv.grad_input(g_conv) if x.requires_grad else None
+        T._push(inputs, (g_x, conv.grad_kernel(g_conv), g_branch.sum(axis=0), g_gamma, g_beta))
+
+    return T._node(out, inputs, backward)
 
 
 def lpi_block(x, t: dict, i: int, mode: str):
-    """Block i's pointwise channel mixing + bias + ReLU + BN; spatial sites
-    stay independent.
+    """Block i's pointwise channel mixing + bias + ReLU + BN, (B, m, m, d) in
+    and out; spatial sites stay independent.
 
-    Over graph leaves it is one graph op on batch statistics. Over arrays it
-    takes and returns (B, m, m, d) arrays, ``s·relu(x @ W.T + b) + shift``;
-    train mode first stores the batch statistics of relu(x @ W.T + b).
+    Over arrays it returns an array; train mode stores the batch statistics
+    of relu(x @ W.T + b). Over a graph node and graph leaves it runs the
+    same code on batch statistics, stores nothing, and returns one node.
     """
     p = f"blocks.{i}.lpi_"
-    weight = t[p + "weight"]
-    if _on_graph(t, p + "weight", mode):
-        return T.channel_block(x, weight, t[p + "bias"], t[p + "bn.gamma"], t[p + "bn.beta"], BN_EPS)[0]
-    pre = x.reshape(-1, weight.shape[1]) @ weight.T
-    pre += t[p + "bias"]
-    np.maximum(pre, 0.0, out=pre)
-    if mode == "train":
-        _store_moments(t, p + "bn.", pre, (0,))
-    scale, shift = _eval_norm(t, p + "bn.", x.dtype)
-    pre *= scale
-    pre += shift
-    return pre.reshape(x.shape[:-1] + (weight.shape[0],))
+    graph = _on_graph(t, p + "weight", mode)
+    inputs = (x, t[p + "weight"], t[p + "bias"], t[p + "bn.gamma"], t[p + "bn.beta"])
+    xs, weight, bias, _, _ = (v.data for v in inputs) if graph else inputs
+    rows = xs.reshape(-1, weight.shape[1])
+    pre = rows @ weight.T
+    pre += bias
+    np.maximum(pre, 0.0, out=pre)  # ReLU in place: pre > 0 stays its mask
+    norm = _batch_norm(pre, t, p + "bn.", mode, graph)
+    out = norm.out.reshape(xs.shape[:-1] + (weight.shape[0],))
+    if not graph:
+        return out
+
+    def backward(g):
+        g_relu, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
+        g_pre = g_relu * (pre > 0)
+        g_x = (g_pre @ weight).reshape(xs.shape) if x.requires_grad else None
+        T._push(inputs, (g_x, g_pre.T @ rows, g_pre.sum(axis=0), g_gamma, g_beta))
+
+    return T._node(out, inputs, backward)
+
+
+def pool_head(x, t: dict):
+    """Average pool over the m x m sites and the affine classifier:
+    (B, m, m, d) activations in, (B, C) logits out; a graph node when ``t``
+    holds graph leaves."""
+    inputs = (x, t["classifier_w"], t["classifier_b"])
+    graph = isinstance(inputs[1], Tensor)
+    xs, weight, bias = (v.data for v in inputs) if graph else inputs
+    pooled = xs.mean(axis=(1, 2))
+    logits = pooled @ weight + bias
+    if not graph:
+        return logits
+
+    def backward(g):
+        g_pooled = np.expand_dims(g @ weight.T, (1, 2))
+        g_x = np.broadcast_to(g_pooled / (xs.shape[1] * xs.shape[2]), xs.shape).copy()
+        T._push(inputs, (g_x, pooled.T @ g, g.sum(axis=0)))
+
+    return T._node(logits, inputs, backward)
+
+
+def _logits(batch: np.ndarray, cfg: PatchNetConfig, t: dict, mode: str):
+    """The stages in order over a (B, M, p^3) batch with tensors ``t``."""
+    x = embed_patches(batch, cfg, t)
+    for i in range(cfg.depth):
+        x = lpi_block(gsi_block(x, t, i, mode), t, i, mode)
+    return pool_head(x, t)
 
 
 def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.ndarray, np.ndarray]:
@@ -326,16 +374,11 @@ def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.nda
     patches = np.asarray(patches)
     single = patches.ndim == 2
     batch = _patch_batch(patches)
-    cfg = params.config
     if mode == "eval" and params.stats.size and not params.ready:
         raise InvalidStateError("batch norm statistics are uninitialized; train first")
-    t = params.named_arrays()
-    x = embed_patches(batch, cfg, t)
-    for i in range(cfg.depth):
-        x = lpi_block(gsi_block(x, t, i, mode), t, i, mode)
+    logits = _logits(batch, params.config, params.named_arrays(), mode)
     if mode == "train":
         params.ready = True
-    logits = x.mean(axis=(1, 2)) @ t["classifier_w"] + t["classifier_b"]
     probs = T.softmax(logits)
     if single:
         return logits[0], probs[0]
@@ -347,25 +390,18 @@ def loss_and_grad(patches, labels, params: PatchNetParams, dtype=np.float32) -> 
     tensor, by name, in ``learnable_arrays`` order.
 
     This is the network's only graph: its leaves are the learnable tensors
-    in ``dtype``, and every batch norm runs on batch statistics, so the call
+    in ``dtype``, each stage adds one node on batch statistics, and the
+    loss ends the chain, so a depth-D step builds 2·D + 3 nodes. The call
     reads no stored statistic and writes nothing to ``params``. Pass
     ``dtype=np.float64`` for the high-precision checking mode used by the
     finite-difference tests.
     """
     patches = _patch_batch(patches, dtype)
-    if patches.shape[0] == 0:
-        raise InvalidArgumentError("batch must be nonempty")
-    cfg = params.config
     leaves = {
         name: Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
         for name, arr in params.learnable_arrays().items()
     }
-    x = embed_patches(patches, cfg, leaves)
-    for i in range(cfg.depth):
-        x = lpi_block(gsi_block(x, leaves, i, "train"), leaves, i, "train")
-    pooled = T.mean(x, (1, 2), keepdims=False)
-    logits = T.add(T.matmul(pooled, leaves["classifier_w"]), leaves["classifier_b"])
-    loss = T.softmax_cross_entropy(logits, labels)
+    loss = T.softmax_cross_entropy(_logits(patches, params.config, leaves, "train"), labels)
     loss.backward()
     grads = {
         name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))

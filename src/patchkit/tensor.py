@@ -1,22 +1,16 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-This is not a general autodiff graph: it provides exactly the op set the patch
-network needs. The network runs on broadcast add, matmul by a 2-D right
-operand, reshape, mean, fused softmax cross-entropy and its two block ops,
-each one graph node with an analytic backward:
-
-- ``spatial_block``: same-size depthwise 2D convolution over channels-last
-  (B, H, W, C) planes, bias, batch norm over the last axis, residual;
-- ``channel_block``: pointwise (1x1) convolution, bias, ReLU, batch norm.
-
-They share the convolution (:class:`_Conv`) and batch-norm (:class:`_Norm`)
-arithmetic with the single ops ``depthwise_conv2d`` and ``batch_norm``, which
-stay as their reference. The network builds a graph only to take a
-gradient; its forward in either batch-norm mode is plain array code in
-``patchnet``. So the ops' ``stats=`` argument, constant stored statistics,
-stays only as the eval forward's test reference, and the batch (mean, var)
-the ops return as the train-mode forward's. Every product is laid out so
-numpy hands it to BLAS.
+This is not a general autodiff graph. A :class:`Tensor` records its parents
+and a closure that pushes its output gradient to them (:func:`_node`), and
+``Tensor.backward`` replays those closures in reverse order: a tape. The
+patch network's stages (``patchnet.embed_patches``, ``gsi_block``,
+``lpi_block`` and ``pool_head``) each add one node with an analytic
+backward; the fused softmax cross-entropy here ends the chain. The stages
+run the convolution (:class:`_Conv`) and batch-norm (:class:`_Norm`)
+arithmetic of this module, which the single ops ``depthwise_conv2d`` and
+``batch_norm`` expose as graph nodes, kept as that arithmetic's test
+references.
+Every product is laid out so numpy hands it to BLAS.
 A convolution's dense per-channel maps are gathered once per kernel state
 (:func:`_conv_maps`), so repeated readouts of an unchanged network pay only
 for their products.
@@ -97,16 +91,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient over axes that were broadcast in the forward pass."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 def _push(inputs: tuple[Tensor, ...], grads: tuple[np.ndarray, ...]) -> None:
     """Accumulate each gradient into its input where that input wants one."""
     for t, g in zip(inputs, grads):
@@ -114,71 +98,10 @@ def _push(inputs: tuple[Tensor, ...], grads: tuple[np.ndarray, ...]) -> None:
             t._accumulate(g)
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _node(a.data + b.data, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    """``a @ b`` for ``a`` of shape (..., k) and ``b`` of shape (k, n).
-
-    The forward pass and both gradients are 2-D products over the flattened
-    leading axes of ``a``, so a weight shared across a batch gets its
-    gradient from one product.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if b.data.ndim != 2 or a.data.ndim < 1 or a.data.shape[-1] != b.data.shape[0]:
-        raise InvalidArgumentError(
-            f"matmul needs shapes (..., k) and (k, n), got {a.data.shape} and {b.data.shape}"
-        )
-    k, n = b.data.shape
-    rows = a.data.reshape(-1, k)
-
-    def backward(g):
-        g = g.reshape(-1, n)
-        if a.requires_grad:
-            a._accumulate((g @ b.data.T).reshape(a.data.shape))
-        if b.requires_grad:
-            b._accumulate(rows.T @ g)
-
-    return _node((rows @ b.data).reshape(a.data.shape[:-1] + (n,)), (a, b), backward)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
-
-    return _node(a.data.reshape(shape), (a,), backward)
-
-
-def mean(a, axes, keepdims: bool = True) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    count = int(np.prod([a.data.shape[ax] for ax in axes]))
-
-    def backward(g):
-        if a.requires_grad:
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            a._accumulate(np.broadcast_to(g / count, a.data.shape).copy())
-
-    return _node(a.data.mean(axis=axes, keepdims=keepdims), (a,), backward)
-
-
 class _Norm:
     """Batch-norm arithmetic over the rows of an (N, C) array: the forward
-    values and the backward map, shared by :func:`batch_norm` and the blocks.
-    ``stats`` is as in :func:`batch_norm`.
+    values and the backward map, shared by :func:`batch_norm` and the patch
+    network's stages. ``stats`` is as in :func:`batch_norm`.
     """
 
     def __init__(self, rows: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, stats):
@@ -189,9 +112,9 @@ class _Norm:
             centered = rows - self.mean
             self.var = (centered * centered).mean(axis=0)
         else:
-            self.mean, self.var = stats[0].astype(dt), stats[1].astype(dt)
+            self.mean, self.var = np.asarray(stats[0], dtype=dt), np.asarray(stats[1], dtype=dt)
             centered = rows - self.mean
-        self.inv = (self.var + np.asarray(eps, dtype=dt)) ** -0.5
+        self.inv = (self.var + dt.type(eps)) ** -0.5
         centered *= self.inv
         self.xhat = centered
         self.gamma = gamma
@@ -216,8 +139,7 @@ def batch_norm(x, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarr
 
     With ``stats`` None, mean and biased variance are the batch statistics
     over every leading axis and the gradient flows through them; otherwise
-    ``stats`` is a constant (mean, var) pair of per-channel arrays, kept as
-    the test reference for the network's graph-free eval forward. Returns
+    ``stats`` is a constant (mean, var) pair of per-channel arrays. Returns
     the output with the mean and variance it used, shaped (C,).
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
@@ -300,8 +222,8 @@ def _conv_maps(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
 
 class _Conv:
     """Same-padding depthwise correlation of channels-last (B, H, W, C) planes
-    with a (C, kh, kw) kernel, shared by :func:`depthwise_conv2d` and
-    :func:`spatial_block`.
+    with a (C, kh, kw) kernel, shared by :func:`depthwise_conv2d` and the
+    patch network's spatial stage.
 
     Channel c is one dense (H·W × H·W) map over the sites, gathered from its
     kernel once per kernel state by :func:`_conv_maps`, and the planes are
@@ -357,57 +279,6 @@ def depthwise_conv2d(x, kernel) -> Tensor:
             x._accumulate(conv.grad_input(g).astype(x.data.dtype, copy=False))
 
     return _node(conv.out.astype(x.data.dtype, copy=False), (x, kernel), backward)
-
-
-def spatial_block(x, weights, bias, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """``x + batch_norm(depthwise_conv2d(x, weights) + bias)`` as one op.
-
-    ``x`` is (B, H, W, C) and ``weights`` (C, kh, kw); ``stats`` is as in
-    :func:`batch_norm`. Returns the output with the batch-norm mean and
-    variance, shaped (C,).
-    """
-    x, weights, bias, gamma, beta = (_as_tensor(t) for t in (x, weights, bias, gamma, beta))
-    shape = x.data.shape
-    conv = _Conv(x.data, weights.data)
-    norm = _Norm((conv.out + bias.data).reshape(-1, shape[-1]), gamma.data, beta.data, eps, stats)
-
-    def backward(g):
-        g_branch, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
-        g_conv = g_branch.reshape(shape)
-        g_x = g + conv.grad_input(g_conv) if x.requires_grad else None
-        g_weights = conv.grad_kernel(g_conv) if weights.requires_grad else None
-        _push((x, weights, bias, gamma, beta), (g_x, g_weights, g_branch.sum(axis=0), g_gamma, g_beta))
-
-    out = (x.data + norm.out.reshape(shape)).astype(x.data.dtype, copy=False)
-    return _node(out, (x, weights, bias, gamma, beta), backward), norm.mean, norm.var
-
-
-def channel_block(x, weights, bias, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """``batch_norm(relu(x @ weights.T + bias))`` as one op.
-
-    ``x`` is (..., C_in) and ``weights`` (C_out, C_in); every leading index is
-    an independent site. ``stats`` is as in :func:`batch_norm`. Returns the
-    output with the batch-norm mean and variance, shaped (C_out,).
-    """
-    x, weights, bias, gamma, beta = (_as_tensor(t) for t in (x, weights, bias, gamma, beta))
-    c_out, c_in = weights.data.shape
-    if x.data.shape[-1] != c_in:
-        raise InvalidArgumentError(f"weights {weights.data.shape} take {c_in} channels, input has shape {x.data.shape}")
-    rows = x.data.reshape(-1, c_in)
-    pre = rows @ weights.data.T
-    pre += bias.data
-    np.maximum(pre, 0.0, out=pre)  # ReLU in place: pre > 0 stays its mask
-    norm = _Norm(pre, gamma.data, beta.data, eps, stats)
-
-    def backward(g):
-        g_relu, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
-        g_pre = g_relu * (pre > 0)
-        g_x = (g_pre @ weights.data).reshape(x.data.shape) if x.requires_grad else None
-        g_weights = g_pre.T @ rows if weights.requires_grad else None
-        _push((x, weights, bias, gamma, beta), (g_x, g_weights, g_pre.sum(axis=0), g_gamma, g_beta))
-
-    out = norm.out.reshape(x.data.shape[:-1] + (c_out,))
-    return _node(out, (x, weights, bias, gamma, beta), backward), norm.mean, norm.var
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 The learning rate follows a cosine decay between the configured endpoints,
 batches are drawn from a per-epoch seeded shuffle, and the checkpoint kept is
-the one with the best validation accuracy. A training step normalises on
-its batch's statistics and neither reads nor writes the stored ones. Each
-epoch ends with one train-mode forward over the whole training set, plain
-array code with no graph: its batch statistics become the stored batch-norm
-statistics (precise batch norm) and its logits give the training accuracy.
+the one with the best validation accuracy. A training step runs the
+network's stages on its batch's statistics and neither reads nor writes the
+stored ones. Each epoch ends with one train-mode forward over the whole
+training set through the same stages, as plain array code with no graph:
+its batch statistics become the stored batch-norm statistics (precise batch
+norm) and its logits give the training accuracy.
 A non-finite loss aborts training and returns the last good checkpoint.
 """
 from __future__ import annotations

@@ -25,7 +25,6 @@ from patchkit.patchnet import (
     loss_and_grad,
     lpi_block,
     op_count_report,
-    _eval_norm,
     save_checkpoint,
     tensor_layout,
     tensor_shapes,
@@ -170,15 +169,17 @@ class TestBatchNormLayer:
 
     def test_eval_uses_running_stats(self):
         d = 3
-        t = make_block(d, 2)
-        x = nhwc(np.random.default_rng(9).normal(0, 1, (2, d, 2, 2)).astype(np.float32))
+        kernel = np.zeros((d, 3, 3), np.float32)
+        kernel[:, 1, 1] = 1.0  # conv(x) = x
+        t = make_block(d, 3, gsi_kernel=kernel)
+        x = nhwc(np.random.default_rng(9).normal(0, 1, (2, d, 3, 3)).astype(np.float32))
         mean, var = t[GSI_BN + "running_mean"], t[GSI_BN + "running_var"]
         mean[:] = [0.5, -0.5, 0.0]
         var[:] = [4.0, 1.0, 0.25]
-        scale, shift = _eval_norm(t, GSI_BN, x.dtype)
-        out = nchw(x * scale + shift)
+        out = nchw(gsi_block(x, t, 0, "eval") - x)
         want = (nchw(x) - mean[:, None, None]) / np.sqrt(var[:, None, None] + BN_EPS)
         assert np.allclose(out, want, rtol=1e-6, atol=1e-6)
+        assert mean.tolist() == [0.5, -0.5, 0.0] and var.tolist() == [4.0, 1.0, 0.25]
 
     def test_unknown_mode_rejected(self):
         x = np.zeros((1, 2, 2, 2))
@@ -312,26 +313,6 @@ class TestForward:
         assert (eval_garbage, train_garbage, step_garbage) == (0, 0, 0)
 
 
-def graph_reference(patches, params, mode):
-    """A forward as the graph ops' composition, the reference for the array
-    forward: eval mode on constant stored statistics (``stats=``), train mode
-    on batch statistics. Returns the logits and, by statistic name, the
-    (mean, var) each batch norm used."""
-    cfg, t = params.config, params.named_arrays()
-    shape = (patches.shape[0], cfg.side, cfg.side, cfg.embed_dim)
-    x = T.reshape(T.add(T.matmul(patches, t["projection"]), t["pos_embed"]), shape)
-    moments = {}
-    for i in range(cfg.depth):
-        for op, p, weight in ((T.spatial_block, f"blocks.{i}.gsi_", "kernel"),
-                              (T.channel_block, f"blocks.{i}.lpi_", "weight")):
-            mean, var = p + "bn.running_mean", p + "bn.running_var"
-            stats = (t[mean], t[var]) if mode == "eval" else None
-            x, moments[mean], moments[var] = op(
-                x, t[p + weight], t[p + "bias"], t[p + "bn.gamma"], t[p + "bn.beta"], BN_EPS, stats)
-    pooled = T.mean(x, (1, 2), keepdims=False)
-    return T.add(T.matmul(pooled, t["classifier_w"]), t["classifier_b"]).data, moments
-
-
 def random_params(cfg, rng, dtype):
     """Every tensor of ``cfg`` drawn at random in ``dtype``, ready for eval:
     gammas of both signs, variances in U(0.2, 3), the rest N(0, 0.5)."""
@@ -347,6 +328,21 @@ def random_params(cfg, rng, dtype):
     return PatchNetParams(cfg, params.learnable.astype(dtype), params.stats.astype(dtype), ready=True)
 
 
+@st.composite
+def nets(draw):
+    """A ``random_params`` network and a batch of N(0, 1) patches, both in
+    one dtype: depth 0-3, 1, 4, 9 or 16 patches of 2^3 voxels, width 1-8,
+    batch 1-4."""
+    cfg = PatchNetConfig(patch_edge=2, patch_count=draw(st.sampled_from([1, 4, 9, 16]), label="patch_count"),
+                         embed_dim=draw(st.integers(1, 8), label="embed_dim"),
+                         depth=draw(st.integers(0, 3), label="depth"))
+    dtype = draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    batch = draw(st.integers(1, 4), label="batch")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = random_params(cfg, rng, dtype)
+    return params, rng.normal(0, 1, (batch, cfg.patch_count, cfg.patch_len)).astype(dtype)
+
+
 def trained_net(depth=2, seed=30):
     """A small network whose stored statistics come from one train-mode batch."""
     params = init_params(PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=depth, seed=seed))
@@ -356,33 +352,19 @@ def trained_net(depth=2, seed=30):
 
 class TestEvalForward:
     @settings(max_examples=80, deadline=None)
-    @given(
-        depth=st.integers(0, 3),
-        patch_count=st.sampled_from([1, 4, 9, 16]),
-        embed_dim=st.integers(1, 8),
-        batch=st.integers(1, 4),
-        param_dtype=st.sampled_from([np.float32, np.float64]),
-        patch_dtype=st.sampled_from([np.float32, np.float64]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_the_graph_on_running_statistics(
-        self, depth, patch_count, embed_dim, batch, param_dtype, patch_dtype, seed
-    ):
-        # Tolerances: float64 within 1e-12 absolute; float32 within 2e-5 of
-        # the largest logit magnitude (at least 1). Sampling found 3e-14 and
-        # 1.3e-6 at worst.
-        cfg = PatchNetConfig(patch_edge=2, patch_count=patch_count, embed_dim=embed_dim, depth=depth)
-        rng = np.random.default_rng(seed)
-        params = random_params(cfg, rng, param_dtype)
-        patches = rng.normal(0, 1, (batch, patch_count, cfg.patch_len)).astype(patch_dtype)
+    @given(net=nets())
+    def test_reads_back_a_train_forward_bit_for_bit(self, net):
+        # An eval forward on the statistics a train-mode forward stored from
+        # the same batch normalises every layer exactly as that forward did.
+        params, patches = net
+        params.ready = False
+        learnable = params.learnable.tobytes()
+        trained, _ = forward(patches, params, mode="train")
         logits, probs = forward(patches, params, mode="eval")
-        want, _ = graph_reference(patches, params, "eval")
-        assert logits.dtype == want.dtype == np.result_type(param_dtype, patch_dtype)
-        assert logits.shape == (batch, cfg.class_count)
-        if want.dtype == np.float64:
-            np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
-        else:
-            np.testing.assert_allclose(logits, want, rtol=0, atol=2e-5 * max(1.0, np.abs(want).max()))
+        assert logits.dtype == patches.dtype
+        assert logits.shape == (len(patches), params.config.class_count)
+        assert logits.tobytes() == trained.tobytes()
+        assert params.learnable.tobytes() == learnable
         np.testing.assert_allclose(probs, T.softmax(logits))
 
     def test_builds_no_tensor_and_leaves_params_unchanged(self, monkeypatch):
@@ -426,43 +408,40 @@ class TestEvalForward:
 
 class TestTrainForward:
     @settings(max_examples=80, deadline=None)
-    @given(
-        depth=st.integers(0, 3),
-        patch_count=st.sampled_from([1, 4, 9, 16]),
-        embed_dim=st.integers(1, 8),
-        batch=st.integers(1, 4),
-        param_dtype=st.sampled_from([np.float32, np.float64]),
-        patch_dtype=st.sampled_from([np.float32, np.float64]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_the_graph_on_batch_statistics(
-        self, depth, patch_count, embed_dim, batch, param_dtype, patch_dtype, seed
-    ):
-        # Tolerances, relative to the largest logit or statistic magnitude (at
-        # least 1): float64 parameters 1e-10; float32 parameters 5e-3 for the
-        # logits and 2e-3 for the statistics. The array batch norm is one
-        # scale s and shift β − μ·s, which cancels to |μ·s| ulps where a
-        # channel's batch variance is near zero (s up to |γ|/√ε). Sampling
-        # found 3.6e-13 in float64 (4,000 draws) and 9.6e-4 (logits) and
-        # 6.0e-4 (statistics) in float32 (20,000 draws, 7 above 1e-4).
-        cfg = PatchNetConfig(patch_edge=2, patch_count=patch_count, embed_dim=embed_dim, depth=depth)
-        rng = np.random.default_rng(seed)
-        params = random_params(cfg, rng, param_dtype)
-        params.ready = False
-        patches = rng.normal(0, 1, (batch, patch_count, cfg.patch_len)).astype(patch_dtype)
-        want, moments = graph_reference(patches, params, "train")
-        learnable = params.learnable.copy()
-        logits, probs = forward(patches, params, mode="train")
-        assert params.ready
-        assert params.learnable.tobytes() == learnable.tobytes()
-        assert logits.dtype == want.dtype == np.result_type(param_dtype, patch_dtype)
-        assert logits.shape == (batch, cfg.class_count)
-        t = params.named_arrays()
-        f64 = param_dtype == np.float64
-        for got, ref, tol in [(logits, want, 1e-10 if f64 else 5e-3)] + [
-                (t[name], moments[name], 1e-10 if f64 else 2e-3) for name in moments]:
-            np.testing.assert_allclose(got, ref, rtol=0, atol=tol * max(1.0, np.abs(ref).max()))
-        np.testing.assert_allclose(probs, T.softmax(logits))
+    @given(net=nets(), label_seed=st.integers(0, 2**32 - 1))
+    def test_logits_give_the_step_loss_bit_for_bit(self, net, label_seed):
+        # A training step and a train-mode forward run the same stage code on
+        # the same batch statistics.
+        params, patches = net
+        labels = np.random.default_rng(label_seed).integers(0, params.config.class_count, len(patches))
+        loss, grads = loss_and_grad(patches, labels, params, dtype=patches.dtype)
+        logits, _ = forward(patches, params, mode="train")
+        assert loss == float(T.softmax_cross_entropy(Tensor(logits), labels).data)
+        assert all(g.dtype == patches.dtype for g in grads.values())
+
+    def test_float32_batch_norm_keeps_float64_precision(self):
+        # One patch and a batch of 4 leave each channel 4 rows, so a batch
+        # variance can be near zero and its scale γ/√(σ² + ε) large: an
+        # x·s + (β − μ·s) fold cancels there, (x − μ)·s + β does not.
+        cfg = PatchNetConfig(patch_edge=2, patch_count=1, embed_dim=3, depth=3)
+        rng = np.random.default_rng(1912)
+        params = random_params(cfg, rng, np.float32)
+        patches = rng.normal(0, 1, (4, 1, 8)).astype(np.float32)
+        wide = PatchNetParams(cfg, params.learnable.astype(np.float64), params.stats.astype(np.float64), True)
+        logits, _ = forward(patches, params, mode="train")
+        want, _ = forward(patches.astype(np.float64), wide, mode="train")
+        assert np.all(np.abs(logits - want) <= 1e-4 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("ready", [False, True], ids=["fresh", "trained"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_empty_batch_rejected_and_leaves_params_unchanged(self, mode, ready):
+        params = trained_net() if ready else init_params(PatchNetConfig(
+            patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=30))
+        stats = params.stats.tobytes()
+        with pytest.raises(InvalidArgumentError, match="batch must be nonempty"):
+            forward(np.zeros((0, 4, 8)), params, mode=mode)
+        assert params.stats.tobytes() == stats
+        assert params.ready == ready
 
     def test_builds_no_tensor(self, monkeypatch):
         params = init_params(PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=32))
@@ -525,6 +504,54 @@ class TestLossAndGrad:
         assert set(grads) == set(params.learnable_arrays())
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
+    def test_float32_stays_float32(self):
+        params = trained_net()
+        x = np.random.default_rng(18).normal(0, 1, (4, 4, 8))  # float64 patches
+        _, grads = loss_and_grad(x, np.array([0, 1, 1, 0]), params)
+        for name, arr in params.learnable_arrays().items():
+            assert grads[name].dtype == np.float32 and grads[name].shape == arr.shape, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        depth=st.integers(0, 3),
+        patch_count=st.sampled_from([1, 4, 9, 16]),
+        embed_dim=st.integers(1, 4),
+        batch=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradients_match_central_differences(self, depth, patch_count, embed_dim, batch, seed):
+        # Float64 ``random_params`` whose channel biases each put the ReLU
+        # kink mid-way across the widest gap between the batch's inputs to
+        # it, so every channel is partly active and no input is near a kink
+        # (a batch of 2 or more gives each batch norm two rows or more).
+        # Each learnable tensor is checked along one random direction v:
+        # grad·v against (L(θ + hv) − L(θ − hv)) / 2h, within 1e-5 of
+        # max(1, |fd|); sampling found 7.9e-8 at worst over 800 draws.
+        cfg = PatchNetConfig(patch_edge=2, patch_count=patch_count, embed_dim=embed_dim, depth=depth)
+        rng = np.random.default_rng(seed)
+        params = random_params(cfg, rng, np.float64)
+        patches = rng.normal(0, 1, (batch, patch_count, cfg.patch_len))
+        t, columns = params.named_arrays(), np.arange(embed_dim)
+        x = embed_patches(patches, cfg, t)
+        for i in range(depth):
+            x = gsi_block(x, t, i, "train")
+            pre = np.sort(x.reshape(-1, embed_dim) @ t[f"blocks.{i}.lpi_weight"].T, axis=0)
+            widest = np.diff(pre, axis=0).argmax(axis=0)
+            t[f"blocks.{i}.lpi_bias"][...] = -0.5 * (pre[widest, columns] + pre[widest + 1, columns])
+            x = lpi_block(x, t, i, "train")
+        labels = rng.integers(0, cfg.class_count, batch)
+        _, grads = loss_and_grad(patches, labels, params, dtype=np.float64)
+        h = 1e-6
+        for name, arr in params.learnable_arrays().items():
+            v, orig = rng.normal(0, 1, arr.shape), arr.copy()
+            arr[...] = orig + h * v
+            lp, _ = loss_and_grad(patches, labels, params, dtype=np.float64)
+            arr[...] = orig - h * v
+            lm, _ = loss_and_grad(patches, labels, params, dtype=np.float64)
+            arr[...] = orig
+            fd = (lp - lm) / (2 * h)
+            assert abs(fd - np.vdot(grads[name], v)) <= 1e-5 * max(1.0, abs(fd)), (name, fd)
+
     @pytest.mark.parametrize("ready", [False, True], ids=["fresh", "trained"])
     def test_leaves_params_unchanged(self, ready):
         # A training step reads and writes no stored statistic: its batch
@@ -540,9 +567,9 @@ class TestLossAndGrad:
         assert params.ready == ready
         assert all(type(arr) is np.ndarray for arr in params.learnable_arrays().values())
 
-    def test_depth_four_step_builds_15_graph_nodes(self, monkeypatch):
-        # 3 embedding nodes, 2 per block (one spatial, one channel op), then
-        # pool, head matmul, head bias and the loss: 2 * depth + 7.
+    def test_depth_four_step_builds_11_graph_nodes(self, monkeypatch):
+        # One node per stage: the embedding, 2 per block (spatial, channel),
+        # the pooled head, then the loss: 2 * depth + 3.
         cfg = PatchNetConfig(patch_edge=2, patch_count=36, embed_dim=8, depth=4)
         params = init_params(cfg)
         node, built = T._node, []
@@ -554,7 +581,7 @@ class TestLossAndGrad:
         monkeypatch.setattr(T, "_node", counting_node)
         rng = np.random.default_rng(23)
         loss_and_grad(rng.normal(0, 1, (8, 36, 8)), np.arange(8) % 2, params)
-        assert len(built) == 2 * cfg.depth + 7 == 15
+        assert len(built) == 2 * cfg.depth + 3 == 11
 
 
 class TestParamsCopy:
