@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from patchkit import tensor as T
 from patchkit.errors import InvalidArgumentError, NumericalFailureError
+from patchkit.patchnet import gsi_block, lpi_block
 from patchkit.tensor import Tensor, conv_same_padding
 
 from conftest import nchw, nhwc
@@ -158,6 +159,37 @@ class TestLoweredConv:
             assert not first.flags.writeable
             with pytest.raises(ValueError):
                 first[0, 0] = 0
+
+
+class TestBlockOps:
+    """The patch network's ``gsi_block`` (spatial) and ``lpi_block``
+    (channel) over graph leaves: one graph node on batch statistics each,
+    against finite differences."""
+
+    SPATIAL = (gsi_block, "blocks.0.gsi_", "kernel", [(2, 3, 3, 3), (3, 3, 3), (3,), (3,), (3,)])
+    CHANNEL = (lpi_block, "blocks.0.lpi_", "weight", [(2, 3, 2, 4), (3, 4), (3,), (3,), (3,)])
+    CASES = pytest.mark.parametrize("block,prefix,weight,shapes", [SPATIAL, CHANNEL],
+                                    ids=["spatial-batch", "channel-batch"])
+
+    @staticmethod
+    def run(block, prefix, weight, tensors):
+        """``block`` as block 0 over (x, weight, bias, bn gamma, bn beta)."""
+        x, w, bias, gamma, beta = tensors
+        t = {prefix + weight: w, prefix + "bias": bias, prefix + "bn.gamma": gamma, prefix + "bn.beta": beta}
+        return block(x, t, 0, "train")
+
+    @CASES
+    def test_gradients(self, block, prefix, weight, shapes):
+        check_op(lambda t: scalarize(self.run(block, prefix, weight, t)), shapes, seed=5)
+
+    @CASES
+    def test_float32_stays_float32(self, block, prefix, weight, shapes):
+        rng = np.random.default_rng(6)
+        leaves = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+        out = self.run(block, prefix, weight, leaves)
+        scalarize(out).backward()
+        assert out.data.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in leaves)
 
 
 class TestBatchNorm:
