@@ -10,7 +10,10 @@ A predictor that reads out patch means over its own ``grid`` and whose class
 defines ``predict_features`` (a batched readout over feature rows) is evaluated
 in feature space when every region is a union of whole patches of that grid:
 zero-filling a region zeroes exactly its patches' means, so a game's 2^n
-coalitions become one feature matrix and one readout call. Any other
+coalitions become one feature matrix and one readout call. The volume's patch
+means are computed once per map by ``recursive_attribution`` and handed to
+every game; each game copies them into its 2^n rows and zeroes the absent
+members' patches, keeping the rows one C-contiguous float64 array. Any other
 predictor or region gets one zero-filled volume per coalition.
 """
 from __future__ import annotations
@@ -180,52 +183,83 @@ class SelectionResult:
         return load_artifact(path, cls.from_json)
 
 
-def _patch_indices(grid: PatchGrid, r: Region) -> np.ndarray | None:
-    """Grid indices of the patches tiling ``r``; None unless ``r`` is a union of whole patches."""
-    p = grid.patch_edge
-    if any(o % p or e % p or e > c * p for o, e, c in zip(r.origin, r.end, grid.counts)):
-        return None
-    (x0, y0, z0), (x1, y1, z1) = (tuple(c // p for c in corner) for corner in (r.origin, r.end))
-    nx, ny, nz = grid.counts
-    return np.arange(len(grid)).reshape(nz, ny, nx)[z0:z1, y0:y1, x0:x1].reshape(-1)
-
-
-def _feature_readouts(predictor: Predictor, volume: Volume, members: list[Region]) -> np.ndarray | None:
-    """Every coalition's readout from one ``predict_features`` call, or None.
-
-    None means the per-volume path must run: the predictor has no feature
-    readout over a grid of this volume, or some region is not a union of whole
-    patches of that grid. Otherwise row ``mask`` of the feature matrix is
-    ``patch_means(volume)`` with the absent regions' patches set to 0.0, which
-    are the same bits ``patch_means`` gives for the zero-filled volume.
+def _feature_grid(predictor: Predictor, volume: Volume) -> PatchGrid | None:
+    """The grid of the predictor's feature readout when it covers ``volume``, else None.
 
     The readout is looked up on the predictor's class: a proxy that overrides
     ``predict`` and forwards other attributes from an inner predictor stays
     opaque, so its own ``predict`` is what gets queried.
     """
-    grid = getattr(predictor, "grid", None)
-    readout = getattr(type(predictor), "predict_features", None)
-    if readout is None or not isinstance(grid, PatchGrid) or grid.vol_dims != volume.dims:
+    if getattr(type(predictor), "predict_features", None) is None:
         return None
-    tiles = [_patch_indices(grid, r) for r in members]
-    if any(t is None for t in tiles):
+    grid = getattr(predictor, "grid", None)
+    if not isinstance(grid, PatchGrid) or grid.vol_dims != volume.dims:
+        return None
+    return grid
+
+
+def _patch_box(grid: PatchGrid, r: Region) -> tuple[slice, slice, slice] | None:
+    """(z, y, x) slices of the grid patches tiling ``r``; None unless ``r`` is a
+    union of whole patches."""
+    p = grid.patch_edge
+    if any(o % p or e % p or e > c * p for o, e, c in zip(r.origin, r.end, grid.counts)):
+        return None
+    (x0, y0, z0), (x1, y1, z1) = (tuple(c // p for c in corner) for corner in (r.origin, r.end))
+    return slice(z0, z1), slice(y0, y1), slice(x0, x1)
+
+
+def _feature_readouts(
+    predictor: Predictor, volume: Volume, members: list[Region], *, features: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Every coalition's readout from one ``predict_features`` call, or None.
+
+    None means the per-volume path must run: the predictor has no feature
+    readout over a grid of this volume (:func:`_feature_grid`), or some region
+    is not a union of whole patches of that grid. ``features`` is the volume's
+    ``patch_means`` over that grid, computed here when None;
+    ``recursive_attribution`` computes it once per map and passes it to every
+    game.
+
+    Row ``mask`` of the feature matrix is ``features`` with the patches of the
+    members whose bit is clear set to 0.0, which are the same bits
+    ``patch_means`` gives for the zero-filled volume (a patch two absent
+    members cover is zeroed twice). The rows are built as one C-contiguous
+    float64 array filled from ``features``, then zeroed member by member
+    through strided views, so the readout sees one memory layout whatever
+    the game.
+    """
+    grid = _feature_grid(predictor, volume)
+    if grid is None:
+        return None
+    if features is None:
+        features = patch_means(volume, grid)
+    elif np.shape(features) != (len(grid),):
+        raise InvalidArgumentError(
+            f"features has shape {np.shape(features)}, expected ({len(grid)},) for the predictor's grid"
+        )
+    boxes = [_patch_box(grid, r) for r in members]
+    if any(b is None for b in boxes):
         return None
     n = len(members)
-    masks = np.arange(1 << n)
-    keep = np.ones((1 << n, len(grid)), dtype=bool)
-    for i, tile in enumerate(tiles):
-        keep[np.ix_((masks >> i) & 1 == 0, tile)] = False
-    features = np.where(keep, patch_means(volume, grid), 0.0)
-    return _checked_readouts(readout(predictor, features), 1 << n)
+    nx, ny, nz = grid.counts
+    rows = np.empty((1 << n, len(grid)), dtype=np.float64)
+    rows[...] = features
+    for i, (zs, ys, xs) in enumerate(boxes):
+        # Coalition masks as (high bits, bit i, low bits): [:, 0] are those without member i.
+        rows.reshape(-1, 2, 1 << i, nz, ny, nx)[:, 0, :, zs, ys, xs] = 0.0
+    return _checked_readouts(type(predictor).predict_features(predictor, rows), 1 << n)
 
 
-def _coalition_readouts(predictor: Predictor, volume: Volume, members: list[Region]) -> np.ndarray:
+def _coalition_readouts(
+    predictor: Predictor, volume: Volume, members: list[Region], *, features: np.ndarray | None = None
+) -> np.ndarray:
     """Readout for every coalition bitmask over ``members`` (2^n entries).
 
     Bit i set means member i stays intact; the members whose bit is clear are
-    zero-filled, and the rest of the volume is never touched.
+    zero-filled, and the rest of the volume is never touched. ``features`` is
+    passed to :func:`_feature_readouts`.
     """
-    batched = _feature_readouts(predictor, volume, members)
+    batched = _feature_readouts(predictor, volume, members, features=features)
     if batched is not None:
         return batched
     n = len(members)
@@ -264,10 +298,15 @@ def _shapley_from_readouts(readouts: np.ndarray, n: int) -> np.ndarray:
     return values
 
 
-def exact_shapley(predictor: Predictor, volume: Volume, regions: list[Region]) -> np.ndarray:
+def exact_shapley(
+    predictor: Predictor, volume: Volume, regions: list[Region], *, features: np.ndarray | None = None
+) -> np.ndarray:
     """Brute-force Shapley values over ``regions`` with a zero-fill baseline.
 
     Costs exactly 2^n predictor calls; refused above ``EXACT_SHAPLEY_MAX_REGIONS``.
+    ``features`` optionally gives the volume's patch means over a feature
+    predictor's grid, so a caller playing many games on one volume computes
+    them once; a vector of the wrong length is rejected.
     """
     n = len(regions)
     if n == 0:
@@ -280,16 +319,18 @@ def exact_shapley(predictor: Predictor, volume: Volume, regions: list[Region]) -
     for r in regions:
         if not volume.contains(r):
             raise InvalidArgumentError(f"region {r} outside volume dims {volume.dims}")
-    readouts = _coalition_readouts(predictor, volume, list(regions))
+    readouts = _coalition_readouts(predictor, volume, list(regions), features=features)
     return _shapley_from_readouts(readouts, n)
 
 
-def sibling_shapley(predictor: Predictor, volume: Volume, siblings: list[Region]) -> np.ndarray:
+def sibling_shapley(
+    predictor: Predictor, volume: Volume, siblings: list[Region], *, features: np.ndarray | None = None
+) -> np.ndarray:
     """``exact_shapley`` over one octree node's 1..8 children: the sibling game
     ``recursive_attribution`` plays at each node it splits."""
     if not 1 <= len(siblings) <= 8:
         raise InvalidArgumentError(f"sibling games support 1..8 regions, got {len(siblings)}")
-    return exact_shapley(predictor, volume, siblings)
+    return exact_shapley(predictor, volume, siblings, features=features)
 
 
 def _rule_fires(rule: str, value: float, tau: float) -> bool:
@@ -324,8 +365,11 @@ def recursive_attribution(
     zero-filled.
 
     The tree is walked one level at a time, and a level's games are played in
-    tree order on the calling thread. ``threads`` is accepted for existing
-    callers, is rejected below 1 and otherwise has no effect.
+    tree order on the calling thread. For a predictor with a feature readout
+    over a grid of this volume, the volume's patch means are computed once,
+    here, and every game builds its coalition rows from them. ``threads`` is
+    accepted for existing callers, is rejected below 1 and otherwise has no
+    effect.
 
     ``tau`` may be +/-inf (forcing one rule to always or never fire); NaN is
     rejected. A level whose games would take the map past ``budget`` predictor
@@ -339,6 +383,8 @@ def recursive_attribution(
         raise InvalidArgumentError("threads must be >= 1")
     _rule_fires(rule, 0.0, 0.0)  # validate rule name early
     grid = make_grid(volume.dims, leaf_edge)
+    feature_grid = _feature_grid(predictor, volume)
+    features = None if feature_grid is None else patch_means(volume, feature_grid)
     nx, ny, nz = grid.counts
     values = np.empty((nz, ny, nx), dtype=np.float64)
     refined = np.zeros((nz, ny, nx), dtype=bool)
@@ -362,7 +408,8 @@ def recursive_attribution(
                 Region([o * leaf_edge for o in c.origin], [s * leaf_edge for s in c.size])
                 for c in children
             ]
-            for child, value in zip(children, sibling_shapley(predictor, volume, siblings)):
+            game = sibling_shapley(predictor, volume, siblings, features=features)
+            for child, value in zip(children, game):
                 (x0, y0, z0), (x1, y1, z1) = child.origin, child.end
                 is_leaf = child.size == leaf
                 values[z0:z1, y0:y1, x0:x1] = value

@@ -10,7 +10,11 @@ run the convolution (:class:`_Conv`) and batch-norm (:class:`_Norm`)
 arithmetic of this module, which the single ops ``depthwise_conv2d`` and
 ``batch_norm`` expose as graph nodes, kept as that arithmetic's test
 references.
-Every product is laid out so numpy hands it to BLAS.
+Every product is laid out so numpy hands it to BLAS, except the depthwise
+kernel gradient's sum over each tap's (input site, output site) entries:
+numpy's ``add.reduceat`` adds those in one fixed order (:func:`_tap_segments`),
+because a BLAS product's summation order, and so its bits, follows the
+thread count.
 A convolution's dense per-channel maps are gathered once per kernel state
 (:func:`_conv_maps`), so repeated readouts of an unchanged network pay only
 for their products.
@@ -182,12 +186,23 @@ def _tap_index(h: int, w: int, kh: int, kw: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _tap_one_hot(h: int, w: int, kh: int, kw: int, dtype: np.dtype) -> np.ndarray:
-    """(H·W·H·W, kh·kw) one-hot rows of :func:`_tap_index`: a product with it
-    sums every (input site, output site) entry onto its kernel tap."""
-    one_hot = (_tap_index(h, w, kh, kw).reshape(-1, 1) == np.arange(kh * kw)).astype(dtype)
-    one_hot.setflags(write=False)
-    return one_hot
+def _tap_segments(h: int, w: int, kh: int, kw: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat entries of :func:`_tap_index` grouped by tap, as read-only
+    (order, starts, taps).
+
+    ``order`` lists every (input site, output site) entry that some tap joins,
+    sorted by tap and, within a tap, by entry; the entries of tap ``taps[k]``
+    begin at ``order[starts[k]]`` and run to the next start or the end. Taps
+    that join no pair are left out of ``taps``.
+    """
+    flat = _tap_index(h, w, kh, kw).reshape(-1)
+    counts = np.bincount(flat, minlength=kh * kw + 1)[:-1]
+    order = np.argsort(flat, kind="stable")[: counts.sum()]
+    taps = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[taps]
+    for table in (order, starts, taps):
+        table.setflags(write=False)
+    return order, starts, taps
 
 
 _maps_lock = threading.Lock()
@@ -227,8 +242,10 @@ class _Conv:
 
     Channel c is one dense (H·W × H·W) map over the sites, gathered from its
     kernel once per kernel state by :func:`_conv_maps`, and the planes are
-    copied to contiguous (C, B, H·W) site rows, so the forward pass and both
-    gradients are stacked products that numpy hands to BLAS.
+    copied to contiguous (C, B, H·W) site rows, so the forward pass, the input
+    gradient and the kernel gradient's per-map product are stacked products
+    that numpy hands to BLAS. The kernel gradient then sums each tap's map
+    entries with :func:`_tap_segments`.
     """
 
     def __init__(self, x: np.ndarray, kernel: np.ndarray):
@@ -259,8 +276,12 @@ class _Conv:
     def grad_kernel(self, g: np.ndarray) -> np.ndarray:
         C, kh, kw = self.kernel_shape
         g_maps = np.matmul(self.sites.transpose(0, 2, 1), self._rows(g))  # (C, in site, out site)
-        one_hot = _tap_one_hot(self.x_shape[1], self.x_shape[2], kh, kw, g_maps.dtype)
-        return (g_maps.reshape(C, -1) @ one_hot).reshape(self.kernel_shape)
+        # Each tap sums its entries with numpy's own reduction, in a fixed order,
+        # so the gradient's bits do not depend on how BLAS splits a product.
+        order, starts, taps = _tap_segments(self.x_shape[1], self.x_shape[2], kh, kw)
+        grad = np.zeros((C, kh * kw), dtype=g_maps.dtype)
+        grad[:, taps] = np.add.reduceat(g_maps.reshape(C, -1)[:, order], starts, axis=1)
+        return grad.reshape(self.kernel_shape)
 
 
 def depthwise_conv2d(x, kernel) -> Tensor:

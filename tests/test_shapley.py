@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import patchkit as pk
+from patchkit import shapley
 from patchkit.errors import (
     BudgetExceededError,
     ContractViolationError,
@@ -408,13 +409,15 @@ def aligned_region(draw, grid):
 
 
 class GridReadoutSpy:
-    """Surrogate front counting per-volume and batched calls."""
+    """Surrogate front counting per-volume and batched calls and keeping every
+    feature matrix it is given."""
 
     def __init__(self, inner):
         self.inner = inner
         self.grid = inner.grid
         self.volume_calls = 0
         self.batch_calls = 0
+        self.rows = []
 
     def predict(self, v):
         self.volume_calls += 1
@@ -422,6 +425,7 @@ class GridReadoutSpy:
 
     def predict_features(self, features):
         self.batch_calls += 1
+        self.rows.append(features)
         return self.inner.predict_features(features)
 
 
@@ -543,6 +547,62 @@ class TestFeatureSpaceGames:
 
         with pytest.raises(ContractViolationError):
             pk.exact_shapley(Broken(), v, list(grid.regions))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_coalition_rows_are_the_zero_filled_volumes_patch_means(self, data):
+        edge = data.draw(st.integers(1, 4), label="patch_edge")
+        counts = [data.draw(st.integers(1, 4), label="count") for _ in range(3)]
+        dims = tuple(c * edge + data.draw(st.integers(0, edge - 1)) for c in counts)
+        grid = pk.make_grid(dims, edge)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
+        members = [aligned_region(data.draw, grid) for _ in range(data.draw(st.integers(1, 6)))]
+        if len(members) < 6 and data.draw(st.booleans(), label="duplicate"):
+            members.append(members[0])  # one patch box covered by two members
+
+        spy = GridReadoutSpy(surrogate("logistic", grid, rng))
+        pk.exact_shapley(spy, v, members)
+        pk.exact_shapley(spy, v, members, features=pk.patch_means(v, grid))
+        n = len(members)
+        want = np.stack([
+            pk.patch_means(pk.perturb_zero(v, [members[i] for i in range(n) if not (mask >> i) & 1]), grid)
+            for mask in range(1 << n)
+        ])
+        assert (spy.batch_calls, spy.volume_calls) == (2, 0)
+        for rows in spy.rows:
+            assert rows.dtype == np.float64 and rows.flags.c_contiguous
+            assert rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("opaque, calls", [(False, 1), (True, 0)], ids=["features", "opaque"])
+    def test_patch_means_once_per_map(self, monkeypatch, opaque, calls):
+        dims = (16, 16, 16)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(12)
+        v = pk.Volume(dims, rng.random(4096, dtype=np.float32))
+        predictor = surrogate("logistic", grid, rng)
+        seen = []
+
+        def counting_patch_means(volume, grid):
+            seen.append(volume)
+            return pk.patch_means(volume, grid)
+
+        monkeypatch.setattr(shapley, "patch_means", counting_patch_means)
+        subject = CountingPredictor(predictor) if opaque else predictor
+        amap = pk.recursive_attribution(subject, v, 4, tau=math.inf, max_depth=2)
+        assert amap.evaluations == 9 * 256
+        assert len(seen) == calls
+        assert all(volume is v for volume in seen)
+
+    @pytest.mark.parametrize("shape", [(7,), (9,), (8, 1), ()], ids=str)
+    def test_features_of_the_wrong_shape_are_rejected(self, shape):
+        dims = (8, 8, 8)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(13)
+        v = pk.Volume(dims, rng.random(512, dtype=np.float32))
+        predictor = surrogate("logistic", grid, rng)
+        with pytest.raises(InvalidArgumentError, match="features"):
+            pk.sibling_shapley(predictor, v, list(grid.regions), features=np.zeros(shape))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_reduction_matches_the_coalition_loop(self, n):

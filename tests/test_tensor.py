@@ -152,13 +152,12 @@ class TestLoweredConv:
             T.depthwise_conv2d(Tensor(np.zeros((1, 2, 3, 1))), Tensor(np.zeros((1, 5, 2))))
 
     def test_tap_tables_are_cached_and_read_only(self):
-        for table in (lambda: T._tap_index(4, 3, 2, 3),
-                      lambda: T._tap_one_hot(4, 3, 2, 3, np.dtype(np.float32))):
-            first = table()
-            assert table() is first
+        assert T._tap_index(4, 3, 2, 3) is T._tap_index(4, 3, 2, 3)
+        assert T._tap_segments(4, 3, 2, 3) is T._tap_segments(4, 3, 2, 3)
+        for first in (T._tap_index(4, 3, 2, 3), *T._tap_segments(4, 3, 2, 3)):
             assert not first.flags.writeable
             with pytest.raises(ValueError):
-                first[0, 0] = 0
+                first[(0,) * first.ndim] = 0
 
 
 class TestBlockOps:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,42 @@ class TestTrainLoop:
         assert len(result.log) == 2
         assert set(result.log[0]) == {"epoch", "lr", "loss", "train_acc", "val_acc"}
         json.dumps(result.log)  # JSONL-serializable
+
+
+# One loss_and_grad at embed 64, depth 1, batch 8 over 36 8³ patches, then a
+# 2-epoch fit; prints the SHA-256 of the gradient bytes and of the fitted
+# learnable bytes. At this width the depthwise kernel gradient sums 1,296
+# (input site, output site) entries per channel, enough for a BLAS product to
+# split the sum by thread count.
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from patchkit.patchnet import PatchNetConfig, init_params, loss_and_grad
+from patchkit.train import TrainSchedule, train_patchnet
+cfg = PatchNetConfig(patch_edge=8, patch_count=36, embed_dim=64, depth=1, seed=3)
+rng = np.random.default_rng(0)
+x = rng.normal(size=(24, 36, 512)).astype(np.float32)
+y = np.arange(24) % 2
+_, grads = loss_and_grad(x[:8], y[:8], init_params(cfg))
+print(hashlib.sha256(b"".join(g.tobytes() for g in grads.values())).hexdigest())
+fit = train_patchnet(x[:16], y[:16], x[16:], y[16:], cfg, TrainSchedule(epochs=2, batch_size=8), seed=1)
+print(hashlib.sha256(fit.params.learnable.tobytes()).hexdigest())
+"""
+
+
+def test_training_bits_do_not_depend_on_blas_threads():
+    src = str(Path(pk.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout.split())
+    (grads_1, fit_1), (grads_2, fit_2) = outputs
+    assert grads_1 == grads_2
+    assert fit_1 == fit_2
 
 
 class TestDataPlumbing:
