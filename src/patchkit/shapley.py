@@ -35,11 +35,13 @@ from .errors import (
 )
 from .phantom import DatasetManifest
 from .surrogate import surrogate_features
-from .volume import PatchGrid, Region, Volume, make_grid, octree_children, patch_means, perturb_zero
+from .volume import PatchGrid, Region, Volume, _octree_split, make_grid, patch_means, perturb_zero
 
 logger = logging.getLogger(__name__)
 
 EXACT_SHAPLEY_MAX_REGIONS = 20
+# Coalition entries gathered at once by the Shapley reduction.
+_REDUCTION_BLOCK = 1 << 15
 DEFAULT_CALL_BUDGET = 100_000
 
 # Stand-in for an infinite t statistic when a patch has zero pooled variance
@@ -202,10 +204,13 @@ def _patch_box(grid: PatchGrid, r: Region) -> tuple[slice, slice, slice] | None:
     """(z, y, x) slices of the grid patches tiling ``r``; None unless ``r`` is a
     union of whole patches."""
     p = grid.patch_edge
-    if any(o % p or e % p or e > c * p for o, e, c in zip(r.origin, r.end, grid.counts)):
+    nx, ny, nz = grid.counts
+    (x0, y0, z0), (x1, y1, z1) = r.origin, r.end
+    if x0 % p or y0 % p or z0 % p or x1 % p or y1 % p or z1 % p:
         return None
-    (x0, y0, z0), (x1, y1, z1) = (tuple(c // p for c in corner) for corner in (r.origin, r.end))
-    return slice(z0, z1), slice(y0, y1), slice(x0, x1)
+    if x1 > nx * p or y1 > ny * p or z1 > nz * p:
+        return None
+    return slice(z0 // p, z1 // p), slice(y0 // p, y1 // p), slice(x0 // p, x1 // p)
 
 
 def _feature_readouts(
@@ -284,17 +289,31 @@ def _coalition_weights(n: int) -> np.ndarray:
 def _shapley_from_readouts(readouts: np.ndarray, n: int) -> np.ndarray:
     """Exact Shapley values from a full coalition-readout table.
 
-    Viewing the table as (2^(n-1-i), 2, 2^i) puts every coalition without
-    player i against the same coalition with i along the middle axis. Each
-    marginal difference is taken before it is weighted, so a null player's
-    value is exactly 0.0, and the weighted differences are summed in a fixed
-    order, so the result is reproducible.
+    Row i of the term table lists player i's weighted marginal differences
+    over the coalitions without i in ascending order: entry k belongs to the
+    mask ``k + ((k >> i) << i)``, which is k with a 0 inserted at bit i, so
+    the indices are built arithmetically and never cached. Each difference
+    is taken before it is weighted, so a null player's value is exactly 0.0,
+    and each row is summed as one contiguous array, so the result is
+    reproducible. Rows are filled ``_REDUCTION_BLOCK`` entries at a time and
+    summed as soon as they are full: a game of up to 12 players is one pass,
+    and a 20-player game holds one row of 2^19 terms at a time.
     """
     weights = _coalition_weights(n)
+    half = 1 << (n - 1)
+    rows = min(n, max(1, _REDUCTION_BLOCK // half))
+    cols = min(half, _REDUCTION_BLOCK)
+    terms = np.empty((rows, half), dtype=np.float64)
     values = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        pairs = readouts.reshape(-1, 2, 1 << i)
-        values[i] = (weights.reshape(-1, 2, 1 << i)[:, 0] * (pairs[:, 1] - pairs[:, 0])).sum()
+    for first in range(0, n, rows):
+        i = np.arange(first, min(first + rows, n))[:, None]
+        block = terms[: len(i)]
+        for start in range(0, half, cols):
+            k = np.arange(start, start + cols)
+            without = k + ((k >> i) << i)
+            diff = readouts[without + (1 << i)] - readouts[without]
+            block[:, start : start + cols] = weights[without] * diff
+        values[first : first + len(i)] = block.sum(axis=1)
     return values
 
 
@@ -355,9 +374,11 @@ def recursive_attribution(
     """Hierarchical perturbation attribution down to a uniform leaf grid.
 
     The octree splits the patch grid, not the voxels: a node is a block of
-    leaf indices, halved per axis by ``octree_children``, and a sibling Shapley
-    game is played among the voxel regions its children cover (level 1 splits
-    the whole grid). A node is split further when it holds more than one leaf,
+    leaf indices, held as an ``(origin, size)`` tuple of ints and halved per
+    axis as ``octree_children`` halves a region, and a sibling Shapley game is
+    played among the voxel regions its children cover (level 1 splits the
+    whole grid). Only those voxel regions are built as ``Region`` objects,
+    one per sibling. A node is split further when it holds more than one leaf,
     the refinement rule fires on its value and its level is below
     ``max_depth``. Each leaf inherits the value of the deepest computed node
     containing it. A one-leaf grid plays a one-player game on that leaf.
@@ -393,9 +414,9 @@ def recursive_attribution(
     levels = 0
     # Nodes whose children play a game at the current level. Levels are
     # written in order, so a child's values overwrite its parent's.
-    frontier = [Region((0, 0, 0), grid.counts)]
+    frontier = [((0, 0, 0), grid.counts)]
     while frontier:
-        games = [octree_children(node) if node.size != leaf else [node] for node in frontier]
+        games = [_octree_split(origin, size) for origin, size in frontier]
         cost = sum(1 << len(children) for children in games)
         if evaluations + cost > budget:
             raise BudgetExceededError(
@@ -405,17 +426,19 @@ def recursive_attribution(
         frontier = []
         for children in games:
             siblings = [
-                Region([o * leaf_edge for o in c.origin], [s * leaf_edge for s in c.size])
-                for c in children
+                Region((x * leaf_edge, y * leaf_edge, z * leaf_edge),
+                       (sx * leaf_edge, sy * leaf_edge, sz * leaf_edge))
+                for (x, y, z), (sx, sy, sz) in children
             ]
             game = sibling_shapley(predictor, volume, siblings, features=features)
-            for child, value in zip(children, game):
-                (x0, y0, z0), (x1, y1, z1) = child.origin, child.end
-                is_leaf = child.size == leaf
-                values[z0:z1, y0:y1, x0:x1] = value
-                refined[z0:z1, y0:y1, x0:x1] = is_leaf
+            for (origin, size), value in zip(children, game):
+                (x0, y0, z0), (sx, sy, sz) = origin, size
+                box = slice(z0, z0 + sz), slice(y0, y0 + sy), slice(x0, x0 + sx)
+                is_leaf = size == leaf
+                values[box] = value
+                refined[box] = is_leaf
                 if not is_leaf and levels < max_depth and _rule_fires(rule, value, tau):
-                    frontier.append(child)
+                    frontier.append((origin, size))
         evaluations += cost
     return AttributionMap(
         grid=grid,

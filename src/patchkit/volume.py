@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -20,28 +21,43 @@ VOL1_MAGIC = b"VOL1"
 _VOL1_HEADER = struct.Struct("<4sIII")
 
 
+def _int3(name: str, value) -> tuple[int, int, int]:
+    """``value`` as three Python ints; Python and numpy integers are accepted,
+    anything else raises InvalidArgumentError naming ``name``."""
+    try:
+        x, y, z = value
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must have 3 components, got {value!r}") from None
+    try:
+        return index(x), index(y), index(z)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be integers, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned cuboid: voxel origin (x0, y0, z0) and size (sx, sy, sz)."""
+    """Axis-aligned cuboid: voxel origin (x0, y0, z0) and size (sx, sy, sz).
+
+    ``end``, the exclusive upper corner (x0+sx, y0+sy, z0+sz), is set at
+    construction; equality, hashing, repr and JSON see only ``origin`` and
+    ``size``.
+    """
 
     origin: tuple[int, int, int]
     size: tuple[int, int, int]
+    end: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(int(v) for v in self.origin))
-        object.__setattr__(self, "size", tuple(int(v) for v in self.size))
-        if len(self.origin) != 3 or len(self.size) != 3:
-            raise InvalidArgumentError("region origin and size must have 3 components")
-        if any(o < 0 for o in self.origin):
-            raise InvalidArgumentError(f"region origin must be nonnegative, got {self.origin}")
-        if any(s < 1 for s in self.size):
-            raise InvalidArgumentError(f"region size must be >= 1 per axis, got {self.size}")
-
-    @functools.cached_property
-    def end(self) -> tuple[int, int, int]:
-        """Exclusive upper corner (x0+sx, y0+sy, z0+sz), computed once per region;
-        equality, hashing and JSON still see only ``origin`` and ``size``."""
-        return tuple(o + s for o, s in zip(self.origin, self.size))
+        origin = _int3("region origin", self.origin)
+        size = _int3("region size", self.size)
+        (x0, y0, z0), (sx, sy, sz) = origin, size
+        if x0 < 0 or y0 < 0 or z0 < 0:
+            raise InvalidArgumentError(f"region origin must be nonnegative, got {origin}")
+        if sx < 1 or sy < 1 or sz < 1:
+            raise InvalidArgumentError(f"region size must be >= 1 per axis, got {size}")
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "end", (x0 + sx, y0 + sy, z0 + sz))
 
     def contains(self, other: "Region") -> bool:
         return all(
@@ -73,10 +89,10 @@ class Volume:
     __slots__ = ("dims", "voxels")
 
     def __init__(self, dims: tuple[int, int, int], voxels, validate: bool = True):
-        dims = tuple(int(d) for d in dims)
+        dims = _int3("volume dims", dims)
         buf = np.ascontiguousarray(voxels, dtype=np.float32).reshape(-1)
         if validate:
-            if len(dims) != 3 or any(d < 1 for d in dims):
+            if min(dims) < 1:
                 raise InvalidArgumentError(f"volume dims must be three values >= 1, got {dims}")
             w, h, d = dims
             if buf.size != w * h * d:
@@ -165,10 +181,11 @@ def make_grid(vol_dims: tuple[int, int, int], patch_edge: int) -> PatchGrid:
     Counts use floor division per axis; remainder voxels belong to no patch.
     Grids are immutable, so equal arguments share one instance.
     """
-    if len(vol_dims) != 3:
-        raise InvalidArgumentError(f"volume dims must have 3 entries, got {vol_dims}")
-    w, h, d = (int(v) for v in vol_dims)
-    p = int(patch_edge)
+    w, h, d = _int3("volume dims", vol_dims)
+    try:
+        p = index(patch_edge)
+    except TypeError:
+        raise InvalidArgumentError(f"patch_edge must be an integer, got {patch_edge!r}") from None
     if p < 1:
         raise InvalidArgumentError(f"patch_edge must be positive, got {patch_edge}")
     if p > min(w, h, d):
@@ -218,29 +235,27 @@ def extract_patch(v: Volume, r: Region) -> np.ndarray:
     return v.as_array()[z0:z1, y0:y1, x0:x1].flatten()
 
 
+def _octree_split(origin: tuple[int, int, int], size: tuple[int, int, int]) -> list:
+    """The octree children of the box ``(origin, size)`` as ``(origin, size)``
+    int tuples, in :func:`octree_children`'s order; a 1x1x1 box is its own
+    only child."""
+    halves = []
+    for o, s in zip(origin, size):
+        lo = s // 2
+        halves.append(((o, lo), (o + lo, s - lo)) if lo else ((o, s),))
+    xs, ys, zs = halves
+    return [((x, y, z), (sx, sy, sz)) for z, sz in zs for y, sy in ys for x, sx in xs]
+
+
 def octree_children(r: Region) -> list[Region]:
     """Split a region into at most 8 disjoint halves covering it exactly.
 
     Each axis of size s splits into floor(s/2) and s - floor(s/2); axes of size
     1 do not split. Children are ordered low-half first per axis, z-major.
     """
-    if all(s < 2 for s in r.size):
+    if r.size == (1, 1, 1):
         raise InvalidArgumentError(f"cannot split 1x1x1 region at {r.origin}")
-    segments = []
-    for a in range(3):
-        s = r.size[a]
-        o = r.origin[a]
-        if s >= 2:
-            lo = s // 2
-            segments.append([(o, lo), (o + lo, s - lo)])
-        else:
-            segments.append([(o, s)])
-    return [
-        Region((xs[0], ys[0], zs[0]), (xs[1], ys[1], zs[1]))
-        for zs in segments[2]
-        for ys in segments[1]
-        for xs in segments[0]
-    ]
+    return [Region(origin, size) for origin, size in _octree_split(r.origin, r.size)]
 
 
 def patch_means(v: Volume, grid: PatchGrid) -> np.ndarray:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +199,25 @@ class TestRecursiveAttribution:
         assert amap.evaluations == (1 + 8) * 256
         assert amap.levels == 2
 
+    def test_golden_map_bytes(self):
+        """SHA-256 of one map's JSON, pinned: 11x9x7 leaves with remainder
+        voxels on every axis, some nodes refined and some inherited, and the
+        depth cap stopping some nodes above leaf size. Voxels are multiples
+        of 1/8 and weights multiples of 1/16, so every patch mean and
+        identity-link readout is exact whatever the BLAS summation order, and
+        only the Shapley reductions round."""
+        dims = (45, 38, 29)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(18)
+        v = pk.Volume(dims, rng.integers(0, 32, 45 * 38 * 29).astype(np.float32) / 8)
+        probe = pk.additive_probe(rng.integers(-32, 33, len(grid)) / 16, 0.25, grid)
+        amap = pk.recursive_attribution(probe, v, leaf_edge=4, tau=0.0, max_depth=3)
+        assert grid.counts == (11, 9, 7)
+        assert (amap.levels, amap.evaluations, int(amap.refined_mask.sum())) == (3, 2608, 33)
+        blob = json.dumps(amap.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "d6867a7e001645d66596f9f04bc8dc91595122291e53835f8565b7e38ea97a63")
+
     def test_no_refinement_inherits_coarse_values(self):
         dims = (16, 16, 16)
         rng = np.random.default_rng(3)
@@ -390,6 +411,18 @@ class TestRecursiveAttribution:
         assert np.array_equal(back.refined_mask, amap.refined_mask)
         assert back.evaluations == amap.evaluations
         assert back.tau == amap.tau and back.rule == amap.rule
+
+
+def per_player_reduction(readouts, n):
+    """The Shapley reduction as one numpy pass per player: the table viewed as
+    (2^(n-1-i), 2, 2^i) pairs every coalition without player i with the same
+    coalition with i along the middle axis."""
+    weights = shapley._coalition_weights(n)
+    values = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        pairs = readouts.reshape(-1, 2, 1 << i)
+        values[i] = (weights.reshape(-1, 2, 1 << i)[:, 0] * (pairs[:, 1] - pairs[:, 0])).sum()
+    return values
 
 
 def surrogate(link, grid, rng, scale=0.5):
@@ -622,7 +655,26 @@ class TestFeatureSpaceGames:
         readouts[1 << (n - 1):] = readouts[:1 << (n - 1)]  # the last player is null
         values = _shapley_from_readouts(readouts, n)
         assert np.allclose(values, loop_reference(readouts), rtol=0, atol=1e-15)
+        assert values.tobytes() == per_player_reduction(readouts, n).tobytes()
         assert values[n - 1] == 0.0
+
+    def test_a_twenty_player_reduction_stays_within_twice_the_per_player_memory(self):
+        n = shapley.EXACT_SHAPLEY_MAX_REGIONS
+        readouts = np.random.default_rng(20).random(1 << n)
+        shapley._coalition_weights(n)  # both reductions read the cached weights
+
+        def peak(reduce):
+            tracemalloc.start()
+            try:
+                values = reduce(readouts, n)
+                return values, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        reference, reference_peak = peak(per_player_reduction)
+        values, values_peak = peak(_shapley_from_readouts)
+        assert values.tobytes() == reference.tobytes()
+        assert values_peak <= 2 * reference_peak
 
     @pytest.mark.parametrize("link", ["identity", "logistic"])
     def test_null_patch_is_exactly_zero(self, link):

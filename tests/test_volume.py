@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import patchkit as pk
 from patchkit.errors import InvalidArgumentError
-from patchkit.volume import VOL1_MAGIC
+from patchkit.volume import VOL1_MAGIC, _octree_split
 
 
 def layout_volume(dims):
@@ -172,6 +172,31 @@ class TestOctreeChildren:
                 stack.extend(pk.octree_children(r))
         assert total == size[0] * size[1] * size[2]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        origin=st.tuples(*[st.integers(0, 50)] * 3),
+        size=st.tuples(*[st.integers(1, 9)] * 3),
+    )
+    def test_walk_split_matches_octree_children_and_tiles(self, origin, size):
+        halves = _octree_split(origin, size)
+        if size == (1, 1, 1):
+            assert halves == [(origin, size)]
+            with pytest.raises(InvalidArgumentError, match="cannot split 1x1x1"):
+                pk.octree_children(pk.Region(origin, size))
+            return
+        children = pk.octree_children(pk.Region(origin, size))
+        assert halves == [(c.origin, c.size) for c in children]
+        # Low half floor(s/2) first, z-major and x-fastest, one box per split.
+        assert halves[0] == (origin, tuple(s // 2 or 1 for s in size))
+        assert halves == sorted(halves, key=lambda box: box[0][::-1])
+        assert len(halves) == 2 ** sum(s > 1 for s in size)
+        assert all(type(v) is int for box in halves for corner in box for v in corner)
+        paint = np.zeros(size[::-1], dtype=np.int32)
+        for (x0, y0, z0), (sx, sy, sz) in halves:
+            x0, y0, z0 = x0 - origin[0], y0 - origin[1], z0 - origin[2]
+            paint[z0:z0 + sz, y0:y0 + sy, x0:x0 + sx] += 1
+        assert np.all(paint == 1)
+
 
 class TestPatchMeans:
     def test_matches_per_region_extraction(self):
@@ -262,6 +287,34 @@ class TestVolumeInvariants:
             pk.Region((0, 0, 0), (0, 1, 1))
         with pytest.raises(InvalidArgumentError):
             pk.Region((-1, 0, 0), (1, 1, 1))
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: pk.Region((0.7, 0, 0), (1, 1, 1)), "region origin"),
+        (lambda: pk.Region((0, 0, 0), (1.9, 1, 1)), "region size"),
+        (lambda: pk.Region((0, 0, 0), (1, float("nan"), 1)), "region size"),
+        (lambda: pk.Region("abc", (1, 1, 1)), "region origin"),
+        (lambda: pk.Region(5, (1, 1, 1)), "region origin"),
+        (lambda: pk.Region((0, 0, 0), (1, 1)), "region size"),
+        (lambda: pk.Region((0, 0, 0), np.array([2.0, 2.0, 2.0])), "region size"),
+        (lambda: pk.make_grid((64, 64, 64), 8.9), "patch_edge"),
+        (lambda: pk.make_grid((64, 64, 64), "8"), "patch_edge"),
+        (lambda: pk.make_grid((64.5, 64, 64), 8), "volume dims"),
+        (lambda: pk.make_grid((64, 64), 8), "volume dims"),
+        (lambda: pk.make_grid(64, 8), "volume dims"),
+        (lambda: pk.Volume((8.9, 8, 8), np.zeros(512, np.float32)), "volume dims"),
+        (lambda: pk.Volume(("8", 8, 8), np.zeros(512, np.float32)), "volume dims"),
+    ], ids=["float-origin", "float-size", "nan", "string", "scalar", "two-sizes", "float-array",
+            "float-edge", "string-edge", "float-dims", "two-dims", "scalar-dims",
+            "float-volume-dims", "string-volume-dims"])
+    def test_non_integral_coordinates_are_rejected(self, call, named):
+        with pytest.raises(InvalidArgumentError, match=named):
+            call()
+
+    def test_numpy_integers_are_accepted_as_python_ints(self):
+        r = pk.Region(np.array([1, 2, 3]), (np.int32(4), np.uint8(5), np.int64(6)))
+        assert r == pk.Region((1, 2, 3), (4, 5, 6))
+        assert all(type(v) is int for v in r.origin + r.size + r.end)
+        assert pk.make_grid(np.array([8, 8, 8]), np.int64(4)) is pk.make_grid((8, 8, 8), 4)
 
 
 class TestExtractPatchCopies:
