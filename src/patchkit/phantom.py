@@ -5,10 +5,15 @@ dark background) plus seeded Gaussian noise and optional box smoothing.
 Class 1 volumes run the same pipeline with intensities inside each lesion
 region multiplied by (1 - lesion_delta) before noise is added, so the classes
 differ only inside the planted lesions. Generation is bit-deterministic for a
-fixed spec: the noise stream for volume index i is derived from (seed, i).
+fixed spec: the noise stream for volume index i is derived from (seed, i), so
+``generate`` builds the volumes on one thread per available CPU and writes the
+same bytes whatever the CPU count. The noise draw and the box filter release
+the interpreter lock, so those threads run in parallel.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +22,9 @@ from scipy.ndimage import uniform_filter
 
 from .artifacts import load_artifact, typed, write_json
 from .errors import InvalidArgumentError
-from .volume import PatchGrid, Region, Volume, patch_means, read_vol, write_vol
+from .volume import (
+    PatchGrid, Region, Volume, _int, _int3, patch_means, read_vol, write_vol,
+)
 
 
 @dataclass(frozen=True)
@@ -31,9 +38,11 @@ class PhantomSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
+        object.__setattr__(self, "dims", _int3("dims", self.dims))
+        for name in ("n_per_class", "smooth_radius", "seed"):
+            object.__setattr__(self, name, _int(name, getattr(self, name)))
         object.__setattr__(self, "lesion_regions", tuple(self.lesion_regions))
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
+        if any(d < 1 for d in self.dims):
             raise InvalidArgumentError(f"dims must be three values >= 1, got {self.dims}")
         if self.n_per_class < 1:
             raise InvalidArgumentError("n_per_class must be >= 1")
@@ -152,43 +161,90 @@ def _volume_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-def synth_volume(spec: PhantomSpec, label: int, index: int, template: np.ndarray | None = None) -> Volume:
-    """Build one phantom volume: template -> lesion scaling -> noise -> blur -> clamp."""
-    if template is None:
-        template = base_anatomy(spec.dims)
-    arr = template.copy()
-    if label == 1:
-        for r in spec.lesion_regions:
-            (x0, y0, z0), (sx, sy, sz) = r.origin, r.size
-            arr[z0 : z0 + sz, y0 : y0 + sy, x0 : x0 + sx] *= 1.0 - spec.lesion_delta
+def _templates(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The noise-free class-0 and class-1 volumes: the anatomy template, and
+    the template with each lesion region scaled by (1 - lesion_delta) in turn."""
+    template = base_anatomy(spec.dims)
+    lesioned = template.copy()
+    for r in spec.lesion_regions:
+        (x0, y0, z0), (sx, sy, sz) = r.origin, r.size
+        lesioned[z0 : z0 + sz, y0 : y0 + sy, x0 : x0 + sx] *= 1.0 - spec.lesion_delta
+    return template, lesioned
+
+
+def _synth_into(spec: PhantomSpec, template: np.ndarray, index: int,
+                work: np.ndarray, out: np.ndarray) -> None:
+    """Volume ``index`` from its class ``template``: noise -> blur -> clamp in the
+    float64 ``work`` buffer, then cast into the float32 ``out`` buffer."""
     if spec.noise_sigma > 0:
-        rng = _volume_rng(spec.seed, index)
-        arr = arr + spec.noise_sigma * rng.standard_normal(arr.shape)
+        _volume_rng(spec.seed, index).standard_normal(out=work)
+        work *= spec.noise_sigma
+        work += template
+    else:
+        np.copyto(work, template)
     if spec.smooth_radius > 0:
-        arr = uniform_filter(arr, size=2 * spec.smooth_radius + 1, mode="nearest")
-    arr = np.clip(arr, 0.0, 1.0)
-    return Volume(spec.dims, arr.astype(np.float32).reshape(-1), validate=False)
+        uniform_filter(work, size=2 * spec.smooth_radius + 1, mode="nearest", output=work)
+    np.clip(work, 0.0, 1.0, out=work)
+    np.copyto(out, work)
+
+
+def synth_volume(spec: PhantomSpec, label: int, index: int) -> Volume:
+    """Build one phantom volume: template -> lesion scaling -> noise -> blur -> clamp."""
+    if label not in (0, 1):
+        raise InvalidArgumentError(f"label must be 0 or 1, got {label!r}")
+    template = _templates(spec)[label]
+    out = np.empty(template.shape, dtype=np.float32)
+    _synth_into(spec, template, index, np.empty_like(template), out)
+    return Volume(spec.dims, out, validate=False)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def generate(spec: PhantomSpec, out_dir) -> DatasetManifest:
     """Write ``2 * n_per_class`` VOL1 volumes plus ``manifest.json`` under ``out_dir``.
 
     Volume index = label * n_per_class + i, so the per-volume noise streams are
-    stable regardless of generation order.
+    stable regardless of generation order. Volume k is built by worker
+    k mod n, where the n workers are the calling thread plus one thread per
+    further available CPU; each works in its own pair of buffers. Every thread
+    is joined before this returns or raises, and the manifest is written only
+    once every volume is.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    template = base_anatomy(spec.dims)
-    entries: list[tuple[str, int]] = []
-    for label in (0, 1):
-        for i in range(spec.n_per_class):
-            index = label * spec.n_per_class + i
-            vol = synth_volume(spec, label, index, template)
-            name = f"vol_{label}_{i:04d}.vol"
-            write_vol(out_dir / name, vol)
-            entries.append((name, label))
+    templates = _templates(spec)
+    jobs = [
+        (f"vol_{label}_{i:04d}.vol", label, label * spec.n_per_class + i)
+        for label in (0, 1)
+        for i in range(spec.n_per_class)
+    ]
+    n = min(_available_cpus(), len(jobs))
+    # Allocated here, not in the workers: a buffer freed on a worker thread
+    # stays in that thread's malloc arena and raises the process's peak RSS.
+    buffers = [
+        (np.empty(templates[0].shape), np.empty(templates[0].shape, dtype=np.float32))
+        for _ in range(n)
+    ]
+
+    def work(k: int) -> None:
+        scratch, voxels = buffers[k]
+        for name, label, index in jobs[k::n]:
+            _synth_into(spec, templates[label], index, scratch, voxels)
+            write_vol(out_dir / name, Volume(spec.dims, voxels, validate=False))
+
+    with ThreadPoolExecutor(max_workers=max(n - 1, 1)) as pool:  # starts no thread at n = 1
+        futures = [pool.submit(work, k) for k in range(1, n)]
+        work(0)
+    for f in futures:
+        f.result()
     manifest = DatasetManifest(
-        spec=spec, ground_truth=spec.lesion_regions, entries=entries, root=out_dir
+        spec=spec, ground_truth=spec.lesion_regions,
+        entries=[(name, label) for name, label, _ in jobs], root=out_dir,
     )
     manifest.save(out_dir / "manifest.json")
     return manifest

@@ -34,6 +34,14 @@ def _int3(name: str, value) -> tuple[int, int, int]:
         raise InvalidArgumentError(f"{name} must be integers, got {value!r}") from None
 
 
+def _int(name: str, value) -> int:
+    """``value`` as a Python int, under the same rule as ``_int3``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned cuboid: voxel origin (x0, y0, z0) and size (sx, sy, sz).
@@ -182,10 +190,7 @@ def make_grid(vol_dims: tuple[int, int, int], patch_edge: int) -> PatchGrid:
     Grids are immutable, so equal arguments share one instance.
     """
     w, h, d = _int3("volume dims", vol_dims)
-    try:
-        p = index(patch_edge)
-    except TypeError:
-        raise InvalidArgumentError(f"patch_edge must be an integer, got {patch_edge!r}") from None
+    p = _int("patch_edge", patch_edge)
     if p < 1:
         raise InvalidArgumentError(f"patch_edge must be positive, got {patch_edge}")
     if p > min(w, h, d):
@@ -281,8 +286,9 @@ def patch_means(v: Volume, grid: PatchGrid) -> np.ndarray:
 
 def write_vol(path, v: Volume) -> None:
     """Write a volume in the VOL1 format (magic, u32 W/H/D, f32 LE voxels)."""
-    payload = _VOL1_HEADER.pack(VOL1_MAGIC, v.W, v.H, v.D) + v.voxels.astype("<f4").tobytes()
-    Path(path).write_bytes(payload)
+    with open(path, "wb") as f:
+        f.write(_VOL1_HEADER.pack(VOL1_MAGIC, v.W, v.H, v.D))
+        f.write(v.voxels.astype("<f4", copy=False))  # a view on little-endian hosts
 
 
 def read_vol(path) -> Volume:
