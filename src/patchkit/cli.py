@@ -3,9 +3,10 @@
 Every command reads one declarative JSON config (plus ``--set`` overrides),
 writes its artifacts under the output directory, and echoes the resolved
 configuration into ``run-<stage>.json`` so a run can be reproduced exactly.
-Exit codes: 0 success, 2 config error or unreadable input artifact, 3 missing
-stage dependency, 4 numerical failure, 5 call budget exceeded or predictor
-contract violated.
+Exit codes: 0 success, 2 config error, unreadable input artifact or operating
+system error (such as an output path that is an existing file), 3 missing stage
+dependency, 4 numerical failure, 5 call budget exceeded or predictor contract
+violated.
 """
 from __future__ import annotations
 
@@ -409,7 +410,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidArgumentError) as exc:
+    except (ConfigError, InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DependencyError as exc:

@@ -13,15 +13,15 @@ channels-last, (B, m, m, d), from the embedding to the pool. A block applies
 in that order, then average pooling and the affine head. Each stage
 (``embed_patches``, ``gsi_block``, ``lpi_block``, ``pool_head``) is the only
 code for its forward, built on the convolution and batch-norm arithmetic of
-``tensor``. Over plain arrays it returns an array: ``forward`` builds no
-graph. Eval mode reads the stored population statistics. Train mode
-normalises each layer by its batch mean and biased variance and stores
-them, so one train-mode forward over a training set leaves that set's
-population statistics, each layer's taken with the layers below it
-normalised by theirs. Given graph leaves, as in ``loss_and_grad``, a stage
-runs the same code on batch statistics, stores nothing, and returns one
-graph node whose closure is the stage's analytic backward; a depth-D
-training step chains 2·D + 3 nodes and writes nothing to the parameters.
+``tensor``, and takes and returns plain arrays. Eval mode reads the stored
+population statistics. Train mode normalises each layer by its batch mean
+and biased variance and stores them, so one train-mode forward over a
+training set leaves that set's population statistics, each layer's taken
+with the layers below it normalised by theirs. Given a ``tape`` (a list), as
+in ``loss_and_grad``, a stage runs the same code on batch statistics, stores
+nothing, and appends one closure, its analytic backward; a depth-D training
+step records 2·D + 3 closures with the loss and writes nothing to the
+parameters.
 The spatial convolution is depthwise (one m x m kernel per channel): a
 full channel-mixing spatial kernel would blow the parameter budget without
 adding anything the pointwise stage does not already provide.
@@ -32,8 +32,8 @@ writer, ``tensor_shapes`` and the learnable/statistic split all read it. A
 :class:`PatchNetParams` holds two float32 vectors, the learnable tensors and
 the stored batch-norm statistics, and one name -> view mapping into them, so
 an Adam step is one vector update and a copy is two vector copies. The
-forward reads its tensors by name; ``loss_and_grad`` lays graph leaves over
-the learnable views.
+forward reads its tensors by name; ``loss_and_grad`` passes the learnable
+views, in the step's dtype, and gets the gradients back by name.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ from . import tensor as T
 from .artifacts import typed
 from .errors import InvalidArgumentError, InvalidStateError
 from .shapley import is_perfect_square
-from .tensor import Tensor
 
 BN_EPS = 1e-5
 
@@ -195,20 +194,11 @@ def tensor_shapes(cfg: PatchNetConfig) -> dict[str, tuple[int, ...]]:
     return {name: shape for name, shape, _ in tensor_layout(cfg)}
 
 
-def _check_mode(mode: str) -> None:
+def _check_mode(mode: str, tape: list | None = None) -> None:
     if mode not in ("train", "eval"):
         raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
-
-
-def _on_graph(t: dict, weight: str, mode: str) -> bool:
-    """Whether a stage adds a graph node: ``t`` holds graph leaves (as in
-    ``loss_and_grad``), which only train mode may take."""
-    _check_mode(mode)
-    if not isinstance(t[weight], Tensor):
-        return False
-    if mode != "train":
-        raise InvalidArgumentError("graph leaves run in train mode only; an eval forward builds no graph")
-    return True
+    if tape is not None and mode != "train":
+        raise InvalidArgumentError("a tape records train mode only; an eval forward records nothing")
 
 
 def _patch_batch(patches, dtype=None) -> np.ndarray:
@@ -226,14 +216,13 @@ def _patch_batch(patches, dtype=None) -> np.ndarray:
     return batch
 
 
-def _batch_norm(rows: np.ndarray, t: dict, bn: str, mode: str, graph: bool) -> T._Norm:
+def _batch_norm(rows: np.ndarray, t: dict, bn: str, mode: str, tape: list | None) -> T._Norm:
     """The batch norm under the name prefix ``bn`` over (N, C) ``rows``. Eval
     mode reads the stored statistics. Train mode uses the batch mean and
-    biased variance, which an array forward stores and a graph stage does
-    not."""
+    biased variance, which a forward stores and a taped stage does not."""
     gamma, beta = t[bn + "gamma"], t[bn + "beta"]
-    if graph:
-        return T._Norm(rows, gamma.data, beta.data, BN_EPS, None)
+    if tape is not None:
+        return T._Norm(rows, gamma, beta, BN_EPS, None)
     mean, var = t[bn + "running_mean"], t[bn + "running_var"]
     norm = T._Norm(rows, gamma, beta, BN_EPS, (mean, var) if mode == "eval" else None)
     if mode == "train":
@@ -241,15 +230,15 @@ def _batch_norm(rows: np.ndarray, t: dict, bn: str, mode: str, graph: bool) -> T
     return norm
 
 
-def embed_patches(patches, cfg: PatchNetConfig, t: dict):
+def embed_patches(patches, cfg: PatchNetConfig, t: dict, *, tape: list | None = None) -> np.ndarray:
     """Project flattened patches and add position embeddings (tensors by name).
 
     One stack of patches (M, p^3) gives channels-last activations (m, m, d),
     and a batch (B, M, p^3) gives (B, m, m, d): patch i lands at spatial site
     (i // m, i % m) with its embedding along the last axis. NaN or infinite
     voxels are rejected: nothing downstream could give them a meaningful
-    output. When ``t`` holds graph leaves (``loss_and_grad``) the result is
-    a graph node; over plain arrays (``forward``) it is a plain array.
+    output. With a ``tape`` it appends the backward of the projection and
+    the position embeddings; the patches get no gradient.
     """
     x = np.asarray(patches)
     if x.shape[-2:] != (cfg.patch_count, cfg.patch_len):
@@ -260,110 +249,100 @@ def embed_patches(patches, cfg: PatchNetConfig, t: dict):
     if not np.isfinite(x).all():
         raise InvalidArgumentError("patches contain NaN or infinite voxels")
     shape = x.shape[:-2] + (cfg.side, cfg.side, cfg.embed_dim)
-    inputs = (t["projection"], t["pos_embed"])
-    graph = isinstance(inputs[0], Tensor)
-    projection, pos_embed = (v.data for v in inputs) if graph else inputs
+    pos_embed = t["pos_embed"]
     rows = x.reshape(-1, cfg.patch_len)
-    emb = (rows @ projection).reshape(x.shape[:-1] + (cfg.embed_dim,))
+    emb = (rows @ t["projection"]).reshape(x.shape[:-1] + (cfg.embed_dim,))
     emb += pos_embed
-    if not graph:
-        return emb.reshape(shape)
+    if tape is not None:
+        def backward(g):
+            g = g.reshape(-1, cfg.embed_dim)
+            return None, {"projection": rows.T @ g,
+                          "pos_embed": g.reshape((-1,) + pos_embed.shape).sum(axis=0)}
 
-    def backward(g):
-        g = g.reshape(-1, cfg.embed_dim)
-        T._push(inputs, (rows.T @ g, g.reshape((-1,) + pos_embed.shape).sum(axis=0)))
-
-    return T._node(emb.reshape(shape), inputs, backward)
+        tape.append(backward)
+    return emb.reshape(shape)
 
 
-def gsi_block(x, t: dict, i: int, mode: str):
+def gsi_block(x: np.ndarray, t: dict, i: int, mode: str, *, tape: list | None = None) -> np.ndarray:
     """Block i's depthwise spatial convolution + bias + BN + residual (no
     activation): (B, m, m, d) in and out.
 
-    Over arrays it returns an array; train mode stores the batch statistics
-    of the branch conv(x) + bias. Over a graph node and graph leaves it runs
-    the same code on batch statistics, stores nothing, and returns one node.
+    Train mode stores the batch statistics of the branch conv(x) + bias;
+    with a ``tape`` it stores nothing and appends the block's backward.
     """
     p = f"blocks.{i}.gsi_"
-    graph = _on_graph(t, p + "kernel", mode)
-    inputs = (x, t[p + "kernel"], t[p + "bias"], t[p + "bn.gamma"], t[p + "bn.beta"])
-    xs, kernel, bias, _, _ = (v.data for v in inputs) if graph else inputs
-    conv = T._Conv(xs, kernel)
-    norm = _batch_norm((conv.out + bias).reshape(-1, xs.shape[-1]), t, p + "bn.", mode, graph)
-    out = xs + norm.out.reshape(xs.shape)
-    if not graph:
-        return out
+    _check_mode(mode, tape)
+    conv = T._Conv(x, t[p + "kernel"])
+    norm = _batch_norm((conv.out + t[p + "bias"]).reshape(-1, x.shape[-1]), t, p + "bn.", mode, tape)
+    out = x + norm.out.reshape(x.shape)
+    if tape is not None:
+        def backward(g):
+            g_branch, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
+            g_conv = g_branch.reshape(x.shape)
+            return g + conv.grad_input(g_conv), {
+                p + "kernel": conv.grad_kernel(g_conv), p + "bias": g_branch.sum(axis=0),
+                p + "bn.gamma": g_gamma, p + "bn.beta": g_beta}
 
-    def backward(g):
-        g_branch, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
-        g_conv = g_branch.reshape(xs.shape)
-        g_x = g + conv.grad_input(g_conv) if x.requires_grad else None
-        T._push(inputs, (g_x, conv.grad_kernel(g_conv), g_branch.sum(axis=0), g_gamma, g_beta))
-
-    return T._node(out, inputs, backward)
+        tape.append(backward)
+    return out
 
 
-def lpi_block(x, t: dict, i: int, mode: str):
+def lpi_block(x: np.ndarray, t: dict, i: int, mode: str, *, tape: list | None = None) -> np.ndarray:
     """Block i's pointwise channel mixing + bias + ReLU + BN, (B, m, m, d) in
     and out; spatial sites stay independent.
 
-    Over arrays it returns an array; train mode stores the batch statistics
-    of relu(x @ W.T + b). Over a graph node and graph leaves it runs the
-    same code on batch statistics, stores nothing, and returns one node.
+    Train mode stores the batch statistics of relu(x @ W.T + b); with a
+    ``tape`` it stores nothing and appends the block's backward.
     """
     p = f"blocks.{i}.lpi_"
-    graph = _on_graph(t, p + "weight", mode)
-    inputs = (x, t[p + "weight"], t[p + "bias"], t[p + "bn.gamma"], t[p + "bn.beta"])
-    xs, weight, bias, _, _ = (v.data for v in inputs) if graph else inputs
-    rows = xs.reshape(-1, weight.shape[1])
+    _check_mode(mode, tape)
+    weight = t[p + "weight"]
+    rows = x.reshape(-1, weight.shape[1])
     pre = rows @ weight.T
-    pre += bias
+    pre += t[p + "bias"]
     np.maximum(pre, 0.0, out=pre)  # ReLU in place: pre > 0 stays its mask
-    norm = _batch_norm(pre, t, p + "bn.", mode, graph)
-    out = norm.out.reshape(xs.shape[:-1] + (weight.shape[0],))
-    if not graph:
-        return out
+    norm = _batch_norm(pre, t, p + "bn.", mode, tape)
+    out = norm.out.reshape(x.shape[:-1] + (weight.shape[0],))
+    if tape is not None:
+        def backward(g):
+            g_relu, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
+            g_pre = g_relu * (pre > 0)
+            return (g_pre @ weight).reshape(x.shape), {
+                p + "weight": g_pre.T @ rows, p + "bias": g_pre.sum(axis=0),
+                p + "bn.gamma": g_gamma, p + "bn.beta": g_beta}
 
-    def backward(g):
-        g_relu, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
-        g_pre = g_relu * (pre > 0)
-        g_x = (g_pre @ weight).reshape(xs.shape) if x.requires_grad else None
-        T._push(inputs, (g_x, g_pre.T @ rows, g_pre.sum(axis=0), g_gamma, g_beta))
-
-    return T._node(out, inputs, backward)
+        tape.append(backward)
+    return out
 
 
-def pool_head(x, t: dict):
+def pool_head(x: np.ndarray, t: dict, *, tape: list | None = None) -> np.ndarray:
     """Average pool over the m x m sites and the affine classifier:
-    (B, m, m, d) activations in, (B, C) logits out; a graph node when ``t``
-    holds graph leaves."""
-    inputs = (x, t["classifier_w"], t["classifier_b"])
-    graph = isinstance(inputs[1], Tensor)
-    xs, weight, bias = (v.data for v in inputs) if graph else inputs
-    pooled = xs.mean(axis=(1, 2))
-    logits = pooled @ weight + bias
-    if not graph:
-        return logits
+    (B, m, m, d) activations in, (B, C) logits out. With a ``tape`` it
+    appends the head's backward."""
+    weight = t["classifier_w"]
+    pooled = x.mean(axis=(1, 2))
+    logits = pooled @ weight + t["classifier_b"]
+    if tape is not None:
+        def backward(g):
+            g_pooled = np.expand_dims(g @ weight.T, (1, 2))
+            g_x = np.broadcast_to(g_pooled / (x.shape[1] * x.shape[2]), x.shape).copy()
+            return g_x, {"classifier_w": pooled.T @ g, "classifier_b": g.sum(axis=0)}
 
-    def backward(g):
-        g_pooled = np.expand_dims(g @ weight.T, (1, 2))
-        g_x = np.broadcast_to(g_pooled / (xs.shape[1] * xs.shape[2]), xs.shape).copy()
-        T._push(inputs, (g_x, pooled.T @ g, g.sum(axis=0)))
-
-    return T._node(logits, inputs, backward)
+        tape.append(backward)
+    return logits
 
 
-def _logits(batch: np.ndarray, cfg: PatchNetConfig, t: dict, mode: str):
+def _logits(batch: np.ndarray, cfg: PatchNetConfig, t: dict, mode: str, tape: list | None = None):
     """The stages in order over a (B, M, p^3) batch with tensors ``t``."""
-    x = embed_patches(batch, cfg, t)
+    x = embed_patches(batch, cfg, t, tape=tape)
     for i in range(cfg.depth):
-        x = lpi_block(gsi_block(x, t, i, mode), t, i, mode)
-    return pool_head(x, t)
+        x = lpi_block(gsi_block(x, t, i, mode, tape=tape), t, i, mode, tape=tape)
+    return pool_head(x, t, tape=tape)
 
 
 def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.ndarray, np.ndarray]:
     """Logits and softmax probabilities for one selected-patch stack
-    (M, p^3) or a batch of them (B, M, p^3), as plain array code: no graph.
+    (M, p^3) or a batch of them (B, M, p^3), as plain array code: no tape.
 
     Eval mode reads the stored statistics and leaves ``params`` unchanged.
     Train mode normalises each layer by its batch statistics, stores them
@@ -389,25 +368,20 @@ def loss_and_grad(patches, labels, params: PatchNetParams, dtype=np.float32) -> 
     """Mean cross-entropy over the batch plus gradients for every learnable
     tensor, by name, in ``learnable_arrays`` order.
 
-    This is the network's only graph: its leaves are the learnable tensors
-    in ``dtype``, each stage adds one node on batch statistics, and the
-    loss ends the chain, so a depth-D step builds 2·D + 3 nodes. The call
+    The learnable tensors in ``dtype`` run each stage on batch statistics,
+    and each stage and the loss append their analytic backward to one tape,
+    2·D + 3 closures at depth D, which ``Tensor.backward`` replays. The call
     reads no stored statistic and writes nothing to ``params``. Pass
     ``dtype=np.float64`` for the high-precision checking mode used by the
     finite-difference tests.
     """
     patches = _patch_batch(patches, dtype)
-    leaves = {
-        name: Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
-        for name, arr in params.learnable_arrays().items()
-    }
-    loss = T.softmax_cross_entropy(_logits(patches, params.config, leaves, "train"), labels)
-    loss.backward()
-    grads = {
-        name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-        for name, leaf in leaves.items()
-    }
-    return float(loss.data), grads
+    t = {name: np.asarray(arr, dtype=dtype) for name, arr in params.learnable_arrays().items()}
+    tape: list = []
+    logits = _logits(patches, params.config, t, "train", tape)
+    loss = T.Tensor(T.softmax_cross_entropy(logits, labels, tape=tape), tape)
+    grads = loss.backward()
+    return float(loss.data), {name: grads[name] for name in t}
 
 
 def save_checkpoint(path, params: PatchNetParams, extra: dict | None = None) -> None:

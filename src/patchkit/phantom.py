@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,11 @@ class PhantomSpec:
         object.__setattr__(self, "dims", _int3("dims", self.dims))
         for name in ("n_per_class", "smooth_radius", "seed"):
             object.__setattr__(self, name, _int(name, getattr(self, name)))
+        for name in ("lesion_delta", "noise_sigma"):
+            value = getattr(self, name)
+            if not isinstance(value, Real):
+                raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         object.__setattr__(self, "lesion_regions", tuple(self.lesion_regions))
         if any(d < 1 for d in self.dims):
             raise InvalidArgumentError(f"dims must be three values >= 1, got {self.dims}")

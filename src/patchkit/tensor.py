@@ -1,15 +1,12 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""Array arithmetic of the patch network and the tape that differentiates it.
 
-This is not a general autodiff graph. A :class:`Tensor` records its parents
-and a closure that pushes its output gradient to them (:func:`_node`), and
-``Tensor.backward`` replays those closures in reverse order: a tape. The
-patch network's stages (``patchnet.embed_patches``, ``gsi_block``,
-``lpi_block`` and ``pool_head``) each add one node with an analytic
-backward; the fused softmax cross-entropy here ends the chain. The stages
-run the convolution (:class:`_Conv`) and batch-norm (:class:`_Norm`)
-arithmetic of this module, which the single ops ``depthwise_conv2d`` and
-``batch_norm`` expose as graph nodes, kept as that arithmetic's test
-references.
+A training step runs the network's stages (``patchnet.embed_patches``,
+``gsi_block``, ``lpi_block``, ``pool_head``) and the fused softmax
+cross-entropy here over plain arrays, each appending one closure, its
+analytic backward, to a plain list: the tape. :class:`Tensor` holds the loss
+and that tape, and ``Tensor.backward`` replays the closures in reverse, as
+reverse mode over a recorded tape does. The stages run the convolution
+(:class:`_Conv`) and batch-norm (:class:`_Norm`) arithmetic of this module.
 Every product is laid out so numpy hands it to BLAS, except the depthwise
 kernel gradient's sum over each tap's (input site, output site) entries:
 numpy's ``add.reduceat`` adds those in one fixed order (:func:`_tap_segments`),
@@ -18,8 +15,8 @@ thread count.
 A convolution's dense per-channel maps are gathered once per kernel state
 (:func:`_conv_maps`), so repeated readouts of an unchanged network pay only
 for their products.
-Gradients accumulate in the dtype of the forward data, so running the graph in
-float64 gives a high-precision checking mode.
+Gradients come out in the dtype of the forward data, so a float64 step gives
+a high-precision checking mode.
 """
 from __future__ import annotations
 
@@ -33,79 +30,40 @@ from .errors import InvalidArgumentError, NumericalFailureError
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """A training step's loss (``data``, a 0-d array) and its ``tape``: one
+    closure per stage, in forward order, each mapping the gradient of its
+    stage's output to ``(input gradient, {parameter name: gradient})``.
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
-    def backward(self) -> None:
-        """Backpropagate from this (scalar or any-shape) tensor with seed gradient 1."""
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad:
-                    stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
-                # Free what the closure captured (saved activations, masks) as soon as it has run.
-                node._backward = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={self.grad is not None})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Op output over ``parents``; ``backward(g)`` pushes the output gradient ``g``
-    to them and is kept only when some parent requires a gradient. Closures
-    capture the parents, never the output, so a graph holds no reference cycle.
+    The loss is the only ``Tensor``: activations and parameters are plain
+    arrays. ``backward`` keeps its name because the benchmark's tracer times
+    ``patchkit.tensor.Tensor.backward`` as ``patchnet.backward.s``.
     """
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = parents
-        out._backward = backward
-    return out
 
+    __slots__ = ("data", "tape")
 
-def _push(inputs: tuple[Tensor, ...], grads: tuple[np.ndarray, ...]) -> None:
-    """Accumulate each gradient into its input where that input wants one."""
-    for t, g in zip(inputs, grads):
-        if t.requires_grad:
-            t._accumulate(g)
+    def __init__(self, data: np.ndarray, tape: list):
+        self.data = data
+        self.tape = tape
+
+    def backward(self) -> dict[str, np.ndarray]:
+        """Replay the tape in reverse from d(loss) = 1 and return every
+        parameter's gradient by name. Each closure is dropped from the tape
+        once it has run, which frees the activations it saved."""
+        g, grads = np.ones_like(self.data), {}
+        while self.tape:
+            g, named = self.tape.pop()(g)
+            grads.update(named)
+        return grads
 
 
 class _Norm:
     """Batch-norm arithmetic over the rows of an (N, C) array: the forward
-    values and the backward map, shared by :func:`batch_norm` and the patch
-    network's stages. ``stats`` is as in :func:`batch_norm`.
+    values ``gamma · (rows − mean) / sqrt(var + eps) + beta`` per channel and
+    the backward map.
+
+    With ``stats`` None, ``mean`` and ``var`` are the batch mean and biased
+    variance of the rows and the backward map runs through them; otherwise
+    ``stats`` is a constant (mean, var) pair of per-channel arrays.
     """
 
     def __init__(self, rows: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, stats):
@@ -136,25 +94,6 @@ class _Norm:
                       - self.xhat * (g_xhat * self.xhat).mean(axis=0))
         g_rows = (g_xhat * self.inv).astype(g.dtype, copy=False)
         return g_rows, (g * self.xhat).sum(axis=0), g.sum(axis=0)
-
-
-def batch_norm(x, gamma, beta, eps: float, stats=None) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """``gamma · (x − mean) / sqrt(var + eps) + beta`` per channel (last axis).
-
-    With ``stats`` None, mean and biased variance are the batch statistics
-    over every leading axis and the gradient flows through them; otherwise
-    ``stats`` is a constant (mean, var) pair of per-channel arrays. Returns
-    the output with the mean and variance it used, shaped (C,).
-    """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    shape = x.data.shape
-    norm = _Norm(x.data.reshape(-1, shape[-1]), gamma.data, beta.data, eps, stats)
-
-    def backward(g):
-        g_rows, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
-        _push((x, gamma, beta), (g_rows.reshape(shape), g_gamma, g_beta))
-
-    return _node(norm.out.reshape(shape), (x, gamma, beta), backward), norm.mean, norm.var
 
 
 def conv_same_padding(k: int) -> tuple[int, int]:
@@ -237,8 +176,8 @@ def _conv_maps(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
 
 class _Conv:
     """Same-padding depthwise correlation of channels-last (B, H, W, C) planes
-    with a (C, kh, kw) kernel, shared by :func:`depthwise_conv2d` and the
-    patch network's spatial stage.
+    with a (C, kh, kw) kernel: the patch network's spatial stage. Each channel
+    is correlated with its own kernel and the output keeps the input shape.
 
     Channel c is one dense (H·W × H·W) map over the sites, gathered from its
     kernel once per kernel state by :func:`_conv_maps`, and the planes are
@@ -284,39 +223,34 @@ class _Conv:
         return grad.reshape(self.kernel_shape)
 
 
-def depthwise_conv2d(x, kernel) -> Tensor:
-    """Per-channel 2D correlation with same-size zero padding.
+def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The forward values of :class:`_Conv`: each channel of the (B, H, W, C)
+    planes correlated with its own (kh, kw) kernel, same-size zero padding.
 
-    ``x`` has shape (B, H, W, C) and ``kernel`` (C, kh, kw); each channel is
-    correlated with its own kernel and the output keeps the input shape.
+    The package's stages use :class:`_Conv` itself. This name stays a module
+    attribute because the benchmark's tracer resolves
+    ``patchkit.tensor.depthwise_conv2d`` among the functions it times.
     """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
-    conv = _Conv(x.data, kernel.data)
-
-    def backward(g):
-        if kernel.requires_grad:
-            kernel._accumulate(conv.grad_kernel(g))
-        if x.requires_grad:
-            x._accumulate(conv.grad_input(g).astype(x.data.dtype, copy=False))
-
-    return _node(conv.out.astype(x.data.dtype, copy=False), (x, kernel), backward)
+    return _Conv(x, kernel).out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis (plain numpy, no graph)."""
+    """Numerically stable softmax over the last axis."""
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of integer ``labels`` under softmax(``logits``).
+def softmax_cross_entropy(logits, labels: np.ndarray, *, tape: list | None = None) -> np.ndarray:
+    """Mean cross-entropy of integer ``labels`` under softmax(``logits``), as
+    a 0-d array in the logits' dtype.
 
-    Returns a scalar tensor; rejects labels that are not one class index in
-    [0, C) per row, and raises on non-finite losses.
+    Rejects labels that are not one class index in [0, C) per row, and raises
+    on non-finite losses. With a ``tape`` it appends the closure that maps
+    d(loss) to d(logits).
     """
-    logits = _as_tensor(logits)
-    B, C = logits.data.shape
+    logits = np.asarray(logits)
+    B, C = logits.shape
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if labels.size != B:
         raise InvalidArgumentError(f"{labels.size} labels for batch of {B}")
@@ -324,16 +258,16 @@ def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
     if outside.size:
         raise InvalidArgumentError(f"label {outside[0]} is outside the {C} classes [0, {C})")
     with np.errstate(invalid="ignore", over="ignore"):
-        z = logits.data - logits.data.max(axis=1, keepdims=True)
+        z = logits - logits.max(axis=1, keepdims=True)
         log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         loss_value = -log_probs[np.arange(B), labels].mean()
     if not np.isfinite(loss_value):
         raise NumericalFailureError(f"cross-entropy loss is {loss_value}")
-
-    def backward(g):
-        if logits.requires_grad:
+    if tape is not None:
+        def backward(g):
             probs = np.exp(log_probs)
             probs[np.arange(B), labels] -= 1.0
-            logits._accumulate(g * probs / B)
+            return g * probs / B, {}
 
-    return _node(np.asarray(loss_value, dtype=logits.data.dtype), (logits,), backward)
+        tape.append(backward)
+    return np.asarray(loss_value, dtype=logits.dtype)

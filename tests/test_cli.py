@@ -155,6 +155,16 @@ class TestErrors:
         assert run(cfg, "gen") == 2
         assert path in capsys.readouterr().err
 
+    def test_os_error_exits_2_without_traceback(self, tmp_path, capsys):
+        # A data_dir that is an existing file fails in mkdir with an OSError.
+        cfg = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["gen", "--config", str(cfg), "--set", f"paths.data_dir={blocker}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(blocker) in err and "Traceback" not in err
+
     def test_unreadable_attribution_exits_2(self, pipeline_dir, tmp_path, capsys):
         text = (pipeline_dir[0] / "out" / "attribution.json").read_text()
         cfg = write_config(tmp_path)

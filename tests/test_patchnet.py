@@ -187,13 +187,17 @@ class TestBatchNormLayer:
             with pytest.raises(InvalidArgumentError, match="mode"):
                 block(x, make_block(2, 2), 0, "test")
 
-    def test_graph_leaves_in_eval_mode_rejected(self):
-        # Graph leaves take the graph op, which has no eval mode.
-        t = {name: Tensor(arr) for name, arr in make_block(2, 2).items()}
-        x = Tensor(np.zeros((1, 2, 2, 2)))
+    def test_tape_in_eval_mode_rejected(self):
+        # A tape records a training step, which runs on batch statistics.
+        t = make_block(2, 2)
+        stats = {name: arr.copy() for name, arr in t.items()}
+        x = np.zeros((1, 2, 2, 2))
         for block in (gsi_block, lpi_block):
+            tape = []
             with pytest.raises(InvalidArgumentError, match="train mode only"):
-                block(x, t, 0, "eval")
+                block(x, t, 0, "eval", tape=tape)
+            assert tape == []
+        assert all(np.array_equal(t[name], arr) for name, arr in stats.items())
 
 
 class TestLpiBlock:
@@ -385,7 +389,7 @@ class TestEvalForward:
         assert built == []
         assert params.learnable.tobytes() == learnable
         assert params.stats.tobytes() == stats
-        # The checks of the graph path still hold, still without a Tensor.
+        # The input checks of a training step hold here too, still without a Tensor.
         with pytest.raises(InvalidStateError, match="train first"):
             forward(x, init_params(params.config), mode="eval")
         for bad in (np.nan, np.inf, -np.inf):
@@ -416,7 +420,7 @@ class TestTrainForward:
         labels = np.random.default_rng(label_seed).integers(0, params.config.class_count, len(patches))
         loss, grads = loss_and_grad(patches, labels, params, dtype=patches.dtype)
         logits, _ = forward(patches, params, mode="train")
-        assert loss == float(T.softmax_cross_entropy(Tensor(logits), labels).data)
+        assert loss == float(T.softmax_cross_entropy(logits, labels))
         assert all(g.dtype == patches.dtype for g in grads.values())
 
     def test_float32_batch_norm_keeps_float64_precision(self):
@@ -567,21 +571,29 @@ class TestLossAndGrad:
         assert params.ready == ready
         assert all(type(arr) is np.ndarray for arr in params.learnable_arrays().values())
 
-    def test_depth_four_step_builds_11_graph_nodes(self, monkeypatch):
-        # One node per stage: the embedding, 2 per block (spatial, channel),
-        # the pooled head, then the loss: 2 * depth + 3.
+    def test_depth_four_step_tapes_11_closures(self, monkeypatch):
+        # One closure per stage: the embedding, 2 per block (spatial,
+        # channel), the pooled head, then the loss: 2 * depth + 3. The loss
+        # is the step's one Tensor, and its backward empties the tape.
         cfg = PatchNetConfig(patch_edge=2, patch_count=36, embed_dim=8, depth=4)
         params = init_params(cfg)
-        node, built = T._node, []
+        init, backward, taped, left = Tensor.__init__, Tensor.backward, [], []
 
-        def counting_node(data, parents, backward):
-            built.append(data.shape)
-            return node(data, parents, backward)
+        def recording_init(self, data, tape):
+            taped.append(len(tape))
+            init(self, data, tape)
 
-        monkeypatch.setattr(T, "_node", counting_node)
+        def recording_backward(self):
+            grads = backward(self)
+            left.append(len(self.tape))
+            return grads
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        monkeypatch.setattr(Tensor, "backward", recording_backward)
         rng = np.random.default_rng(23)
         loss_and_grad(rng.normal(0, 1, (8, 36, 8)), np.arange(8) % 2, params)
-        assert len(built) == 2 * cfg.depth + 3 == 11
+        assert taped == [2 * cfg.depth + 3] == [11]
+        assert left == [0]
 
 
 class TestParamsCopy:

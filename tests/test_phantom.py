@@ -60,6 +60,24 @@ def test_non_integral_fields_rejected_by_name(field, value):
         small_spec(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lesion_delta", "0.4"),
+    ("noise_sigma", "0.1"),
+    ("lesion_delta", None),
+    ("noise_sigma", [0.1]),
+])
+def test_non_real_fields_rejected_by_name(field, value):
+    with pytest.raises(InvalidArgumentError, match=f"{field} must be a real number"):
+        small_spec(**{field: value})
+
+
+def test_real_fields_are_stored_as_floats():
+    spec = small_spec(lesion_delta=np.float32(0.5), noise_sigma=0)
+    assert type(spec.lesion_delta) is float and spec.lesion_delta == 0.5
+    assert type(spec.noise_sigma) is float and spec.noise_sigma == 0.0
+    assert json.loads(json.dumps(spec.to_json()))["lesion_delta"] == 0.5
+
+
 def test_numpy_integer_fields_become_python_ints():
     spec = small_spec(dims=np.array([16, 16, 16]), n_per_class=np.int64(3),
                       smooth_radius=np.int32(1), seed=np.uint64(99))
