@@ -239,13 +239,13 @@ class TestBatchNorm:
         out = nchw(norm.out.reshape(5, 2, 3, 3))
         assert np.allclose(out, want + beta[:, None, None], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("stats", [None, STATS], ids=["batch", "stored"])
-    def test_float32_stays_float32(self, stats):
+    def test_float32_stays_float32(self):
         rows, ones = np.ones((8, 3), np.float32), np.ones(3, np.float32)
-        norm = T._Norm(rows, ones, np.zeros(3, np.float32), 1e-5, stats)
-        grads = norm.grads(np.ones((8, 3), np.float32))
-        assert norm.out.dtype == np.float32
-        assert all(g.dtype == np.float32 for g in grads)
+        for stats in (None, self.STATS):  # batch, then stored statistics
+            norm = T._Norm(rows, ones, np.zeros(3, np.float32), 1e-5, stats)
+            grads = norm.grads(np.ones((8, 3), np.float32))
+            assert norm.out.dtype == np.float32
+            assert all(g.dtype == np.float32 for g in grads)
 
 
 class TestSoftmaxCrossEntropy:
