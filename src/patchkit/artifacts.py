@@ -1,5 +1,6 @@
 """JSON artifact files, pretty-printed with sorted keys so reruns are byte-identical,
-and the type checks shared by artifact loaders and the run configuration."""
+the bounds-checked reader behind the binary formats (VOL1, PNC1), and the type
+checks shared by artifact loaders and the run configuration."""
 from __future__ import annotations
 
 import json
@@ -22,6 +23,34 @@ def read_json(path) -> dict:
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"{path}: top level is a {type(obj).__name__}, not a JSON object")
     return obj
+
+
+def byte_reader(path, kind: str):
+    """``(take, done)`` over the bytes of the ``kind`` file at ``path``.
+
+    ``take(n)`` returns the next ``n`` bytes as a zero-copy memoryview; ``done()``
+    checks that nothing follows the last byte taken. Both raise
+    InvalidArgumentError naming the file, ``kind`` and the byte offset.
+    """
+    raw = memoryview(Path(path).read_bytes())
+    off = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal off
+        if off + n > len(raw):
+            raise InvalidArgumentError(
+                f"{path}: {kind} truncated, {len(raw)} bytes but byte {off + n} needed"
+            )
+        off += n
+        return raw[off - n : off]
+
+    def done() -> None:
+        if off != len(raw):
+            raise InvalidArgumentError(
+                f"{path}: {len(raw) - off} trailing bytes after the {off}-byte {kind}"
+            )
+
+    return take, done
 
 
 def load_artifact(path, from_json):

@@ -3,10 +3,10 @@
 Every command reads one declarative JSON config (plus ``--set`` overrides),
 writes its artifacts under the output directory, and echoes the resolved
 configuration into ``run-<stage>.json`` so a run can be reproduced exactly.
-Exit codes: 0 success, 2 config error, unreadable input artifact or operating
-system error (such as an output path that is an existing file), 3 missing stage
-dependency, 4 numerical failure, 5 call budget exceeded or predictor contract
-violated.
+Exit codes: 0 success, 2 config error, unreadable input artifact, holdout
+split with no test or training sample of a class, or operating system error
+(such as an output path that is an existing file), 3 missing stage dependency,
+4 numerical failure, 5 call budget exceeded or predictor contract violated.
 """
 from __future__ import annotations
 
@@ -57,6 +57,15 @@ EXIT_CONFIG = 2
 EXIT_DEPENDENCY = 3
 EXIT_NUMERICAL = 4
 EXIT_GUARD = 5  # call budget exceeded or predictor contract violated
+
+# The exit code of an error is that of the first row whose types it matches.
+EXIT_CODES = (
+    ((ConfigError, InvalidArgumentError, OSError), EXIT_CONFIG),
+    (DependencyError, EXIT_DEPENDENCY),
+    ((NumericalFailureError, EmptyCohortError), EXIT_NUMERICAL),
+    ((BudgetExceededError, ContractViolationError), EXIT_GUARD),
+    (PatchkitError, EXIT_NUMERICAL),
+)
 
 
 def _manifest_path(cfg: RunConfig) -> Path:
@@ -209,10 +218,19 @@ def cmd_select(cfg: RunConfig) -> int:
 
 
 def _holdout_split(cfg, labels, seed):
-    """Stratified (train, val, test) indices at the configured fractions."""
-    test_idx, val_idx, train_idx = stratified_split(
-        labels, (cfg.train.test_fraction, cfg.train.val_fraction), seed
-    )
+    """Stratified (train, val, test) indices at the configured fractions;
+    InvalidArgumentError naming ``train.test_fraction`` when the test or the
+    training part has no sample of some class."""
+    tr = cfg.train
+    test_idx, val_idx, train_idx = stratified_split(labels, (tr.test_fraction, tr.val_fraction), seed)
+    for c in np.unique(labels):
+        for part, idx in (("test", test_idx), ("training", train_idx)):
+            if not np.any(labels[idx] == c):
+                raise InvalidArgumentError(
+                    f"train.test_fraction: test share {tr.test_fraction} and validation share "
+                    f"{tr.val_fraction} of the {np.sum(labels == c)} class-{c} samples leave "
+                    f"no class-{c} sample in the {part} part"
+                )
     return train_idx, val_idx, test_idx
 
 
@@ -228,12 +246,18 @@ def _fit_and_score(cfg, features, labels, split, seed):
     return result, class_scores(result.params, features[test_idx])
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def _selected_patches(cfg: RunConfig):
+    """``(grid, selection, features, labels)``: the stored selection over the
+    dataset's patch grid and its (N, M, p^3) patch stack with the labels."""
     manifest = _load_manifest(cfg)
-    out = _out_dir(cfg)
-    selection = SelectionResult.load(_require(out / "selection.json", "select"))
+    selection = SelectionResult.load(_require(_out_dir(cfg) / "selection.json", "select"))
     grid = make_grid(manifest.spec.dims, cfg.grid.patch_edge)
-    features, labels = extract_selected_patches(manifest, grid, selection)
+    return (grid, selection, *extract_selected_patches(manifest, grid, selection))
+
+
+def cmd_train(cfg: RunConfig) -> int:
+    grid, selection, features, labels = _selected_patches(cfg)
+    out = _out_dir(cfg)
     seed = cfg.stage_seed("train")
     train_idx, val_idx, test_idx = split = _holdout_split(cfg, labels, seed)
     result, scores = _fit_and_score(cfg, features, labels, split, seed)
@@ -268,11 +292,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    manifest = _load_manifest(cfg)
+    _, _, features, labels = _selected_patches(cfg)
     out = _out_dir(cfg)
-    selection = SelectionResult.load(_require(out / "selection.json", "select"))
-    grid = make_grid(manifest.spec.dims, cfg.grid.patch_edge)
-    features, labels = extract_selected_patches(manifest, grid, selection)
     seed = cfg.stage_seed("eval")
     assignments = kfold_indices(
         labels, cfg.eval.k, cfg.eval.repeats, seed, stratified=cfg.eval.stratified
@@ -408,23 +429,10 @@ def _resolve_config(args) -> RunConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidArgumentError, OSError) as exc:
+        return COMMANDS[args.command](_resolve_config(args))
+    except (PatchkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DependencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEPENDENCY
-    except (NumericalFailureError, EmptyCohortError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (BudgetExceededError, ContractViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except PatchkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

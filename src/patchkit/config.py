@@ -137,17 +137,7 @@ class RunConfig:
         return asdict(self)
 
 
-_SECTIONS = {
-    "paths": PathsConfig,
-    "phantom": PhantomConfig,
-    "grid": GridConfig,
-    "explainer": ExplainerConfig,
-    "selection": SelectionConfig,
-    "net": NetConfig,
-    "train": TrainConfig,
-    "eval": EvalConfig,
-    "compare": CompareConfig,
-}
+_SECTIONS = {name: cls for name, cls in get_type_hints(RunConfig).items() if is_dataclass(cls)}
 
 
 def _build_section(cls, values: dict, path: str):

@@ -138,36 +138,29 @@ def kfold_indices(
 ) -> list[list[np.ndarray]]:
     """Test-fold index arrays for ``repeats`` seeded shuffles of k folds.
 
-    Stratified folds deal each class round-robin after a per-repeat shuffle,
-    keeping class proportions within one sample; the plain variant shuffles
-    the whole index range.
+    Each repeat shuffles every index group and deals it round-robin into the
+    folds. Stratified folds use one group per class, which keeps class
+    proportions within one sample; the plain variant uses one group of all
+    samples.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if k < 2:
         raise InvalidArgumentError("k must be >= 2")
     if stratified:
-        smallest = min(int(np.sum(labels == c)) for c in np.unique(labels))
-        if k > smallest:
-            raise InvalidArgumentError(
-                f"k={k} exceeds the smallest class size {smallest}"
-            )
-    elif k > labels.size:
-        raise InvalidArgumentError(f"k={k} exceeds sample count {labels.size}")
+        groups = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    else:
+        groups = [np.arange(labels.size)]
+    smallest = min((len(g) for g in groups), default=0)
+    if k > smallest:
+        what = "smallest class size" if stratified else "sample count"
+        raise InvalidArgumentError(f"k={k} exceeds the {what} {smallest}")
     all_repeats = []
     for rep in range(repeats):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, rep))))
-        folds: list[list[int]] = [[] for _ in range(k)]
-        if stratified:
-            for cls in np.unique(labels):
-                idx = np.flatnonzero(labels == cls)
-                idx = idx[rng.permutation(len(idx))]
-                for pos, sample in enumerate(idx):
-                    folds[pos % k].append(int(sample))
-        else:
-            idx = rng.permutation(labels.size)
-            for pos, sample in enumerate(idx):
-                folds[pos % k].append(int(sample))
-        all_repeats.append([np.array(sorted(f), dtype=np.int64) for f in folds])
+        dealt = [g[rng.permutation(len(g))] for g in groups]
+        all_repeats.append(
+            [np.sort(np.concatenate([idx[f::k] for idx in dealt])) for f in range(k)]
+        )
     return all_repeats
 
 

@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .artifacts import typed
+from .artifacts import byte_reader, typed
 from .errors import InvalidArgumentError, InvalidStateError
 from .shapley import is_perfect_square
 
@@ -406,6 +406,10 @@ def save_checkpoint(path, params: PatchNetParams, extra: dict | None = None) -> 
     Path(path).write_bytes(b"".join(parts))
 
 
+def _u32(take) -> int:
+    return int.from_bytes(take(4), "little")
+
+
 def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
     """Read a PNC1 checkpoint, rejecting truncated or extended files and any
     tensor whose stored shape differs from the one its config builds.
@@ -416,29 +420,15 @@ def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
     loader allocate more than the file stores, and no corrupt record escapes
     as anything but an InvalidArgumentError naming the file.
     """
-    raw = Path(path).read_bytes()
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(raw):
-            raise InvalidArgumentError(
-                f"{path}: checkpoint truncated, {len(raw)} bytes but byte {off + n} needed"
-            )
-        off += n
-        return raw[off - n : off]
-
-    def u32() -> int:
-        return int.from_bytes(take(4), "little")
-
-    magic = take(4)
+    take, done = byte_reader(path, "checkpoint")
+    magic = bytes(take(4))
     if magic != CHECKPOINT_MAGIC:
         raise InvalidArgumentError(f"{path}: bad checkpoint magic {magic!r}")
-    version = u32()
+    version = _u32(take)
     if version != CHECKPOINT_VERSION:
         raise InvalidArgumentError(f"{path}: unsupported checkpoint version {version}")
     try:
-        blob = json.loads(take(u32()).decode("utf-8"))
+        blob = json.loads(str(take(_u32(take)), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidArgumentError(f"{path}: unreadable config blob: {exc}") from exc
     try:
@@ -448,10 +438,10 @@ def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
     if not isinstance(blob.get("extra", {}), dict):
         raise InvalidArgumentError(f"{path}: config blob 'extra' must be a JSON object")
     shapes = tensor_shapes(cfg)
-    stored: dict[str, bytes] = {}
-    for _ in range(u32()):
-        name = take(u32()).decode("utf-8", errors="replace")
-        dims = tuple(u32() for _ in range(u32()))
+    stored: dict[str, memoryview] = {}
+    for _ in range(_u32(take)):
+        name = str(take(_u32(take)), "utf-8", errors="replace")
+        dims = tuple(_u32(take) for _ in range(_u32(take)))
         data = take(4 * math.prod(dims))
         if name in stored:
             raise InvalidArgumentError(f"{path}: tensor {name} is stored twice")
@@ -460,8 +450,7 @@ def load_checkpoint(path) -> tuple[PatchNetParams, dict]:
                 f"{path}: tensor {name} has shape {dims}, expected {shapes[name]}"
             )
         stored[name] = data
-    if off != len(raw):
-        raise InvalidArgumentError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
+    done()
     if set(stored) != set(shapes):
         raise InvalidArgumentError(
             f"{path}: checkpoint tensors differ from the config: missing "
@@ -497,16 +486,6 @@ class OpCountReport:
         )
         lines.extend(self.notes)
         return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [{"layer": n, "params": p, "macs": m} for n, p, m in self.rows],
-            "total_params": self.total_params,
-            "total_macs": self.total_macs,
-            "reference_params": self.reference_params,
-            "reference_gmacs": self.reference_gmacs,
-            "notes": self.notes,
-        }
 
 
 def op_count_report(cfg: PatchNetConfig) -> OpCountReport:

@@ -119,6 +119,13 @@ class DatasetManifest:
     def load_volume(self, i: int) -> Volume:
         return read_vol(self.volume_path(i))
 
+    def patch_means(self, grid: PatchGrid) -> np.ndarray:
+        """(N, K) float64 features: row i is ``patch_means`` of volume i over ``grid``."""
+        features = np.empty((len(self.entries), len(grid)))
+        for i in range(len(self.entries)):
+            features[i] = patch_means(self.load_volume(i), grid)
+        return features
+
     def to_json(self) -> dict:
         return {
             "spec": self.spec.to_json(),
@@ -258,15 +265,8 @@ def generate(spec: PhantomSpec, out_dir) -> DatasetManifest:
 
 def class_separability(manifest: DatasetManifest, grid: PatchGrid) -> np.ndarray:
     """Per-patch difference of class-mean patch intensities (class 1 - class 0)."""
-    if tuple(grid.vol_dims) != tuple(manifest.spec.dims):
-        raise InvalidArgumentError(
-            f"grid dims {grid.vol_dims} do not match dataset dims {manifest.spec.dims}"
-        )
-    sums = {0: np.zeros(len(grid)), 1: np.zeros(len(grid))}
-    counts = {0: 0, 1: 0}
-    for i, (_, label) in enumerate(manifest.entries):
-        sums[label] += patch_means(manifest.load_volume(i), grid)
-        counts[label] += 1
-    if counts[0] == 0 or counts[1] == 0:
+    labels = manifest.labels()
+    if not (np.any(labels == 0) and np.any(labels == 1)):
         raise InvalidArgumentError("both classes must be present")
-    return sums[1] / counts[1] - sums[0] / counts[0]
+    features = manifest.patch_means(grid)
+    return features[labels == 1].mean(axis=0) - features[labels == 0].mean(axis=0)

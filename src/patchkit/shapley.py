@@ -34,7 +34,6 @@ from .errors import (
     InvalidArgumentError,
 )
 from .phantom import DatasetManifest
-from .surrogate import surrogate_features
 from .volume import PatchGrid, Region, Volume, _octree_split, make_grid, patch_means, perturb_zero
 
 logger = logging.getLogger(__name__)
@@ -516,7 +515,7 @@ def ttest_select(manifest: DatasetManifest, grid: PatchGrid, m_patches: int) -> 
         raise InvalidArgumentError(f"M must be a perfect square, got {m_patches}")
     if m_patches > len(grid):
         raise InvalidArgumentError(f"M={m_patches} exceeds patch count {len(grid)}")
-    features, labels = surrogate_features(manifest, grid)
+    features, labels = manifest.patch_means(grid), manifest.labels()
     x1 = features[labels == 1]
     x0 = features[labels == 0]
     if len(x1) < 2 or len(x0) < 2:

@@ -94,13 +94,6 @@ def additive_probe(weights, bias: float, grid: PatchGrid) -> SurrogatePredictor:
     return SurrogatePredictor(SurrogateParams(np.asarray(weights), bias, "identity"), grid)
 
 
-def surrogate_features(manifest: DatasetManifest, grid: PatchGrid) -> tuple[np.ndarray, np.ndarray]:
-    feats = np.stack(
-        [patch_means(manifest.load_volume(i), grid) for i in range(len(manifest.entries))]
-    )
-    return feats, manifest.labels()
-
-
 def surrogate_train(
     manifest: DatasetManifest,
     grid: PatchGrid,
@@ -117,7 +110,7 @@ def surrogate_train(
     returns the best (lowest-loss) iterate seen.
     """
     lr, tol = 0.5, 1e-6
-    x, y = surrogate_features(manifest, grid)
+    x, y = manifest.patch_means(grid), manifest.labels()
     if np.sum(y == 0) < 2 or np.sum(y == 1) < 2:
         raise InvalidArgumentError("need >= 2 samples per class to train the surrogate")
     n, k = x.shape

@@ -10,11 +10,10 @@ import functools
 import struct
 from dataclasses import dataclass, field
 from operator import index
-from pathlib import Path
 
 import numpy as np
 
-from .artifacts import typed
+from .artifacts import byte_reader, typed
 from .errors import InvalidArgumentError
 
 VOL1_MAGIC = b"VOL1"
@@ -293,22 +292,12 @@ def write_vol(path, v: Volume) -> None:
 
 def read_vol(path) -> Volume:
     """Read a VOL1 file, rejecting wrong magic and payloads of the wrong length."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _VOL1_HEADER.size:
-        raise InvalidArgumentError(f"{path}: file too short for a VOL1 header")
-    magic, w, h, d = _VOL1_HEADER.unpack_from(raw)
+    take, done = byte_reader(path, "VOL1 file")
+    magic, w, h, d = _VOL1_HEADER.unpack(take(_VOL1_HEADER.size))
     if magic != VOL1_MAGIC:
         raise InvalidArgumentError(f"{path}: bad magic {magic!r}, expected {VOL1_MAGIC!r}")
-    expected = _VOL1_HEADER.size + 4 * w * h * d
-    if len(raw) < expected:
-        raise InvalidArgumentError(
-            f"{path}: payload truncated, {len(raw)} bytes < {expected} expected"
-        )
-    if len(raw) > expected:
-        raise InvalidArgumentError(
-            f"{path}: {len(raw) - expected} trailing bytes after the {expected}-byte payload"
-        )
-    voxels = np.frombuffer(raw, dtype="<f4", count=w * h * d, offset=_VOL1_HEADER.size)
+    voxels = np.frombuffer(take(4 * w * h * d), dtype="<f4")
+    done()
     try:
         return Volume((w, h, d), voxels)
     except InvalidArgumentError as exc:  # zero dims or non-finite voxels

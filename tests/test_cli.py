@@ -191,6 +191,28 @@ class TestErrors:
         assert run(cfg, "train") == 2
         assert "selected patch 64 is outside the grid of 64 patches" in capsys.readouterr().err
 
+    def test_train_without_a_test_sample_exits_2(self, tmp_path, capsys):
+        # Two volumes per class at test_fraction 0.25: round(0.5) = 0 test samples.
+        cfg = write_config(tmp_path, **{"phantom.n_per_class": 2, "selection.method": "ttest"})
+        for stage in ("gen", "select"):
+            assert run(cfg, stage) == 0
+        capsys.readouterr()
+        assert run(cfg, "train") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.test_fraction: ") and err.count("\n") == 1, err
+        assert "of the 2 class-0 samples" in err and "test part" in err
+
+    def test_compare_without_a_test_sample_exits_2(self, pipeline_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"phantom.n_per_class": 2})
+        assert run(cfg, "gen") == 0
+        (tmp_path / "out" / "attribution.json").write_bytes(
+            (pipeline_dir[0] / "out" / "attribution.json").read_bytes()
+        )
+        capsys.readouterr()
+        assert run(cfg, "compare") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.test_fraction: ") and err.count("\n") == 1, err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "absent.json")]) == 2
 

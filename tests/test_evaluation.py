@@ -161,6 +161,19 @@ class TestKfold:
         assert sorted(len(f) for f in folds) == [1, 1, 1, 1, 1]
         assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(5))
 
+    @pytest.mark.parametrize("stratified, expected", [
+        (True, [[[1, 3, 4, 6, 11], [2, 8, 9, 10, 12], [0, 5, 7, 13]],
+                [[2, 5, 10, 11, 13], [0, 1, 4, 6, 7], [3, 8, 9, 12]]]),
+        (False, [[[1, 2, 5, 6, 9], [0, 3, 4, 7, 8], [10, 11, 12, 13]],
+                 [[0, 3, 4, 7, 9], [1, 6, 10, 11, 13], [2, 5, 8, 12]]]),
+    ], ids=["stratified", "plain"])
+    def test_pinned_folds(self, stratified, expected):
+        # The seeded draws decide every eval fold, so their output is pinned.
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1])
+        repeats = kfold_indices(labels, k=3, repeats=2, seed=5, stratified=stratified)
+        assert [[fold.tolist() for fold in folds] for folds in repeats] == expected
+        assert all(fold.dtype == np.int64 for folds in repeats for fold in folds)
+
     def test_k_exceeding_class_size_rejected(self):
         labels = np.array([0] * 3 + [1] * 10)
         with pytest.raises(InvalidArgumentError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,10 +244,13 @@ class TestVol1Format:
         path = tmp_path / "short.vol"
         pk.write_vol(path, v)
         raw = path.read_bytes()
-        for payload, match in ((raw[:-5], "truncated"), (raw + b"junk", "4 trailing bytes")):
-            path.write_bytes(payload)
-            with pytest.raises(InvalidArgumentError, match=match):
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: VOL1 file truncated")):
                 pk.read_vol(path)
+        path.write_bytes(raw + b"junk")
+        with pytest.raises(InvalidArgumentError, match="4 trailing bytes"):
+            pk.read_vol(path)
 
 
     @settings(max_examples=200, deadline=None)
