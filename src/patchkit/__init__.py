@@ -1,5 +1,6 @@
 """patchkit: recursive-partition Shapley attribution and patch-grid
 classification for 3D volumes, with a synthetic phantom test bed."""
+from types import ModuleType as _ModuleType
 
 from .errors import (
     BudgetExceededError,
@@ -55,58 +56,6 @@ from .volume import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttributionMap",
-    "BudgetExceededError",
-    "ConfigError",
-    "ContractViolationError",
-    "DatasetManifest",
-    "DependencyError",
-    "EmptyCohortError",
-    "InvalidArgumentError",
-    "InvalidStateError",
-    "NumericalFailureError",
-    "PatchGrid",
-    "PatchNetConfig",
-    "PatchNetParams",
-    "PatchkitError",
-    "PhantomSpec",
-    "Region",
-    "SelectionResult",
-    "SurrogatePredictor",
-    "TrainSchedule",
-    "UndefinedMetricError",
-    "Volume",
-    "additive_probe",
-    "auc",
-    "class_separability",
-    "cohort_average",
-    "embed_patches",
-    "evaluate_scores",
-    "exact_shapley",
-    "extract_patch",
-    "forward",
-    "generate",
-    "gsi_block",
-    "init_params",
-    "kfold_indices",
-    "load_checkpoint",
-    "loss_and_grad",
-    "lpi_block",
-    "make_grid",
-    "metrics",
-    "octree_children",
-    "op_count_report",
-    "patch_means",
-    "perturb_zero",
-    "read_vol",
-    "recursive_attribution",
-    "roc_points",
-    "save_checkpoint",
-    "select_top",
-    "sibling_shapley",
-    "surrogate_train",
-    "train_patchnet",
-    "ttest_select",
-    "write_vol",
-]
+# The public names are exactly the ones imported above, kept in one list.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

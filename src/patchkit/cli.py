@@ -307,6 +307,10 @@ def cmd_eval(cfg: RunConfig) -> int:
             val_idx, train_idx = [rest[p] for p in stratified_split(
                 labels[rest], (cfg.train.val_fraction,), seed + fold_id + 1000 * rep
             )]
+            missing = np.setdiff1d(labels[rest], labels[train_idx])
+            if missing.size:
+                raise InvalidArgumentError(f"train.val_fraction: validation share {cfg.train.val_fraction} leaves "
+                                           f"no class-{missing[0]} training sample in repeat {rep} fold {fold_id}")
             fold_seed = seed + 17 * (rep * len(folds) + fold_id + 1)
             _, scores = _fit_and_score(
                 cfg, features, labels, (train_idx, val_idx, test_idx), fold_seed
@@ -344,14 +348,16 @@ def cmd_compare(cfg: RunConfig) -> int:
     for lesion in manifest.ground_truth:
         lesion_patches.update(grid.indices_intersecting(lesion))
     rows = []
-    # Every top-m selection is a prefix of the top-M one: rank and extract once.
+    # Every top-m selection is a prefix of the top-M one: rank once, extract in one pass.
     m_max = max(cfg.compare.m_values)
     rankings = {
         "shap": select_top(attribution, m_max, key=cfg.selection.key),
         "ttest": ttest_select(manifest, grid, m_max),
     }
+    union = list(dict.fromkeys(i for ranking in rankings.values() for i in ranking.chosen))
+    patches, labels = extract_selected_patches(manifest, grid, union)
     for method, ranking in rankings.items():
-        features, labels = extract_selected_patches(manifest, grid, ranking)
+        features = patches[:, [union.index(i) for i in ranking.chosen]]
         for m in cfg.compare.m_values:
             seed = cfg.stage_seed("compare") + 101 * m + (0 if method == "shap" else 7)
             split = _holdout_split(cfg, labels, seed)

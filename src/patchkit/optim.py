@@ -42,11 +42,14 @@ def adam_step(
     state.t += 1
     t = state.t
     m, v = state.m, state.v
+    step = g * (1.0 - beta1)  # scratch: (1 − β1)·g, then (1 − β2)·g·g, then √v̂ + ε
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += step
     v *= beta2
-    v += (1.0 - beta2) * g * g
+    v += np.multiply(np.multiply(g, 1.0 - beta2, out=step), g, out=step)
+    np.sqrt(np.divide(v, 1.0 - beta2**t, out=step), out=step)
+    step += eps
     m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    values -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(values.dtype)
+    m_hat *= lr
+    values -= np.divide(m_hat, step, out=m_hat)
     return state

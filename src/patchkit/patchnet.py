@@ -5,7 +5,7 @@ residual connections and batch norm, average pooling, and an affine head.
 Each selected patch is flattened, projected to ``embed_dim`` and placed
 row-major on an m x m spatial plane, so the channel axis carries within-patch
 information and the spatial axes carry between-patch layout. Activations stay
-channels-last, (B, m, m, d), from the embedding to the pool. A block applies
+channels-first, (d, B, m, m), from the embedding to the pool. A block applies
 
     spatial:  x + BN(depthwise_conv_mxm(x) + b)      (no activation)
     channel:  BN(relu(pointwise_conv_1x1(x) + b))
@@ -21,7 +21,7 @@ with the layers below it normalised by theirs. Given a ``tape`` (a list), as
 in ``loss_and_grad``, a stage runs the same code on batch statistics, stores
 nothing, and appends one closure, its analytic backward; a depth-D training
 step records 2·D + 3 closures with the loss and writes nothing to the
-parameters.
+parameters, only gradients into views of one vector.
 The spatial convolution is depthwise (one m x m kernel per channel): a
 full channel-mixing spatial kernel would blow the parameter budget without
 adding anything the pointwise stage does not already provide.
@@ -217,7 +217,7 @@ def _patch_batch(patches, dtype=None) -> np.ndarray:
 
 
 def _batch_norm(rows: np.ndarray, t: dict, bn: str, mode: str, tape: list | None) -> T._Norm:
-    """The batch norm under the name prefix ``bn`` over (N, C) ``rows``. Eval
+    """The batch norm under the name prefix ``bn`` over (C, N) ``rows``. Eval
     mode reads the stored statistics. Train mode uses the batch mean and
     biased variance, which a forward stores and a taped stage does not."""
     gamma, beta = t[bn + "gamma"], t[bn + "beta"]
@@ -233,9 +233,9 @@ def _batch_norm(rows: np.ndarray, t: dict, bn: str, mode: str, tape: list | None
 def embed_patches(patches, cfg: PatchNetConfig, t: dict, *, tape: list | None = None) -> np.ndarray:
     """Project flattened patches and add position embeddings (tensors by name).
 
-    One stack of patches (M, p^3) gives channels-last activations (m, m, d),
-    and a batch (B, M, p^3) gives (B, m, m, d): patch i lands at spatial site
-    (i // m, i % m) with its embedding along the last axis. NaN or infinite
+    One stack of patches (M, p^3) gives channels-first activations (d, m, m),
+    and a batch (B, M, p^3) gives (d, B, m, m): patch i of sample b lands at
+    spatial site (i // m, i % m) of plane b in every channel. NaN or infinite
     voxels are rejected: nothing downstream could give them a meaningful
     output. With a ``tape`` it appends the backward of the projection and
     the position embeddings; the patches get no gradient.
@@ -248,24 +248,24 @@ def embed_patches(patches, cfg: PatchNetConfig, t: dict, *, tape: list | None = 
         )
     if not np.isfinite(x).all():
         raise InvalidArgumentError("patches contain NaN or infinite voxels")
-    shape = x.shape[:-2] + (cfg.side, cfg.side, cfg.embed_dim)
-    pos_embed = t["pos_embed"]
+    d, M = cfg.embed_dim, cfg.patch_count
     rows = x.reshape(-1, cfg.patch_len)
-    emb = (rows @ t["projection"]).reshape(x.shape[:-1] + (cfg.embed_dim,))
-    emb += pos_embed
+    emb = t["projection"].T @ rows.T  # (d, B·M)
+    planes = emb.reshape(d, -1, M)
+    planes += t["pos_embed"].T[:, None]
     if tape is not None:
-        def backward(g):
-            g = g.reshape(-1, cfg.embed_dim)
-            return None, {"projection": rows.T @ g,
-                          "pos_embed": g.reshape((-1,) + pos_embed.shape).sum(axis=0)}
+        def backward(g, grads):
+            g = g.reshape(d, -1)
+            np.matmul(g, rows, out=grads["projection"].T)
+            np.add.reduce(g.reshape(d, -1, M), axis=1, out=grads["pos_embed"].T)
 
         tape.append(backward)
-    return emb.reshape(shape)
+    return emb.reshape((d,) + x.shape[:-2] + (cfg.side, cfg.side))
 
 
 def gsi_block(x: np.ndarray, t: dict, i: int, mode: str, *, tape: list | None = None) -> np.ndarray:
     """Block i's depthwise spatial convolution + bias + BN + residual (no
-    activation): (B, m, m, d) in and out.
+    activation): (d, B, m, m) in and out.
 
     Train mode stores the batch statistics of the branch conv(x) + bias;
     with a ``tape`` it stores nothing and appends the block's backward.
@@ -273,43 +273,43 @@ def gsi_block(x: np.ndarray, t: dict, i: int, mode: str, *, tape: list | None = 
     p = f"blocks.{i}.gsi_"
     _check_mode(mode, tape)
     conv = T._Conv(x, t[p + "kernel"])
-    norm = _batch_norm((conv.out + t[p + "bias"]).reshape(-1, x.shape[-1]), t, p + "bn.", mode, tape)
+    norm = _batch_norm(conv.out.reshape(len(x), -1) + t[p + "bias"][:, None], t, p + "bn.", mode, tape)
     out = x + norm.out.reshape(x.shape)
     if tape is not None:
-        def backward(g):
-            g_branch, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
+        def backward(g, grads):
+            g_branch = norm.grads(g.reshape(norm.xhat.shape), grads[p + "bn.gamma"], grads[p + "bn.beta"])
+            np.add.reduce(g_branch, axis=1, out=grads[p + "bias"])
             g_conv = g_branch.reshape(x.shape)
-            return g + conv.grad_input(g_conv), {
-                p + "kernel": conv.grad_kernel(g_conv), p + "bias": g_branch.sum(axis=0),
-                p + "bn.gamma": g_gamma, p + "bn.beta": g_beta}
+            conv.grad_kernel(g_conv, out=grads[p + "kernel"])
+            return g + conv.grad_input(g_conv)
 
         tape.append(backward)
     return out
 
 
 def lpi_block(x: np.ndarray, t: dict, i: int, mode: str, *, tape: list | None = None) -> np.ndarray:
-    """Block i's pointwise channel mixing + bias + ReLU + BN, (B, m, m, d) in
+    """Block i's pointwise channel mixing + bias + ReLU + BN, (d, B, m, m) in
     and out; spatial sites stay independent.
 
-    Train mode stores the batch statistics of relu(x @ W.T + b); with a
+    Train mode stores the batch statistics of relu(W @ x + b); with a
     ``tape`` it stores nothing and appends the block's backward.
     """
     p = f"blocks.{i}.lpi_"
     _check_mode(mode, tape)
     weight = t[p + "weight"]
-    rows = x.reshape(-1, weight.shape[1])
-    pre = rows @ weight.T
-    pre += t[p + "bias"]
+    rows = x.reshape(weight.shape[1], -1)
+    pre = weight @ rows
+    pre += t[p + "bias"][:, None]
     np.maximum(pre, 0.0, out=pre)  # ReLU in place: pre > 0 stays its mask
     norm = _batch_norm(pre, t, p + "bn.", mode, tape)
-    out = norm.out.reshape(x.shape[:-1] + (weight.shape[0],))
+    out = norm.out.reshape((weight.shape[0],) + x.shape[1:])
     if tape is not None:
-        def backward(g):
-            g_relu, g_gamma, g_beta = norm.grads(g.reshape(norm.xhat.shape))
-            g_pre = g_relu * (pre > 0)
-            return (g_pre @ weight).reshape(x.shape), {
-                p + "weight": g_pre.T @ rows, p + "bias": g_pre.sum(axis=0),
-                p + "bn.gamma": g_gamma, p + "bn.beta": g_beta}
+        def backward(g, grads):
+            g_pre = norm.grads(g.reshape(norm.xhat.shape), grads[p + "bn.gamma"], grads[p + "bn.beta"])
+            np.multiply(g_pre, pre > 0, out=g_pre)
+            np.matmul(g_pre, rows.T, out=grads[p + "weight"])
+            np.add.reduce(g_pre, axis=1, out=grads[p + "bias"])
+            return (weight.T @ g_pre).reshape(x.shape)
 
         tape.append(backward)
     return out
@@ -317,16 +317,18 @@ def lpi_block(x: np.ndarray, t: dict, i: int, mode: str, *, tape: list | None = 
 
 def pool_head(x: np.ndarray, t: dict, *, tape: list | None = None) -> np.ndarray:
     """Average pool over the m x m sites and the affine classifier:
-    (B, m, m, d) activations in, (B, C) logits out. With a ``tape`` it
+    (d, B, m, m) activations in, (B, C) logits out. With a ``tape`` it
     appends the head's backward."""
     weight = t["classifier_w"]
-    pooled = x.mean(axis=(1, 2))
-    logits = pooled @ weight + t["classifier_b"]
+    sites = x.reshape(x.shape[0], x.shape[1], -1)
+    pooled = np.add.reduce(sites, axis=2) / sites.shape[2]  # (d, B)
+    logits = pooled.T @ weight + t["classifier_b"]
     if tape is not None:
-        def backward(g):
-            g_pooled = np.expand_dims(g @ weight.T, (1, 2))
-            g_x = np.broadcast_to(g_pooled / (x.shape[1] * x.shape[2]), x.shape).copy()
-            return g_x, {"classifier_w": pooled.T @ g, "classifier_b": g.sum(axis=0)}
+        def backward(g, grads):
+            np.matmul(pooled, g, out=grads["classifier_w"])
+            np.add.reduce(g, axis=0, out=grads["classifier_b"])
+            g_pooled = (weight @ g.T) / sites.shape[2]  # (d, B)
+            return np.repeat(g_pooled, sites.shape[2], axis=1).reshape(x.shape)
 
         tape.append(backward)
     return logits
@@ -364,24 +366,30 @@ def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.nda
     return logits, probs
 
 
-def loss_and_grad(patches, labels, params: PatchNetParams, dtype=np.float32) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_grad(patches, labels, params: PatchNetParams, dtype=np.float32,
+                  out: np.ndarray | None = None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch plus gradients for every learnable
-    tensor, by name, in ``learnable_arrays`` order.
+    tensor, by name, in ``learnable_arrays`` order, as views into ``out``.
 
     The learnable tensors in ``dtype`` run each stage on batch statistics,
     and each stage and the loss append their analytic backward to one tape,
-    2·D + 3 closures at depth D, which ``Tensor.backward`` replays. The call
-    reads no stored statistic and writes nothing to ``params``. Pass
+    2·D + 3 closures at depth D, which ``Tensor.backward`` replays into the
+    gradient views. The call reads no stored statistic and writes nothing to
+    ``params`` (``out``, a vector laid out as ``params.learnable``, is new by
+    default). Pass
     ``dtype=np.float64`` for the high-precision checking mode used by the
     finite-difference tests.
     """
     patches = _patch_batch(patches, dtype)
     t = {name: np.asarray(arr, dtype=dtype) for name, arr in params.learnable_arrays().items()}
+    out = np.empty(params.learnable.shape, dtype) if out is None else out
+    parts = np.split(out, np.cumsum([arr.size for arr in t.values()])[:-1])
+    grads = {name: part.reshape(t[name].shape) for name, part in zip(t, parts)}
     tape: list = []
     logits = _logits(patches, params.config, t, "train", tape)
     loss = T.Tensor(T.softmax_cross_entropy(logits, labels, tape=tape), tape)
-    grads = loss.backward()
-    return float(loss.data), {name: grads[name] for name in t}
+    loss.backward(grads)
+    return float(loss.data), grads
 
 
 def save_checkpoint(path, params: PatchNetParams, extra: dict | None = None) -> None:

@@ -6,12 +6,13 @@ cross-entropy here over plain arrays, each appending one closure, its
 analytic backward, to a plain list: the tape. :class:`Tensor` holds the loss
 and that tape, and ``Tensor.backward`` replays the closures in reverse, as
 reverse mode over a recorded tape does. The stages run the convolution
-(:class:`_Conv`) and batch-norm (:class:`_Norm`) arithmetic of this module.
-Every product is laid out so numpy hands it to BLAS, except the depthwise
-kernel gradient's sum over each tap's (input site, output site) entries:
-numpy's ``add.reduceat`` adds those in one fixed order (:func:`_tap_segments`),
-because a BLAS product's summation order, and so its bits, follows the
-thread count.
+(:class:`_Conv`) and batch-norm (:class:`_Norm`) arithmetic of this module on
+channels-first data, one contiguous row per channel. Every product is laid out
+so numpy hands it to BLAS; no sum is a product: the batch-norm sums run
+``np.add.reduce`` along each row, and the depthwise kernel gradient's sum over
+each tap's (input site, output site) entries runs numpy's ``add.reduceat`` in
+one fixed order (:func:`_tap_segments`), because a BLAS product's summation
+order, and so its bits, follows the thread count.
 A convolution's dense per-channel maps are gathered once per kernel state
 (:func:`_conv_maps`), so repeated readouts of an unchanged network pay only
 for their products.
@@ -32,7 +33,7 @@ from .errors import InvalidArgumentError, NumericalFailureError
 class Tensor:
     """A training step's loss (``data``, a 0-d array) and its ``tape``: one
     closure per stage, in forward order, each mapping the gradient of its
-    stage's output to ``(input gradient, {parameter name: gradient})``.
+    stage's output to its input gradient while writing its parameters'.
 
     The loss is the only ``Tensor``: activations and parameters are plain
     arrays. ``backward`` keeps its name because the benchmark's tracer times
@@ -45,24 +46,22 @@ class Tensor:
         self.data = data
         self.tape = tape
 
-    def backward(self) -> dict[str, np.ndarray]:
-        """Replay the tape in reverse from d(loss) = 1 and return every
-        parameter's gradient by name. Each closure is dropped from the tape
-        once it has run, which frees the activations it saved."""
-        g, grads = np.ones_like(self.data), {}
+    def backward(self, grads: dict[str, np.ndarray]) -> None:
+        """Replay the tape in reverse from d(loss) = 1, writing every
+        parameter's gradient into its array in ``grads``. Each closure is
+        dropped once it has run, which frees the activations it saved."""
+        g = np.ones_like(self.data)
         while self.tape:
-            g, named = self.tape.pop()(g)
-            grads.update(named)
-        return grads
+            g = self.tape.pop()(g, grads)
 
 
 class _Norm:
-    """Batch-norm arithmetic over the rows of an (N, C) array: the forward
-    values ``gamma · (rows − mean) / sqrt(var + eps) + beta`` per channel and
-    the backward map.
+    """Batch-norm arithmetic over (C, N) rows, one channel per row: the
+    forward values ``((rows − mean) · inv) · gamma + beta``, with
+    ``inv = (var + eps)^-½``, and the backward map.
 
     With ``stats`` None, ``mean`` and ``var`` are the batch mean and biased
-    variance of the rows and the backward map runs through them; otherwise
+    variance of each row and the backward map runs through them; otherwise
     ``stats`` is a constant (mean, var) pair of per-channel arrays.
     """
 
@@ -70,30 +69,36 @@ class _Norm:
         dt = rows.dtype
         self.batch_stats = stats is None
         if self.batch_stats:
-            self.mean = rows.mean(axis=0)
-            centered = rows - self.mean
-            self.var = (centered * centered).mean(axis=0)
+            self.mean = np.add.reduce(rows, axis=1) / rows.shape[1]
+            centered = rows - self.mean[:, None]
+            self.var = np.add.reduce(centered * centered, axis=1) / rows.shape[1]
         else:
             self.mean, self.var = np.asarray(stats[0], dtype=dt), np.asarray(stats[1], dtype=dt)
-            centered = rows - self.mean
+            centered = rows - self.mean[:, None]
         self.inv = (self.var + dt.type(eps)) ** -0.5
-        centered *= self.inv
+        centered *= self.inv[:, None]
         self.xhat = centered
         self.gamma = gamma
-        out = self.xhat * gamma
-        out += beta
+        out = self.xhat * gamma[:, None]
+        out += beta[:, None]
         self.out = out.astype(dt, copy=False)
 
-    def grads(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gradients (input rows, gamma, beta) for the output gradient ``g``."""
-        g_xhat = g * self.gamma
+    def grads(self, g: np.ndarray, g_gamma: np.ndarray, g_beta: np.ndarray) -> np.ndarray:
+        """The rows' gradient for the output gradient ``g``, after writing
+        Σ g·xhat and Σ g per channel into ``g_gamma`` and ``g_beta``. Through
+        the batch statistics it reuses both sums: ``gamma·inv/N · (N·g − Σ g
+        − xhat · Σ g·xhat)`` (Ioffe & Szegedy 2015, §3)."""
+        np.add.reduce(g, axis=1, out=g_beta)
+        gx = g * self.xhat
+        np.add.reduce(gx, axis=1, out=g_gamma)
+        scale = (self.gamma * self.inv).astype(g.dtype, copy=False)
+        g_rows = g * scale[:, None]
         if self.batch_stats:
-            # Through the batch mean and variance: subtract the mean gradient
-            # and its projection onto xhat.
-            g_xhat = (g_xhat - g_xhat.mean(axis=0)
-                      - self.xhat * (g_xhat * self.xhat).mean(axis=0))
-        g_rows = (g_xhat * self.inv).astype(g.dtype, copy=False)
-        return g_rows, (g * self.xhat).sum(axis=0), g.sum(axis=0)
+            n = g.shape[1]
+            np.multiply(self.xhat, (scale * g_gamma / n)[:, None], out=gx)
+            gx += (scale * g_beta / n)[:, None]
+            g_rows -= gx
+        return g_rows
 
 
 def conv_same_padding(k: int) -> tuple[int, int]:
@@ -164,7 +169,8 @@ def _conv_maps(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
     if entry is not None and entry[0] == key and entry[1] == data:
         return entry[2]
     C, kh, kw = kernel.shape
-    padded = np.concatenate([kernel.reshape(C, kh * kw), np.zeros((C, 1), kernel.dtype)], axis=1)
+    padded = np.zeros((C, kh * kw + 1), kernel.dtype)
+    padded[:, :-1] = kernel.reshape(C, kh * kw)
     maps = np.take(padded, _tap_index(h, w, kh, kw), axis=1)
     maps.setflags(write=False)
     with _maps_lock:
@@ -175,63 +181,59 @@ def _conv_maps(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 class _Conv:
-    """Same-padding depthwise correlation of channels-last (B, H, W, C) planes
+    """Same-padding depthwise correlation of channels-first (C, B, H, W) planes
     with a (C, kh, kw) kernel: the patch network's spatial stage. Each channel
     is correlated with its own kernel and the output keeps the input shape.
 
     Channel c is one dense (H·W × H·W) map over the sites, gathered from its
     kernel once per kernel state by :func:`_conv_maps`, and the planes are
-    copied to contiguous (C, B, H·W) site rows, so the forward pass, the input
-    gradient and the kernel gradient's per-map product are stacked products
-    that numpy hands to BLAS. The kernel gradient then sums each tap's map
-    entries with :func:`_tap_segments`.
+    read as (C, B, H·W) site rows, so the forward pass, the input gradient
+    and the kernel gradient's per-map product are stacked products that numpy
+    hands to BLAS. The kernel gradient then sums each tap's map entries with
+    :func:`_tap_segments`.
     """
 
     def __init__(self, x: np.ndarray, kernel: np.ndarray):
-        B, H, W, C = x.shape
+        C, B, H, W = x.shape
         kc, kh, kw = kernel.shape
         if kc != C:
             raise InvalidArgumentError(f"kernel has {kc} channels, input has {C}")
         if kh > 2 * H or kw > 2 * W:
             raise InvalidArgumentError("kernel larger than padded input")
         self.maps = _conv_maps(kernel, H, W)  # (C, in site, out site)
-        self.sites = self._rows(x)
-        self.x_shape, self.kernel_shape = x.shape, kernel.shape
-        self.out = self._planes(np.matmul(self.sites, self.maps))
-
-    @staticmethod
-    def _rows(planes: np.ndarray) -> np.ndarray:
-        """(B, H, W, C) planes as contiguous (C, B, H·W) site rows."""
-        B, H, W, C = planes.shape
-        return np.ascontiguousarray(planes.reshape(B, H * W, C).transpose(2, 0, 1))
-
-    def _planes(self, rows: np.ndarray) -> np.ndarray:
-        """(C, B, H·W) site rows as contiguous (B, H, W, C) planes."""
-        return np.ascontiguousarray(rows.transpose(1, 2, 0)).reshape(self.x_shape)
+        self.sites = x.reshape(C, B, H * W)
+        self.kernel_shape = kernel.shape
+        self.out = np.matmul(self.sites, self.maps).reshape(x.shape)
 
     def grad_input(self, g: np.ndarray) -> np.ndarray:
-        return self._planes(np.matmul(self._rows(g), self.maps.transpose(0, 2, 1)))
+        return np.matmul(g.reshape(self.sites.shape), self.maps.transpose(0, 2, 1)).reshape(g.shape)
 
-    def grad_kernel(self, g: np.ndarray) -> np.ndarray:
+    def grad_kernel(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The kernel gradient for the output gradient ``g``, in ``out`` if given."""
         C, kh, kw = self.kernel_shape
-        g_maps = np.matmul(self.sites.transpose(0, 2, 1), self._rows(g))  # (C, in site, out site)
+        H, W = g.shape[2:]
+        g_maps = np.matmul(self.sites.transpose(0, 2, 1), g.reshape(self.sites.shape))  # (C, in site, out site)
         # Each tap sums its entries with numpy's own reduction, in a fixed order,
         # so the gradient's bits do not depend on how BLAS splits a product.
-        order, starts, taps = _tap_segments(self.x_shape[1], self.x_shape[2], kh, kw)
-        grad = np.zeros((C, kh * kw), dtype=g_maps.dtype)
-        grad[:, taps] = np.add.reduceat(g_maps.reshape(C, -1)[:, order], starts, axis=1)
+        order, starts, taps = _tap_segments(H, W, kh, kw)
+        grad = (np.empty(self.kernel_shape, g_maps.dtype) if out is None else out).reshape(C, kh * kw)
+        sums = np.add.reduceat(g_maps.reshape(C, -1)[:, order], starts, axis=1,
+                               out=grad if taps.size == kh * kw else None)
+        if sums is not grad:  # a tap that joins no site pair gets 0
+            grad[...] = 0
+            grad[:, taps] = sums
         return grad.reshape(self.kernel_shape)
 
 
 def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The forward values of :class:`_Conv`: each channel of the (B, H, W, C)
-    planes correlated with its own (kh, kw) kernel, same-size zero padding.
+    """The forward values of :class:`_Conv` for channels-last (B, H, W, C)
+    planes: each channel correlated with its own (kh, kw) kernel, same-size.
 
     The package's stages use :class:`_Conv` itself. This name stays a module
     attribute because the benchmark's tracer resolves
     ``patchkit.tensor.depthwise_conv2d`` among the functions it times.
     """
-    return _Conv(x, kernel).out
+    return _Conv(x.transpose(3, 0, 1, 2), kernel).out.transpose(1, 2, 3, 0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -264,10 +266,10 @@ def softmax_cross_entropy(logits, labels: np.ndarray, *, tape: list | None = Non
     if not np.isfinite(loss_value):
         raise NumericalFailureError(f"cross-entropy loss is {loss_value}")
     if tape is not None:
-        def backward(g):
+        def backward(g, grads):
             probs = np.exp(log_probs)
             probs[np.arange(B), labels] -= 1.0
-            return g * probs / B, {}
+            return g * probs / B
 
         tape.append(backward)
     return np.asarray(loss_value, dtype=logits.dtype)

@@ -82,6 +82,7 @@ def train_patchnet(
             raise InvalidArgumentError(f"{name} set has {len(x)} samples but {len(y)} labels")
     params = init_params(cfg)
     state = adam_init(params.learnable)
+    grad = np.empty_like(params.learnable)
     n = len(x_train)
     steps_per_epoch = max(1, math.ceil(n / schedule.batch_size))
     total_steps = schedule.epochs * steps_per_epoch
@@ -96,9 +97,8 @@ def train_patchnet(
             for start in range(0, n, schedule.batch_size):
                 idx = order[start : start + schedule.batch_size]
                 lr = cosine_lr(step, total_steps, schedule.lr_start, schedule.lr_end)
-                loss, grads = loss_and_grad(x_train[idx], y_train[idx], params)
-                flat = np.concatenate([grads[name].ravel() for name in params.learnable_arrays()])
-                adam_step(params.learnable, flat, state, lr)
+                loss, _ = loss_and_grad(x_train[idx], y_train[idx], params, out=grad)
+                adam_step(params.learnable, grad, state, lr)
                 epoch_losses.append(loss)
                 step += 1
         except NumericalFailureError:
@@ -124,19 +124,21 @@ def train_patchnet(
 def extract_selected_patches(
     manifest: DatasetManifest,
     grid: PatchGrid,
-    selection: SelectionResult,
+    selection: SelectionResult | list[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature tensor (N, M, p^3) of the selected patches plus the label vector.
+    """Feature tensor (N, M, p^3) of the selected patches (a ranking or a list
+    of patch indices) plus the label vector, reading each volume once.
 
     Patch order follows the selection ranking, so position embedding slot i
     always corresponds to the i-th ranked patch.
     """
-    outside = [i for i in selection.chosen if i >= len(grid)]
+    chosen = getattr(selection, "chosen", selection)
+    outside = [i for i in chosen if i >= len(grid)]
     if outside:
         raise InvalidArgumentError(
             f"selected patch {outside[0]} is outside the grid of {len(grid)} patches"
         )
-    regions = [grid.regions[i] for i in selection.chosen]
+    regions = [grid.regions[i] for i in chosen]
     feats = []
     labels = []
     for i in range(len(manifest.entries)):

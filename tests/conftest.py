@@ -88,14 +88,15 @@ def break_artifact(path, dotted_key: str, value=DELETE) -> None:
     path.write_text(json.dumps(obj))
 
 
-def nhwc(a: np.ndarray) -> np.ndarray:
-    """Channels-first (..., C, H, W) array viewed channels-last (..., H, W, C)."""
-    return np.moveaxis(a, -3, -1)
+def cbhw(a: np.ndarray) -> np.ndarray:
+    """Batch-first (B, C, ...) array as a contiguous channels-first (C, B, ...)
+    copy, the layout of the network's activations."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
-def nchw(a: np.ndarray) -> np.ndarray:
-    """Channels-last (..., H, W, C) array viewed channels-first (..., C, H, W)."""
-    return np.moveaxis(a, -1, -3)
+def bchw(a: np.ndarray) -> np.ndarray:
+    """Channels-first (C, B, ...) activations viewed batch-first (B, C, ...)."""
+    return np.swapaxes(a, 0, 1)
 
 
 def volume_with_region_means(dims, regions, means, background=0.0) -> pk.Volume:

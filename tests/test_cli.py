@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from patchkit import phantom
 from patchkit.cli import main
 
 TINY = {
@@ -213,8 +215,55 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: train.test_fraction: ") and err.count("\n") == 1, err
 
+    def test_eval_fold_without_a_training_sample_exits_2(self, tmp_path, capsys):
+        # Two volumes per class in 2 folds leave one per class outside each
+        # test fold, and a validation share of 0.6 rounds that one into the
+        # validation part. The config validates; the fold split must not.
+        cfg = write_config(tmp_path, **{"phantom.n_per_class": 2, "selection.method": "ttest",
+                                        "eval.k": 2, "train.val_fraction": 0.6,
+                                        "train.test_fraction": 0.3})
+        for stage in ("gen", "select"):
+            assert run(cfg, stage) == 0
+        capsys.readouterr()
+        assert run(cfg, "eval") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.val_fraction: ") and err.count("\n") == 1, err
+        assert "training sample in repeat 0 fold 0" in err and "Traceback" not in err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+class TestCompareReads:
+    def test_compare_reads_each_volume_twice(self, pipeline_dir, tmp_path, monkeypatch):
+        # 40 volumes: the t-test ranking's scan reads each once, and one
+        # extraction of both rankings' patches reads each once more.
+        cfg = write_config(tmp_path, **{"phantom.n_per_class": 20})
+        assert run(cfg, "gen") == 0
+        (tmp_path / "out" / "attribution.json").write_bytes(
+            (pipeline_dir[0] / "out" / "attribution.json").read_bytes()
+        )
+        reads, read_vol = [], phantom.read_vol
+        monkeypatch.setattr(phantom, "read_vol", lambda path: reads.append(path) or read_vol(path))
+        assert run(cfg, "compare") == 0
+        assert len(reads) == 80 and len(set(reads)) == 40
+
+    def test_union_columns_are_each_rankings_patches(self, pipeline_dir):
+        from patchkit import DatasetManifest, SelectionResult
+        from patchkit.train import extract_selected_patches
+        from patchkit.volume import make_grid
+
+        manifest = DatasetManifest.load(pipeline_dir[0] / "data" / "manifest.json")
+        grid = make_grid(manifest.spec.dims, TINY["grid"]["patch_edge"])
+        rankings = [SelectionResult([5, 9, 2, 40], "shap", np.arange(4.0)),
+                    SelectionResult([9, 63, 5, 0], "ttest", np.arange(4.0))]
+        union = [5, 9, 2, 40, 63, 0]
+        patches, labels = extract_selected_patches(manifest, grid, union)
+        for ranking in rankings:
+            features, want_labels = extract_selected_patches(manifest, grid, ranking)
+            sliced = patches[:, [union.index(i) for i in ranking.chosen]]
+            assert sliced.dtype == features.dtype and sliced.tobytes() == features.tobytes()
+            assert np.array_equal(labels, want_labels)
 
 
 class TestOverrides:

@@ -32,7 +32,7 @@ from patchkit.patchnet import (
 from patchkit.tensor import Tensor
 from patchkit.train import accuracy, class_scores
 
-from conftest import nchw, nhwc
+from conftest import bchw, cbhw
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,7 +64,7 @@ class TestEmbedPatches:
         t["pos_embed"][...] = 0.0
         rng = np.random.default_rng(0)
         patches = rng.normal(0, 1, (4, 8)).astype(np.float32)
-        out = nchw(embed_patches(patches, cfg, t))
+        out = embed_patches(patches, cfg, t)
         assert out.shape == (8, 2, 2)
         for i in range(4):
             assert np.allclose(out[:, i // 2, i % 2], patches[i])
@@ -72,7 +72,7 @@ class TestEmbedPatches:
     def test_zero_patches_give_position_embedding(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1, seed=1)
         t = init_params(cfg).named_arrays()
-        out = nchw(embed_patches(np.zeros((4, 8), np.float32), cfg, t))
+        out = embed_patches(np.zeros((4, 8), np.float32), cfg, t)
         for i in range(4):
             assert np.allclose(out[:, i // 2, i % 2], t["pos_embed"][i])
 
@@ -89,7 +89,7 @@ class TestEmbedPatches:
         batch = rng.normal(0, 1, (3, 4, 8)).astype(np.float32)
         stacked = embed_patches(batch, cfg, t)
         for b in range(3):
-            assert np.allclose(stacked[b], embed_patches(batch[b], cfg, t))
+            assert np.allclose(stacked[:, b], embed_patches(batch[b], cfg, t))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("call", ["eval", "train", "loss_and_grad"])
@@ -115,7 +115,7 @@ class TestGsiBlock:
     def test_zero_kernel_identity_bn_is_exact_identity(self):
         d, m = 5, 3
         t = make_block(d, m)
-        x = nhwc(np.random.default_rng(1).normal(0, 1, (2, d, m, m)).astype(np.float32))
+        x = cbhw(np.random.default_rng(1).normal(0, 1, (2, d, m, m)).astype(np.float32))
         out = gsi_block(x, t, 0, mode="eval")
         assert np.array_equal(out, x)
 
@@ -126,7 +126,7 @@ class TestGsiBlock:
         tap = (m - 1) // 2
         kernel[:, tap, tap] = 1.0
         t = make_block(d, m, gsi_kernel=kernel, exact_bn=True)
-        x = nhwc(np.random.default_rng(2).normal(0, 1, (2, d, m, m)).astype(np.float32))
+        x = cbhw(np.random.default_rng(2).normal(0, 1, (2, d, m, m)).astype(np.float32))
         out = gsi_block(x, t, 0, mode="eval")
         assert np.allclose(out, 2.0 * x, atol=1e-6)
 
@@ -136,9 +136,9 @@ class TestGsiBlock:
         t = make_block(d, m, gsi_kernel=rng.normal(0, 0.5, (d, m, m)).astype(np.float32))
         t[GSI_BN + "gamma"][...] = 1.7
         t[GSI_BN + "beta"][...] = 0.3
-        x = nhwc(rng.normal(0, 1, (16, d, m, m)).astype(np.float32))
+        x = cbhw(rng.normal(0, 1, (16, d, m, m)).astype(np.float32))
         out = gsi_block(x, t, 0, mode="train")
-        branch = nchw(out - x)
+        branch = bchw(out - x)
         mean = branch.mean(axis=(0, 2, 3))
         var = branch.var(axis=(0, 2, 3))
         assert np.allclose(mean, 0.3, atol=1e-3)
@@ -159,12 +159,12 @@ class TestBatchNormLayer:
         mean, var = t[GSI_BN + "running_mean"], t[GSI_BN + "running_var"]
         mean[:] = rng.normal(0, 1, d)
         var[:] = rng.uniform(0.5, 2.0, d)
-        x = nhwc(rng.normal(1.0, 2.0, (6, d, 3, 3)).astype(np.float32))
+        x = cbhw(rng.normal(1.0, 2.0, (6, d, 3, 3)).astype(np.float32))
         out = gsi_block(x, t, 0, "train")
-        rows = (x + t["blocks.0.gsi_bias"]).reshape(-1, d).astype(np.float64)
-        np.testing.assert_allclose(mean, rows.mean(axis=0), rtol=1e-6, atol=1e-6)
-        np.testing.assert_allclose(var, rows.var(axis=0, ddof=0), rtol=1e-6, atol=1e-6)
-        assert not np.allclose(var, rows.var(axis=0, ddof=1), rtol=1e-3)
+        rows = (x.reshape(d, -1) + t["blocks.0.gsi_bias"][:, None]).astype(np.float64)
+        np.testing.assert_allclose(mean, rows.mean(axis=1), rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(var, rows.var(axis=1, ddof=0), rtol=1e-6, atol=1e-6)
+        assert not np.allclose(var, rows.var(axis=1, ddof=1), rtol=1e-3)
         assert mean.dtype == var.dtype == out.dtype == np.float32
 
     def test_eval_uses_running_stats(self):
@@ -172,12 +172,12 @@ class TestBatchNormLayer:
         kernel = np.zeros((d, 3, 3), np.float32)
         kernel[:, 1, 1] = 1.0  # conv(x) = x
         t = make_block(d, 3, gsi_kernel=kernel)
-        x = nhwc(np.random.default_rng(9).normal(0, 1, (2, d, 3, 3)).astype(np.float32))
+        x = cbhw(np.random.default_rng(9).normal(0, 1, (2, d, 3, 3)).astype(np.float32))
         mean, var = t[GSI_BN + "running_mean"], t[GSI_BN + "running_var"]
         mean[:] = [0.5, -0.5, 0.0]
         var[:] = [4.0, 1.0, 0.25]
-        out = nchw(gsi_block(x, t, 0, "eval") - x)
-        want = (nchw(x) - mean[:, None, None]) / np.sqrt(var[:, None, None] + BN_EPS)
+        out = bchw(gsi_block(x, t, 0, "eval") - x)
+        want = (bchw(x) - mean[:, None, None]) / np.sqrt(var[:, None, None] + BN_EPS)
         assert np.allclose(out, want, rtol=1e-6, atol=1e-6)
         assert mean.tolist() == [0.5, -0.5, 0.0] and var.tolist() == [4.0, 1.0, 0.25]
 
@@ -204,14 +204,14 @@ class TestLpiBlock:
     def test_identity_weight_nonnegative_input_passthrough(self):
         d, m = 4, 3
         t = make_block(d, m, exact_bn=True)
-        x = nhwc(np.abs(np.random.default_rng(3).normal(0, 1, (2, d, m, m))).astype(np.float32))
+        x = cbhw(np.abs(np.random.default_rng(3).normal(0, 1, (2, d, m, m))).astype(np.float32))
         out = lpi_block(x, t, 0, mode="eval")
         assert np.array_equal(out, x)
 
     def test_all_negative_input_maps_to_zero(self):
         d, m = 4, 2
         t = make_block(d, m)
-        x = nhwc(-np.abs(np.random.default_rng(4).normal(1, 0.2, (2, d, m, m))).astype(np.float32))
+        x = cbhw(-np.abs(np.random.default_rng(4).normal(1, 0.2, (2, d, m, m))).astype(np.float32))
         out = lpi_block(x, t, 0, mode="eval")
         assert np.all(out == 0.0)
 
@@ -220,10 +220,10 @@ class TestLpiBlock:
         rng = np.random.default_rng(6)
         t = make_block(d, m, lpi_weight=rng.normal(0, 0.5, (d, d)).astype(np.float32))
         x = rng.normal(0, 1, (1, d, m, m)).astype(np.float32)
-        base = nchw(lpi_block(nhwc(x), t, 0, mode="eval"))
+        base = bchw(lpi_block(cbhw(x), t, 0, mode="eval"))
         x2 = x.copy()
         x2[0, :, 1, 2] += 3.0
-        bumped = nchw(lpi_block(nhwc(x2), t, 0, mode="eval"))
+        bumped = bchw(lpi_block(cbhw(x2), t, 0, mode="eval"))
         changed = np.any(base != bumped, axis=(0, 1))
         assert changed[1, 2]
         changed[1, 2] = False
@@ -539,7 +539,7 @@ class TestLossAndGrad:
         x = embed_patches(patches, cfg, t)
         for i in range(depth):
             x = gsi_block(x, t, i, "train")
-            pre = np.sort(x.reshape(-1, embed_dim) @ t[f"blocks.{i}.lpi_weight"].T, axis=0)
+            pre = np.sort((t[f"blocks.{i}.lpi_weight"] @ x.reshape(embed_dim, -1)).T, axis=0)
             widest = np.diff(pre, axis=0).argmax(axis=0)
             t[f"blocks.{i}.lpi_bias"][...] = -0.5 * (pre[widest, columns] + pre[widest + 1, columns])
             x = lpi_block(x, t, i, "train")
@@ -583,10 +583,9 @@ class TestLossAndGrad:
             taped.append(len(tape))
             init(self, data, tape)
 
-        def recording_backward(self):
-            grads = backward(self)
+        def recording_backward(self, grads):
+            backward(self, grads)
             left.append(len(self.tape))
-            return grads
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
         monkeypatch.setattr(Tensor, "backward", recording_backward)

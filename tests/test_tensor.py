@@ -8,7 +8,7 @@ from patchkit.errors import InvalidArgumentError, NumericalFailureError
 from patchkit.patchnet import PatchNetConfig, embed_patches, gsi_block, lpi_block, pool_head
 from patchkit.tensor import conv_same_padding
 
-from conftest import nchw, nhwc
+from conftest import bchw, cbhw
 
 
 def numeric_grads(value, arrays, eps=1e-6):
@@ -53,13 +53,13 @@ class TestDepthwiseConv:
         assert conv_same_padding(6) == (2, 3)
 
     def test_zero_kernel_gives_zero(self):
-        x = nhwc(np.random.default_rng(0).normal(0, 1, (2, 3, 4, 4)))
+        x = np.moveaxis(np.random.default_rng(0).normal(0, 1, (2, 3, 4, 4)), 1, -1)
         assert np.all(T.depthwise_conv2d(x, np.zeros((3, 4, 4))) == 0.0)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_delta_kernel_is_identity(self, k):
         rng = np.random.default_rng(2)
-        x = nhwc(rng.normal(0, 1, (2, 3, k, k)))
+        x = np.moveaxis(rng.normal(0, 1, (2, 3, k, k)), 1, -1)
         kernel = np.zeros((3, k, k))
         tap = (k - 1) // 2
         kernel[:, tap, tap] = 1.0
@@ -68,19 +68,33 @@ class TestDepthwiseConv:
     def test_output_shape_matches_input(self):
         assert T.depthwise_conv2d(np.zeros((1, 6, 6, 2)), np.zeros((2, 6, 6))).shape == (1, 6, 6, 2)
 
+    def test_channels_last_matches_the_channels_first_conv(self):
+        rng = np.random.default_rng(1)
+        x, kernel = rng.normal(0, 1, (2, 3, 5, 4)), rng.normal(0, 1, (3, 3, 2))
+        got = T.depthwise_conv2d(np.moveaxis(x, 1, -1), kernel)
+        assert np.array_equal(got, np.moveaxis(bchw(T._Conv(cbhw(x), kernel).out), 1, -1))
+
     @pytest.mark.parametrize("hw,k", [((4, 4), 3), ((6, 6), 6), ((5, 4), 2)])
     def test_gradients(self, hw, k):
-        # Input and kernel gradients of sum(conv(x, kernel) · w).
+        # Input and kernel gradients of sum(conv(x, kernel) · w) over
+        # channels-first (C, B, H, W) planes.
         rng = np.random.default_rng(0)
-        arrays = [rng.normal(0, 1, (2,) + hw + (3,)), rng.normal(0, 1, (3, k, k))]
+        arrays = [rng.normal(0, 1, (3, 2) + hw), rng.normal(0, 1, (3, k, k))]
         op = T._Conv(*arrays)
         w = weights_like(op.out)
-        assert_matches_differences(lambda a: float((T.depthwise_conv2d(*a) * w).sum()), arrays,
+        assert_matches_differences(lambda a: float((T._Conv(*a).out * w).sum()), arrays,
                                    [op.grad_input(w), op.grad_kernel(w)])
+
+    def test_kernel_gradient_written_into_out(self):
+        rng = np.random.default_rng(3)
+        op = T._Conv(rng.normal(0, 1, (3, 2, 4, 4)), rng.normal(0, 1, (3, 3, 3)))
+        g, out = rng.normal(0, 1, (3, 2, 4, 4)), np.full((3, 3, 3), np.nan)
+        assert np.shares_memory(op.grad_kernel(g, out=out), out)
+        assert np.array_equal(out, op.grad_kernel(g))
 
     def test_channel_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            T._Conv(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 3)))
+            T._Conv(np.zeros((2, 1, 4, 4)), np.zeros((3, 3, 3)))
 
 
 def reference_conv(x, kernel, g):
@@ -116,19 +130,19 @@ class TestLoweredConv:
         x, kernel, g = rng.normal(size=(B, C, H, W)), rng.normal(size=(C, kh, kw)), rng.normal(size=(B, C, H, W))
         want_out, want_gx, want_gk = reference_conv(x, kernel, g)
 
-        op = T._Conv(nhwc(x), kernel)
-        assert np.allclose(op.out, nhwc(want_out), rtol=0, atol=1e-12)
-        assert np.allclose(op.grad_input(nhwc(g)), nhwc(want_gx), rtol=0, atol=1e-12)
-        assert np.allclose(op.grad_kernel(nhwc(g)), want_gk, rtol=0, atol=1e-12)
+        op = T._Conv(cbhw(x), kernel)
+        assert np.allclose(op.out, cbhw(want_out), rtol=0, atol=1e-12)
+        assert np.allclose(op.grad_input(cbhw(g)), cbhw(want_gx), rtol=0, atol=1e-12)
+        assert np.allclose(op.grad_kernel(cbhw(g)), want_gk, rtol=0, atol=1e-12)
 
-        op32 = T._Conv(nhwc(x).astype(np.float32), kernel.astype(np.float32))
-        g32 = nhwc(g).astype(np.float32)
+        op32 = T._Conv(cbhw(x).astype(np.float32), kernel.astype(np.float32))
+        g32 = cbhw(g).astype(np.float32)
         assert op32.out.dtype == op32.grad_input(g32).dtype == op32.grad_kernel(g32).dtype == np.float32
-        assert np.allclose(op32.out, nhwc(want_out), rtol=0, atol=1e-4)
+        assert np.allclose(op32.out, cbhw(want_out), rtol=0, atol=1e-4)
 
     def test_kernel_larger_than_twice_the_plane_rejected(self):
         with pytest.raises(InvalidArgumentError, match="larger than padded input"):
-            T._Conv(np.zeros((1, 2, 3, 1)), np.zeros((1, 5, 2)))
+            T._Conv(np.zeros((1, 1, 2, 3)), np.zeros((1, 5, 2)))
 
     def test_tap_tables_are_cached_and_read_only(self):
         assert T._tap_index(4, 3, 2, 3) is T._tap_index(4, 3, 2, 3)
@@ -164,17 +178,25 @@ def _head(arrays, tape):
     return pool_head(x, {"classifier_w": weight, "classifier_b": bias}, tape=tape)
 
 
-class TestBlockOps:
-    """Each PatchNet stage with a tape: it appends one closure, which maps
-    its output gradient to (input gradient, {parameter name: gradient}) on
-    batch statistics, against finite differences of the taped forward."""
+def nan_grads(names, arrays):
+    """One NaN-filled gradient array per parameter name, shaped and typed as
+    the parameter, for a tape closure to write into."""
+    return {name: np.full_like(arr, np.nan) for name, arr in zip(names, arrays)}
 
-    SPATIAL = (_spatial, [(2, 3, 3, 3), (3, 3, 3), (3,), (3,), (3,)],
+
+class TestBlockOps:
+    """Each PatchNet stage with a tape over channels-first (d, B, m, m)
+    activations: it appends one closure, which maps its output gradient to
+    its input gradient on batch statistics and writes each parameter's
+    gradient into its array, against finite differences of the taped
+    forward."""
+
+    SPATIAL = (_spatial, [(3, 2, 3, 3), (3, 3, 3), (3,), (3,), (3,)],
                ["blocks.0.gsi_kernel", "blocks.0.gsi_bias", "blocks.0.gsi_bn.gamma", "blocks.0.gsi_bn.beta"])
-    CHANNEL = (_channel, [(2, 3, 2, 4), (3, 4), (3,), (3,), (3,)],
+    CHANNEL = (_channel, [(4, 2, 3, 2), (3, 4), (3,), (3,), (3,)],
                ["blocks.0.lpi_weight", "blocks.0.lpi_bias", "blocks.0.lpi_bn.gamma", "blocks.0.lpi_bn.beta"])
     EMBED = (_embed, [(2, 4, 8), (8, 3), (4, 3)], ["projection", "pos_embed"])
-    HEAD = (_head, [(2, 3, 3, 4), (4, 2), (2,)], ["classifier_w", "classifier_b"])
+    HEAD = (_head, [(4, 2, 3, 3), (4, 2), (2,)], ["classifier_w", "classifier_b"])
     CASES = pytest.mark.parametrize("stage,shapes,names", [SPATIAL, CHANNEL, EMBED, HEAD],
                                     ids=["spatial-batch", "channel-batch", "embed", "head"])
 
@@ -185,12 +207,12 @@ class TestBlockOps:
         tape = []
         w = weights_like(stage(arrays, tape))
         assert len(tape) == 1
-        g_in, named = tape[0](w)
-        assert list(named) == names
+        grads = nan_grads(names, arrays[1:])
+        g_in = tape[0](w, grads)
         if stage is _embed:
             assert g_in is None  # the patches get no gradient
         assert_matches_differences(lambda a: float((stage(a, []) * w).sum()), arrays,
-                                   [g_in] + [named[n] for n in names])
+                                   [g_in] + [grads[n] for n in names])
 
     @CASES
     def test_float32_stays_float32(self, stage, shapes, names):
@@ -198,15 +220,30 @@ class TestBlockOps:
         arrays = [rng.normal(size=s).astype(np.float32) for s in shapes]
         tape = []
         out = stage(arrays, tape)
-        g_in, named = tape[0](weights_like(out).astype(np.float32))
+        grads = nan_grads(names, arrays[1:])
+        g_in = tape[0](weights_like(out).astype(np.float32), grads)
         assert out.dtype == np.float32
-        assert all(g.dtype == np.float32 for g in [g_in, *named.values()] if g is not None)
+        assert g_in is None or g_in.dtype == np.float32
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+
+def norm_grads(norm, g):
+    """(input rows, gamma, beta) gradients of ``norm`` for output gradient ``g``."""
+    g_gamma, g_beta = np.empty_like(norm.gamma, dtype=g.dtype), np.empty_like(norm.gamma, dtype=g.dtype)
+    return norm.grads(g, g_gamma, g_beta), g_gamma, g_beta
+
+
+def two_mean_rows_gradient(xhat, inv, gamma, g):
+    """The input gradient of a batch norm over (C, N) rows by the two-mean
+    formula γ·inv·(g − mean(g) − xhat·mean(g·xhat)), per channel."""
+    return (gamma * inv)[:, None] * (g - g.mean(axis=1, keepdims=True)
+                                     - xhat * (g * xhat).mean(axis=1, keepdims=True))
 
 
 class TestBatchNorm:
-    """``tensor._Norm`` over (N, C) rows, with batch and with stored statistics."""
+    """``tensor._Norm`` over (C, N) rows, with batch and with stored statistics."""
 
-    SHAPES = [(16, 3), (3,), (3,)]
+    SHAPES = [(3, 16), (3,), (3,)]
     STATS = (np.array([0.3, -1.0, 0.0]), np.array([0.5, 2.0, 1.0]))
 
     def check(self, stats):
@@ -215,7 +252,7 @@ class TestBatchNorm:
         norm = T._Norm(*arrays, 1e-5, stats)
         w = weights_like(norm.out)
         assert_matches_differences(lambda a: float((T._Norm(*a, 1e-5, stats).out * w).sum()),
-                                   arrays, norm.grads(w))
+                                   arrays, norm_grads(norm, w))
 
     def test_train_mode_gradients(self):
         self.check(None)
@@ -223,27 +260,53 @@ class TestBatchNorm:
     def test_eval_mode_gradients(self):
         self.check(self.STATS)
         # Stored statistics are constants: the input gradient is γ·g/√(var + ε).
-        rows, gamma, g = np.ones((2, 3)), np.array([1.0, 2.0, -1.0]), np.ones((2, 3))
-        g_rows, _, _ = T._Norm(rows, gamma, np.zeros(3), 1e-5, self.STATS).grads(g)
-        assert np.allclose(g_rows, gamma / np.sqrt(self.STATS[1] + 1e-5), rtol=0, atol=1e-12)
+        rows, gamma, g = np.ones((3, 2)), np.array([1.0, 2.0, -1.0]), np.ones((3, 2))
+        g_rows, _, _ = norm_grads(T._Norm(rows, gamma, np.zeros(3), 1e-5, self.STATS), g)
+        want = (gamma / np.sqrt(self.STATS[1] + 1e-5))[:, None]
+        assert np.allclose(g_rows, want, rtol=0, atol=1e-12)
+
+    # The closed form reuses the γ and β sums; the two-mean formula it
+    # replaced takes its own means. Both cancel terms of size |γ·inv|·|g|,
+    # so in float64 they must agree to 1e-12 of |γ·inv|·max|g| per channel;
+    # 20,000 draws of this kind found 4.4e-16 at worst. (Relative to the
+    # gradient itself the bound would mean nothing: at N = 2 the exact input
+    # gradient is almost zero and both formulas return rounding noise.)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_backward_matches_the_two_mean_formula(self, data):
+        C = data.draw(st.integers(1, 4), label="C")
+        N = data.draw(st.sampled_from([1, 2, 3, 8, 40]), label="N")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows = rng.normal(0, 1, (C, N))
+        flat = data.draw(st.sampled_from([None, 0.0, 1e-7, 1e-3]), label="flat")
+        if flat is not None:  # channel 0 near constant: variance near or at zero
+            rows[0] = 2.5 + flat * rng.normal(0, 1, N)
+        gamma, beta, g = rng.normal(0, 1, C), rng.normal(0, 1, C), rng.normal(0, 1, (C, N))
+        norm = T._Norm(rows, gamma, beta, 1e-5, None)
+        got, g_gamma, g_beta = norm_grads(norm, g)
+        want = two_mean_rows_gradient(norm.xhat, norm.inv, gamma, g)
+        scale = np.abs(gamma * norm.inv)[:, None] * np.abs(g).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), (got, want)
+        assert np.allclose(g_gamma, (g * norm.xhat).sum(axis=1), rtol=1e-12, atol=1e-12)
+        assert np.allclose(g_beta, g.sum(axis=1), rtol=1e-12, atol=1e-12)
 
     def test_batch_statistics_are_the_biased_moments(self):
         rng = np.random.default_rng(7)
         x = rng.normal(2.0, 3.0, (5, 3, 2, 3))
         gamma, beta = rng.normal(size=3), rng.normal(size=3)
-        norm = T._Norm(nhwc(x).reshape(-1, 3), gamma, beta, 1e-5, None)
+        norm = T._Norm(cbhw(x).reshape(3, -1), gamma, beta, 1e-5, None)
         mu, var = norm.mean, norm.var
         assert np.allclose(mu, x.mean(axis=(0, 2, 3)), rtol=0, atol=1e-12)
         assert np.allclose(var, x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
         want = gamma[:, None, None] * (x - mu[:, None, None]) / np.sqrt(var[:, None, None] + 1e-5)
-        out = nchw(norm.out.reshape(5, 2, 3, 3))
+        out = bchw(norm.out.reshape(3, 5, 2, 3))
         assert np.allclose(out, want + beta[:, None, None], rtol=0, atol=1e-12)
 
     def test_float32_stays_float32(self):
-        rows, ones = np.ones((8, 3), np.float32), np.ones(3, np.float32)
+        rows, ones = np.ones((3, 8), np.float32), np.ones(3, np.float32)
         for stats in (None, self.STATS):  # batch, then stored statistics
             norm = T._Norm(rows, ones, np.zeros(3, np.float32), 1e-5, stats)
-            grads = norm.grads(np.ones((8, 3), np.float32))
+            grads = norm_grads(norm, np.ones((3, 8), np.float32))
             assert norm.out.dtype == np.float32
             assert all(g.dtype == np.float32 for g in grads)
 
@@ -263,8 +326,9 @@ class TestSoftmaxCrossEntropy:
         tape = []
         loss = T.softmax_cross_entropy(logits, labels, tape=tape)
         assert len(tape) == 1
-        g_logits, named = tape[0](np.ones_like(loss))
-        assert named == {}
+        grads = {}
+        g_logits = tape[0](np.ones_like(loss), grads)
+        assert grads == {}
         assert_matches_differences(lambda a: float(T.softmax_cross_entropy(a[0], labels)),
                                    [logits], [g_logits])
 
@@ -293,11 +357,19 @@ class TestSoftmaxCrossEntropy:
 
 def test_backward_replays_the_tape_in_reverse():
     # y = 3·x, loss = Σ y²/2 at x = (1, 2): the replay starts from d(loss) = 1,
-    # hands each closure the input gradient the later one returned, collects
-    # the named gradients and empties the tape.
+    # hands each closure the input gradient the later one returned and the
+    # gradient arrays to write, and empties the tape.
     x = np.array([1.0, 2.0])
     y = 3.0 * x
-    tape = [lambda g: (None, {"x": 3.0 * g}), lambda g: (g * y, {"y": g * y})]
-    grads = T.Tensor(np.asarray(0.5 * (y * y).sum()), tape).backward()
+
+    def first(g, grads):
+        grads["x"][...] = 3.0 * g
+
+    def second(g, grads):
+        grads["y"][...] = g * y
+        return g * y
+
+    tape, grads = [first, second], {"x": np.zeros(2), "y": np.zeros(2)}
+    assert T.Tensor(np.asarray(0.5 * (y * y).sum()), tape).backward(grads) is None
     assert np.array_equal(grads["x"], 9.0 * x) and np.array_equal(grads["y"], y)
     assert tape == [] and T.Tensor.__slots__ == ("data", "tape")

@@ -184,6 +184,46 @@ class TestTrainLoop:
         json.dumps(result.log)  # JSONL-serializable
 
 
+class TestGradientVector:
+    def test_gradients_are_views_into_one_float32_vector_in_layout_order(self):
+        cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, class_count=3, seed=4)
+        params = pk.init_params(cfg)
+        x, y = separable_batch(n=6, patch_len=8)
+        for out in (None, np.full(params.learnable.shape, np.nan, np.float32)):
+            _, grads = pk.loss_and_grad(x, y, params, out=out)
+            vector = next(iter(grads.values())).base if out is None else out
+            assert vector.dtype == np.float32 and vector.shape == params.learnable.shape
+            assert list(grads) == list(params.learnable_arrays())
+            offset = 0
+            for name, arr in params.learnable_arrays().items():
+                g = grads[name]
+                assert g.base is vector and g.shape == arr.shape, name
+                assert g.__array_interface__["data"][0] == vector.ctypes.data + 4 * offset, name
+                offset += arr.size
+            assert offset == vector.size and np.isfinite(vector).all()
+
+    def test_a_fit_concatenates_and_copies_no_layout_per_step(self, monkeypatch):
+        # Adam takes the step's gradient vector as written, and no stage
+        # copies activations to another layout. (Seeding each epoch's
+        # shuffle concatenates inside numpy, once per epoch: halving the
+        # batch doubles the steps and must leave the count as it was.)
+        x, y = separable_batch(n=24)
+        cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=2, seed=5)
+        calls = []
+        for name in ("concatenate", "ascontiguousarray"):
+            real = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        counts = []
+        for batch_size in (4, 2):
+            calls.clear()
+            result = train_patchnet(x[:16], y[:16], x[16:], y[16:], cfg,
+                                    TrainSchedule(epochs=2, batch_size=batch_size), seed=1)
+            assert len(result.log) == 2 and not result.aborted
+            counts.append(calls.count("concatenate"))
+            assert "ascontiguousarray" not in calls
+        assert counts[0] == counts[1]
+
+
 # One loss_and_grad at embed 64, depth 1, batch 8 over 36 8³ patches, then a
 # 2-epoch fit; prints the SHA-256 of the gradient bytes and of the fitted
 # learnable bytes. At this width the depthwise kernel gradient sums 1,296
