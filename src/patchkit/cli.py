@@ -46,6 +46,7 @@ from .surrogate import SurrogatePredictor, surrogate_train
 from .train import (
     TrainSchedule,
     class_scores,
+    extract_patches,
     extract_selected_patches,
     stratified_split,
     train_patchnet,
@@ -355,7 +356,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         "ttest": ttest_select(manifest, grid, m_max),
     }
     union = list(dict.fromkeys(i for ranking in rankings.values() for i in ranking.chosen))
-    patches, labels = extract_selected_patches(manifest, grid, union)
+    patches, labels = extract_patches(manifest, grid, union)
     for method, ranking in rankings.items():
         features = patches[:, [union.index(i) for i in ranking.chosen]]
         for m in cfg.compare.m_values:

@@ -250,9 +250,9 @@ def embed_patches(patches, cfg: PatchNetConfig, t: dict, *, tape: list | None = 
         raise InvalidArgumentError("patches contain NaN or infinite voxels")
     d, M = cfg.embed_dim, cfg.patch_count
     rows = x.reshape(-1, cfg.patch_len)
-    emb = t["projection"].T @ rows.T  # (d, B·M)
-    planes = emb.reshape(d, -1, M)
-    planes += t["pos_embed"].T[:, None]
+    # The plain product, made channels-first (d, B, M) by the pass that adds the
+    # position embeddings: faster in BLAS than projection.T @ rows.T.
+    planes = np.add((rows @ t["projection"]).T.reshape(d, -1, M), t["pos_embed"].T[:, None], order="C")
     if tape is not None:
         def backward(g, grads):
             g = g.reshape(d, -1)
@@ -260,7 +260,7 @@ def embed_patches(patches, cfg: PatchNetConfig, t: dict, *, tape: list | None = 
             np.add.reduce(g.reshape(d, -1, M), axis=1, out=grads["pos_embed"].T)
 
         tape.append(backward)
-    return emb.reshape((d,) + x.shape[:-2] + (cfg.side, cfg.side))
+    return planes.reshape((d,) + x.shape[:-2] + (cfg.side, cfg.side))
 
 
 def gsi_block(x: np.ndarray, t: dict, i: int, mode: str, *, tape: list | None = None) -> np.ndarray:
@@ -280,7 +280,7 @@ def gsi_block(x: np.ndarray, t: dict, i: int, mode: str, *, tape: list | None = 
             g_branch = norm.grads(g.reshape(norm.xhat.shape), grads[p + "bn.gamma"], grads[p + "bn.beta"])
             np.add.reduce(g_branch, axis=1, out=grads[p + "bias"])
             g_conv = g_branch.reshape(x.shape)
-            conv.grad_kernel(g_conv, out=grads[p + "kernel"])
+            grads[p + "kernel"][...] = conv.grad_kernel(g_conv)
             return g + conv.grad_input(g_conv)
 
         tape.append(backward)
@@ -375,10 +375,9 @@ def loss_and_grad(patches, labels, params: PatchNetParams, dtype=np.float32,
     and each stage and the loss append their analytic backward to one tape,
     2·D + 3 closures at depth D, which ``Tensor.backward`` replays into the
     gradient views. The call reads no stored statistic and writes nothing to
-    ``params`` (``out``, a vector laid out as ``params.learnable``, is new by
-    default). Pass
-    ``dtype=np.float64`` for the high-precision checking mode used by the
-    finite-difference tests.
+    ``params``; ``out``, a vector laid out as ``params.learnable``, is new by
+    default. Pass ``dtype=np.float64`` for the high-precision checking mode
+    used by the finite-difference tests.
     """
     patches = _patch_batch(patches, dtype)
     t = {name: np.asarray(arr, dtype=dtype) for name, arr in params.learnable_arrays().items()}

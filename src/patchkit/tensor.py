@@ -208,20 +208,15 @@ class _Conv:
     def grad_input(self, g: np.ndarray) -> np.ndarray:
         return np.matmul(g.reshape(self.sites.shape), self.maps.transpose(0, 2, 1)).reshape(g.shape)
 
-    def grad_kernel(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The kernel gradient for the output gradient ``g``, in ``out`` if given."""
+    def grad_kernel(self, g: np.ndarray) -> np.ndarray:
         C, kh, kw = self.kernel_shape
         H, W = g.shape[2:]
         g_maps = np.matmul(self.sites.transpose(0, 2, 1), g.reshape(self.sites.shape))  # (C, in site, out site)
         # Each tap sums its entries with numpy's own reduction, in a fixed order,
         # so the gradient's bits do not depend on how BLAS splits a product.
         order, starts, taps = _tap_segments(H, W, kh, kw)
-        grad = (np.empty(self.kernel_shape, g_maps.dtype) if out is None else out).reshape(C, kh * kw)
-        sums = np.add.reduceat(g_maps.reshape(C, -1)[:, order], starts, axis=1,
-                               out=grad if taps.size == kh * kw else None)
-        if sums is not grad:  # a tap that joins no site pair gets 0
-            grad[...] = 0
-            grad[:, taps] = sums
+        grad = np.zeros((C, kh * kw), dtype=g_maps.dtype)
+        grad[:, taps] = np.add.reduceat(g_maps.reshape(C, -1)[:, order], starts, axis=1)
         return grad.reshape(self.kernel_shape)
 
 

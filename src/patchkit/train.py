@@ -124,15 +124,21 @@ def train_patchnet(
 def extract_selected_patches(
     manifest: DatasetManifest,
     grid: PatchGrid,
-    selection: SelectionResult | list[int],
+    selection: SelectionResult,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature tensor (N, M, p^3) of the selected patches (a ranking or a list
-    of patch indices) plus the label vector, reading each volume once.
+    """Feature tensor (N, M, p^3) of the selected patches plus the label vector.
 
     Patch order follows the selection ranking, so position embedding slot i
     always corresponds to the i-th ranked patch.
     """
-    chosen = getattr(selection, "chosen", selection)
+    return extract_patches(manifest, grid, selection.chosen)
+
+
+def extract_patches(
+    manifest: DatasetManifest, grid: PatchGrid, chosen: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature tensor (N, len(chosen), p^3) of the grid patches ``chosen``, in
+    that order, plus the label vector, reading each volume once."""
     outside = [i for i in chosen if i >= len(grid)]
     if outside:
         raise InvalidArgumentError(

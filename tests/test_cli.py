@@ -250,7 +250,7 @@ class TestCompareReads:
 
     def test_union_columns_are_each_rankings_patches(self, pipeline_dir):
         from patchkit import DatasetManifest, SelectionResult
-        from patchkit.train import extract_selected_patches
+        from patchkit.train import extract_patches, extract_selected_patches
         from patchkit.volume import make_grid
 
         manifest = DatasetManifest.load(pipeline_dir[0] / "data" / "manifest.json")
@@ -258,7 +258,7 @@ class TestCompareReads:
         rankings = [SelectionResult([5, 9, 2, 40], "shap", np.arange(4.0)),
                     SelectionResult([9, 63, 5, 0], "ttest", np.arange(4.0))]
         union = [5, 9, 2, 40, 63, 0]
-        patches, labels = extract_selected_patches(manifest, grid, union)
+        patches, labels = extract_patches(manifest, grid, union)
         for ranking in rankings:
             features, want_labels = extract_selected_patches(manifest, grid, ranking)
             sliced = patches[:, [union.index(i) for i in ranking.chosen]]
