@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,26 +93,6 @@ def _load_manifest(cfg: RunConfig) -> DatasetManifest:
 def _write_run_echo(cfg: RunConfig, stage: str, artifacts: dict) -> None:
     payload = {"stage": stage, "config": cfg.to_dict(), "artifacts": artifacts}
     write_json(_out_dir(cfg) / f"run-{stage}.json", payload)
-
-
-def _schedule(cfg: RunConfig) -> TrainSchedule:
-    return TrainSchedule(
-        epochs=cfg.train.epochs,
-        batch_size=cfg.train.batch_size,
-        lr_start=cfg.train.lr_start,
-        lr_end=cfg.train.lr_end,
-    )
-
-
-def _net_config(cfg: RunConfig, patch_count: int, seed: int) -> PatchNetConfig:
-    return PatchNetConfig(
-        patch_edge=cfg.grid.patch_edge,
-        patch_count=patch_count,
-        embed_dim=cfg.net.embed_dim,
-        depth=cfg.net.depth,
-        class_count=cfg.net.class_count,
-        seed=seed,
-    )
 
 
 def cmd_gen(cfg: RunConfig) -> int:
@@ -239,10 +220,11 @@ def _fit_and_score(cfg, features, labels, split, seed):
     """Fit a PatchNet on the ``(train, val, test)`` index split and return the
     fit with its class-1 scores on the test part."""
     train_idx, val_idx, test_idx = split
+    net = PatchNetConfig(cfg.grid.patch_edge, features.shape[1], seed=seed, **asdict(cfg.net))
+    schedule = TrainSchedule(**{f.name: getattr(cfg.train, f.name) for f in fields(TrainSchedule)})
     result = train_patchnet(
         features[train_idx], labels[train_idx],
-        features[val_idx], labels[val_idx],
-        _net_config(cfg, features.shape[1], seed), _schedule(cfg), seed,
+        features[val_idx], labels[val_idx], net, schedule, seed,
     )
     return result, class_scores(result.params, features[test_idx])
 

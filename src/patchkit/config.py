@@ -2,6 +2,11 @@
 
 Defaults describe the desk-scale experiment (64^3 volumes, 8-voxel patch grid,
 100 volumes per class) sized so the full pipeline runs in minutes on a CPU.
+Settings the library defines are read from it: schedule defaults from
+``train.TrainSchedule``, the class count from ``patchnet.PatchNetConfig``, the
+call budget and the rule and key names from ``shapley``. The phantom, net and
+train sections map onto ``phantom.PhantomSpec``, ``PatchNetConfig`` and
+``TrainSchedule`` by field name.
 """
 from __future__ import annotations
 
@@ -13,12 +18,13 @@ from typing import get_type_hints
 
 from .artifacts import type_mismatch
 from .errors import ConfigError
+from .patchnet import PatchNetConfig
 from .phantom import PhantomSpec
+from .shapley import DEFAULT_CALL_BUDGET, REFINE_RULES, SELECT_KEYS, is_perfect_square
+from .train import TrainSchedule
 from .volume import Region
 
-REFINE_RULES = ("refine_below", "refine_at_or_above")
 SELECT_METHODS = ("shap", "ttest")
-SELECT_KEYS = ("magnitude", "value")
 
 # Fixed per-stage offsets for deriving stage seeds from the global seed.
 STAGE_SEED_OFFSETS = {
@@ -51,15 +57,10 @@ class PhantomConfig:
     seed: int | None = None  # null derives from the global seed
 
     def to_spec(self, fallback_seed: int) -> PhantomSpec:
-        return PhantomSpec(
-            dims=tuple(self.dims),
-            n_per_class=self.n_per_class,
-            lesion_regions=tuple(Region.from_json(r) for r in self.lesion_regions),
-            lesion_delta=self.lesion_delta,
-            noise_sigma=self.noise_sigma,
-            smooth_radius=self.smooth_radius,
-            seed=self.seed if self.seed is not None else fallback_seed,
-        )
+        return PhantomSpec(**asdict(self) | {
+            "lesion_regions": tuple(Region.from_json(r) for r in self.lesion_regions),
+            "seed": self.seed if self.seed is not None else fallback_seed,
+        })
 
 
 @dataclass
@@ -75,7 +76,7 @@ class ExplainerConfig:
     # cheap selective mode.
     tau: float = 1.0
     rule: str = "refine_below"
-    budget: int = 100_000
+    budget: int = DEFAULT_CALL_BUDGET
     max_depth: int = 3
     max_volumes: int = 12
     use_true_labels: bool = False
@@ -92,15 +93,15 @@ class SelectionConfig:
 class NetConfig:
     embed_dim: int = 64
     depth: int = 4
-    class_count: int = 2
+    class_count: int = PatchNetConfig.class_count
 
 
 @dataclass
 class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 8
-    lr_start: float = 1e-4
-    lr_end: float = 1e-6
+    epochs: int = TrainSchedule.epochs
+    batch_size: int = TrainSchedule.batch_size
+    lr_start: float = TrainSchedule.lr_start
+    lr_end: float = TrainSchedule.lr_end
     val_fraction: float = 0.15
     test_fraction: float = 0.25
 
@@ -265,8 +266,7 @@ def validate_config(cfg: RunConfig) -> None:
     sel = cfg.selection
     check(sel.method in SELECT_METHODS, "selection.method", f"must be one of {SELECT_METHODS}")
     check(sel.key in SELECT_KEYS, "selection.key", f"must be one of {SELECT_KEYS}")
-    check(sel.m_patches >= 1 and math.isqrt(sel.m_patches) ** 2 == sel.m_patches,
-          "selection.m_patches", "M must be a perfect square")
+    check(is_perfect_square(sel.m_patches), "selection.m_patches", "M must be a perfect square")
     net = cfg.net
     check(net.embed_dim >= 1, "net.embed_dim", "must be >= 1")
     check(net.depth >= 1, "net.depth", "must be >= 1")
@@ -285,5 +285,4 @@ def validate_config(cfg: RunConfig) -> None:
     cm = cfg.compare
     check(len(cm.m_values) >= 1, "compare.m_values", "must list at least one M")
     for i, m in enumerate(cm.m_values):
-        check(m >= 1 and math.isqrt(m) ** 2 == m,
-              f"compare.m_values[{i}]", "every M must be a perfect square")
+        check(is_perfect_square(m), f"compare.m_values[{i}]", "every M must be a perfect square")

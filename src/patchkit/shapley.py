@@ -22,7 +22,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -48,7 +48,6 @@ DEFAULT_CALL_BUDGET = 100_000
 T_STAT_SENTINEL = 1e30
 
 
-@runtime_checkable
 class Predictor(Protocol):
     """Black-box classifier over volumes: predict() returns a 2-class probability vector."""
 
@@ -351,6 +350,9 @@ def sibling_shapley(
     return exact_shapley(predictor, volume, siblings, features=features)
 
 
+REFINE_RULES = ("refine_below", "refine_at_or_above")
+
+
 def _rule_fires(rule: str, value: float, tau: float) -> bool:
     if rule == "refine_below":
         return value < tau
@@ -478,6 +480,9 @@ def _top(scores: np.ndarray, m: int) -> np.ndarray:
     """Indices of the ``m`` highest scores, best first. The stable sort breaks ties
     by ascending index, so a top-m is the first m entries of every larger top-M."""
     return np.argsort(-scores, kind="stable")[:m]
+
+
+SELECT_KEYS = ("magnitude", "value")
 
 
 def select_top(attribution: AttributionMap, m_patches: int, *, key: str = "magnitude") -> SelectionResult:

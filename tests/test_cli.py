@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from patchkit import phantom
-from patchkit.cli import main
+from patchkit.artifacts import read_json
+from patchkit.cli import COMMANDS, main
+from patchkit.config import RunConfig, load_config
+from patchkit.patchnet import load_checkpoint
+from patchkit.shapley import AttributionMap, SelectionResult
+from patchkit.surrogate import SurrogatePredictor
 
 TINY = {
     "phantom": {
@@ -151,6 +156,10 @@ class TestErrors:
         ("phantom.lesion_regions", [{"origin": ["a", 0, 0], "size": [6, 6, 6]}],
          "phantom.lesion_regions[0].origin"),
         ("phantom.noise_sigma", float("inf"), "phantom.noise_sigma"),
+        ("explainer.rule", "nope", "explainer.rule"),
+        ("selection.key", "nope", "selection.key"),
+        ("selection.method", "nope", "selection.method"),
+        ("compare.m_values", [16, 30], "compare.m_values[1]"),
     ])
     def test_invalid_field_value_exits_2_with_path(self, tmp_path, capsys, key, value, path):
         cfg = write_config(tmp_path, **{key: value})
@@ -285,6 +294,52 @@ class TestOverrides:
         other = tmp_path / "elsewhere"
         assert main(["gen", "--config", str(cfg), "--out", str(other)]) == 0
         assert (other / "run-gen.json").exists()
+
+
+class TestDefaults:
+    def test_default_config_is_pinned(self):
+        # Config defaults read from the library types must keep these values.
+        assert json.dumps(RunConfig().to_dict(), sort_keys=True) == (
+            '{"compare": {"m_values": [16, 36, 64]}, "eval": {"k": 5, "repeats": 1, "stratified": true}, '
+            '"explainer": {"budget": 100000, "max_depth": 3, "max_volumes": 12, "rule": "refine_below", '
+            '"tau": 1.0, "use_true_labels": false}, "grid": {"patch_edge": 8}, '
+            '"net": {"class_count": 2, "depth": 4, "embed_dim": 64}, '
+            '"paths": {"data_dir": "data", "out_dir": "out"}, '
+            '"phantom": {"dims": [64, 64, 64], "lesion_delta": 0.35, '
+            '"lesion_regions": [{"origin": [22, 26, 20], "size": [12, 12, 12]}], "n_per_class": 100, '
+            '"noise_sigma": 0.05, "seed": null, "smooth_radius": 1}, "seed": 2024, '
+            '"selection": {"key": "magnitude", "m_patches": 36, "method": "shap"}, '
+            '"train": {"batch_size": 8, "epochs": 30, "lr_end": 1e-06, "lr_start": 0.0001, '
+            '"test_fraction": 0.25, "val_fraction": 0.15}}'
+        )
+
+    @pytest.mark.parametrize("overrides", [
+        {"explainer.use_true_labels": True},
+        {"explainer.rule": "refine_at_or_above", "explainer.tau": 0.0},
+        {"selection.key": "value"},
+        {"eval.stratified": False},
+    ])
+    def test_non_default_option_runs_every_stage(self, tmp_path, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        for stage in COMMANDS:
+            assert run(cfg, stage) == 0, stage
+        out = tmp_path / "out"
+        manifest = phantom.DatasetManifest.load(tmp_path / "data" / "manifest.json")
+        for i in range(len(manifest.entries)):
+            manifest.load_volume(i)
+        SurrogatePredictor.load(out / "surrogate.json")
+        AttributionMap.load(out / "attribution.json")
+        SelectionResult.load(out / "selection.json")
+        load_checkpoint(out / "checkpoint.pnc")
+        for line in (out / "train_log.jsonl").read_text().splitlines():
+            json.loads(line)
+        for name in ("train_summary.json", "eval_report.json", "compare.json"):
+            read_json(out / name)
+        for stage in COMMANDS:
+            echoed = load_config(out / f"run-{stage}.json")
+            for key, value in overrides.items():
+                section, _, field = key.partition(".")
+                assert getattr(getattr(echoed, section), field) == value
 
 
 class TestIdempotence:
