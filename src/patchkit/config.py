@@ -274,7 +274,8 @@ def validate_config(cfg: RunConfig) -> None:
     tr = cfg.train
     check(tr.epochs >= 1, "train.epochs", "must be >= 1")
     check(tr.batch_size >= 1, "train.batch_size", "must be >= 1")
-    check(tr.lr_start > 0 and tr.lr_end > 0, "train.lr_start", "learning rates must be positive")
+    check(tr.lr_start > 0, "train.lr_start", "must be positive")
+    check(tr.lr_end > 0, "train.lr_end", "must be positive")
     check(0.0 <= tr.val_fraction < 1.0, "train.val_fraction", "must be in [0, 1)")
     check(0.0 < tr.test_fraction < 1.0, "train.test_fraction", "must be in (0, 1)")
     check(tr.val_fraction + tr.test_fraction < 1.0, "train.test_fraction",

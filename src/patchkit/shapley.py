@@ -15,6 +15,9 @@ means are computed once per map by ``recursive_attribution`` and handed to
 every game; each game copies them into its 2^n rows and zeroes the absent
 members' patches, keeping the rows one C-contiguous float64 array. Any other
 predictor or region gets one zero-filled volume per coalition.
+
+Around its readout, a game is a few array operations: one readout check, one
+gather over cached coalition masks, and one write over its node's box.
 """
 from __future__ import annotations
 
@@ -59,23 +62,24 @@ def _checked_readouts(p, count: int) -> np.ndarray:
 
     Finiteness and sum-to-one are enforced; the [0, 1] range is not, because
     the additive probes used as analytic oracles legitimately produce readouts
-    outside it.
+    outside it. A batch passes on one max of ``|p0 + p1 - 1|``, which any
+    non-finite entry fails too; only a failing batch is searched for the cause.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.size != 2 * count or p.shape[-1:] != (2,):
         raise ContractViolationError(
             f"predictor returned shape {p.shape}, expected {count} vector(s) of 2"
         )
-    p = p.reshape(count, 2)
-    if not np.all(np.isfinite(p)):
-        raise ContractViolationError("predictor returned non-finite probabilities")
-    sums = p.sum(axis=1)
-    off = np.abs(sums - 1.0) > 1e-6
-    if np.any(off):
+    p0, p1 = p.reshape(count, 2).T
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, and fails
+        off = np.abs(p0 + p1 - 1.0)
+    if not off.max() <= 1e-6:
+        if not np.all(np.isfinite(p)):
+            raise ContractViolationError("predictor returned non-finite probabilities")
         raise ContractViolationError(
-            f"probabilities sum to {sums[off][0]}, expected 1 within 1e-6"
+            f"probabilities sum to {(p0 + p1)[off > 1e-6][0]}, expected 1 within 1e-6"
         )
-    return p[:, 1]
+    return p1
 
 
 @dataclass
@@ -284,18 +288,32 @@ def _coalition_weights(n: int) -> np.ndarray:
     return weights
 
 
+# A map's games have at most three sizes; at 20 players, 4 blocks hold 2 MiB.
+@functools.lru_cache(maxsize=4)
+def _pair_masks(n: int, first: int, rows: int, start: int, cols: int) -> np.ndarray:
+    """Reduction block (2, players, columns) of players ``first``.. and columns
+    ``start``..: each entry's coalition with the player, then without. Entry k
+    of player i is k with a 0 inserted at bit i."""
+    i = np.arange(first, min(first + rows, n))[:, None]
+    k = np.arange(start, start + cols)
+    masks = k + ((k >> i) << i) + (np.array([1, 0])[:, None, None] << i)
+    masks.setflags(write=False)  # shared by every caller through the cache
+    return masks
+
+
 def _shapley_from_readouts(readouts: np.ndarray, n: int) -> np.ndarray:
     """Exact Shapley values from a full coalition-readout table.
 
     Row i of the term table lists player i's weighted marginal differences
-    over the coalitions without i in ascending order: entry k belongs to the
-    mask ``k + ((k >> i) << i)``, which is k with a 0 inserted at bit i, so
-    the indices are built arithmetically and never cached. Each difference
-    is taken before it is weighted, so a null player's value is exactly 0.0,
-    and each row is summed as one contiguous array, so the result is
-    reproducible. Rows are filled ``_REDUCTION_BLOCK`` entries at a time and
-    summed as soon as they are full: a game of up to 12 players is one pass,
-    and a 20-player game holds one row of 2^19 terms at a time.
+    over the coalitions without i in ascending order, gathered block by
+    block through the cached masks of :func:`_pair_masks`. Inserting a bit
+    keeps the coalition size, so entry k's weight is that of mask k for
+    every player: a block's weights are one slice of ``_coalition_weights``.
+    Each difference is taken before it is weighted, so a null player's value
+    is exactly 0.0, and each row is summed as one contiguous array, so the
+    result is reproducible. A game of up to 12 players is one block (one
+    gather, one subtract, one multiply and one row sum); a 20-player game
+    holds one row of 2^19 terms at a time.
     """
     weights = _coalition_weights(n)
     half = 1 << (n - 1)
@@ -304,14 +322,11 @@ def _shapley_from_readouts(readouts: np.ndarray, n: int) -> np.ndarray:
     terms = np.empty((rows, half), dtype=np.float64)
     values = np.empty(n, dtype=np.float64)
     for first in range(0, n, rows):
-        i = np.arange(first, min(first + rows, n))[:, None]
-        block = terms[: len(i)]
+        block = terms[: min(rows, n - first)]
         for start in range(0, half, cols):
-            k = np.arange(start, start + cols)
-            without = k + ((k >> i) << i)
-            diff = readouts[without + (1 << i)] - readouts[without]
-            block[:, start : start + cols] = weights[without] * diff
-        values[first : first + len(i)] = block.sum(axis=1)
+            with_, without = readouts[_pair_masks(n, first, rows, start, cols)]
+            np.multiply(weights[start : start + cols], with_ - without, out=block[:, start : start + cols])
+        values[first : first + len(block)] = block.sum(axis=1)
     return values
 
 
@@ -361,6 +376,19 @@ def _rule_fires(rule: str, value: float, tau: float) -> bool:
     raise InvalidArgumentError(f"unknown refinement rule {rule!r}")
 
 
+@functools.lru_cache(maxsize=64)
+def _owner_block(size: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(z, y, x) blocks over a node of ``size`` leaves: each leaf's child index and leaf flag."""
+    children = _octree_split((0, 0, 0), size)
+    owner = np.empty(size[::-1], dtype=np.intp)
+    for c, ((x0, y0, z0), (cx, cy, cz)) in enumerate(children):
+        owner[z0 : z0 + cz, y0 : y0 + cy, x0 : x0 + cx] = c
+    flags = np.array([child == (1, 1, 1) for _, child in children])[owner]
+    owner.setflags(write=False)  # shared by every caller through the cache
+    flags.setflags(write=False)
+    return owner, flags
+
+
 def recursive_attribution(
     predictor: Predictor,
     volume: Volume,
@@ -382,7 +410,9 @@ def recursive_attribution(
     one per sibling. A node is split further when it holds more than one leaf,
     the refinement rule fires on its value and its level is below
     ``max_depth``. Each leaf inherits the value of the deepest computed node
-    containing it. A one-leaf grid plays a one-player game on that leaf.
+    containing it: a game writes its children's values and leaf flags over the
+    node's box through a cached block of child indices (:func:`_owner_block`).
+    A one-leaf grid plays a one-player game on that leaf.
     Remainder voxels past the last whole patch belong to no node and are never
     zero-filled.
 
@@ -410,7 +440,6 @@ def recursive_attribution(
     nx, ny, nz = grid.counts
     values = np.empty((nz, ny, nx), dtype=np.float64)
     refined = np.zeros((nz, ny, nx), dtype=bool)
-    leaf = (1, 1, 1)
     evaluations = 0
     levels = 0
     # Nodes whose children play a game at the current level. Levels are
@@ -424,22 +453,20 @@ def recursive_attribution(
                 f"attribution would need more than {budget} predictor calls"
             )
         levels += 1
-        frontier = []
-        for children in games:
+        nodes, frontier = frontier, []
+        for ((x0, y0, z0), (sx, sy, sz)), children in zip(nodes, games):
             siblings = [
                 Region((x * leaf_edge, y * leaf_edge, z * leaf_edge),
-                       (sx * leaf_edge, sy * leaf_edge, sz * leaf_edge))
-                for (x, y, z), (sx, sy, sz) in children
+                       (cx * leaf_edge, cy * leaf_edge, cz * leaf_edge))
+                for (x, y, z), (cx, cy, cz) in children
             ]
             game = sibling_shapley(predictor, volume, siblings, features=features)
-            for (origin, size), value in zip(children, game):
-                (x0, y0, z0), (sx, sy, sz) = origin, size
-                box = slice(z0, z0 + sz), slice(y0, y0 + sy), slice(x0, x0 + sx)
-                is_leaf = size == leaf
-                values[box] = value
-                refined[box] = is_leaf
-                if not is_leaf and levels < max_depth and _rule_fires(rule, value, tau):
-                    frontier.append((origin, size))
+            owner, flags = _owner_block((sx, sy, sz))
+            box = slice(z0, z0 + sz), slice(y0, y0 + sy), slice(x0, x0 + sx)
+            values[box], refined[box] = game[owner], flags
+            if levels < max_depth:
+                frontier += [child for child, value in zip(children, game.tolist())
+                             if child[1] != (1, 1, 1) and _rule_fires(rule, value, tau)]
         evaluations += cost
     return AttributionMap(
         grid=grid,

@@ -58,7 +58,9 @@ class SurrogatePredictor:
         p1 = features @ self.params.weights + self.params.bias
         if self.params.link == "logistic":
             p1 = 1.0 / (1.0 + np.exp(-p1))
-        return np.stack([1.0 - p1, p1], axis=1)
+        probs = np.empty((len(p1), 2))
+        probs[:, 0], probs[:, 1] = 1.0 - p1, p1
+        return probs
 
     def predict(self, v: Volume) -> np.ndarray:
         return self.predict_features(patch_means(v, self.grid)[None])[0]

@@ -20,6 +20,7 @@ from patchkit.errors import (
 )
 from patchkit.shapley import T_STAT_SENTINEL, _shapley_from_readouts, _top
 from patchkit.surrogate import SurrogateParams, SurrogatePredictor
+from patchkit.volume import _octree_split
 
 from conftest import (
     DELETE,
@@ -90,21 +91,21 @@ class TestExactShapley:
     def test_contract_violations(self):
         v, regions = three_region_setup()
 
-        class BadSum:
-            def predict(self, _):
-                return np.array([0.5, 0.6])
+        class Bad:
+            def __init__(self, readout):
+                self.readout = readout
 
-        class BadLen:
             def predict(self, _):
-                return np.array([1.0])
+                return np.array(self.readout)
 
-        class BadFinite:
-            def predict(self, _):
-                return np.array([np.nan, 1.0 - np.nan])
-
-        for bad in (BadSum(), BadLen(), BadFinite()):
-            with pytest.raises(ContractViolationError):
-                pk.exact_shapley(bad, v, regions)
+        for readout, message in [
+            ([0.5, 0.6], "sum to"),
+            ([1.0], r"vector\(s\) of 2"),
+            ([np.nan, 1.0], "non-finite"),
+            ([np.inf, -np.inf], "non-finite"),
+        ]:
+            with pytest.raises(ContractViolationError, match=message):
+                pk.exact_shapley(Bad(readout), v, regions)
 
 
 class TestAxioms:
@@ -385,6 +386,28 @@ class TestRecursiveAttribution:
         assert np.all(amap.refined_mask)
         assert np.allclose(amap.values, weights * pk.patch_means(v, grid), rtol=0, atol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_walk_matches_the_per_child_reference(self, data):
+        # Non-dyadic leaf counts, remainder voxels, both rules, finite and
+        # infinite tau and every depth: the map equals the one written child
+        # by child.
+        edge = data.draw(st.integers(1, 3), label="leaf_edge")
+        dims = tuple(data.draw(st.integers(edge, 9 * edge), label="dim") for _ in range(3))
+        grid = pk.make_grid(dims, edge)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
+        predictor = surrogate("logistic", grid, rng)
+        rule = data.draw(st.sampled_from(shapley.REFINE_RULES), label="rule")
+        tau = data.draw(st.sampled_from([-math.inf, math.inf]) | st.floats(-0.05, 0.05), label="tau")
+        depth = data.draw(st.integers(1, 5), label="max_depth")
+        amap = pk.recursive_attribution(predictor, v, edge, tau, rule, max_depth=depth)
+        values, refined, evaluations, levels = per_child_attribution(
+            predictor, v, edge, tau, rule, depth)
+        assert amap.values.tobytes() == values.tobytes()
+        assert np.array_equal(amap.refined_mask, refined)
+        assert (amap.evaluations, amap.levels) == (evaluations, levels)
+
     def test_infinite_tau_survives_json_round_trip(self, tmp_path):
         dims = (8, 8, 8)
         grid = pk.make_grid(dims, 4)
@@ -423,6 +446,66 @@ def per_player_reduction(readouts, n):
         pairs = readouts.reshape(-1, 2, 1 << i)
         values[i] = (weights.reshape(-1, 2, 1 << i)[:, 0] * (pairs[:, 1] - pairs[:, 0])).sum()
     return values
+
+
+def blocked_reduction(readouts, n, block=1 << 15):
+    """The Shapley reduction with its index tables built per call: row i lists
+    player i's weighted marginal differences over the coalitions without i,
+    entry k at the mask k with a 0 inserted at bit i, filled ``block``
+    entries at a time and summed as one contiguous row."""
+    weights = shapley._coalition_weights(n)
+    half = 1 << (n - 1)
+    rows = min(n, max(1, block // half))
+    cols = min(half, block)
+    terms = np.empty((rows, half), dtype=np.float64)
+    values = np.empty(n, dtype=np.float64)
+    for first in range(0, n, rows):
+        i = np.arange(first, min(first + rows, n))[:, None]
+        chunk = terms[: len(i)]
+        for start in range(0, half, cols):
+            k = np.arange(start, start + cols)
+            without = k + ((k >> i) << i)
+            diff = readouts[without + (1 << i)] - readouts[without]
+            chunk[:, start : start + cols] = weights[without] * diff
+        values[first : first + len(i)] = chunk.sum(axis=1)
+    return values
+
+
+def per_child_attribution(predictor, volume, leaf_edge, tau, rule, max_depth):
+    """``recursive_attribution`` with each child's value and leaf flag written
+    into its own box, one child at a time, and no budget."""
+    grid = pk.make_grid(volume.dims, leaf_edge)
+    features = pk.patch_means(volume, grid)
+    nx, ny, nz = grid.counts
+    values = np.empty((nz, ny, nx), dtype=np.float64)
+    refined = np.zeros((nz, ny, nx), dtype=bool)
+    evaluations = levels = 0
+    frontier = [((0, 0, 0), grid.counts)]
+    while frontier:
+        games = [_octree_split(origin, size) for origin, size in frontier]
+        levels += 1
+        frontier = []
+        for children in games:
+            siblings = [pk.Region([a * leaf_edge for a in origin], [a * leaf_edge for a in size])
+                        for origin, size in children]
+            game = pk.sibling_shapley(predictor, volume, siblings, features=features)
+            evaluations += 1 << len(children)
+            for (origin, size), value in zip(children, game):
+                (x0, y0, z0), (sx, sy, sz) = origin, size
+                box = slice(z0, z0 + sz), slice(y0, y0 + sy), slice(x0, x0 + sx)
+                values[box] = value
+                refined[box] = size == (1, 1, 1)
+                if (size != (1, 1, 1) and levels < max_depth
+                        and shapley._rule_fires(rule, value, tau)):
+                    frontier.append((origin, size))
+    return values.reshape(-1), refined.reshape(-1), evaluations, levels
+
+
+def with_row(rows, i, readout):
+    """A copy of ``rows`` with row ``i`` replaced by ``readout``."""
+    rows = rows.copy()
+    rows[i] = readout
+    return rows
 
 
 def surrogate(link, grid, rng, scale=0.5):
@@ -555,13 +638,16 @@ class TestFeatureSpaceGames:
         pk.exact_shapley(proxy, v, list(grid.regions)[:3])
         assert proxy.calls == 8
 
-    @pytest.mark.parametrize("bad", [
-        lambda rows: np.full_like(rows, np.nan),
-        lambda rows: rows * 2.0,
-        lambda rows: rows[:, :1],
-        lambda rows: rows.T,
-    ], ids=["non_finite", "bad_sum", "one_column", "transposed"])
-    def test_batched_readout_contract(self, bad):
+    @pytest.mark.parametrize("bad, message", [
+        (lambda rows: np.full_like(rows, np.nan), "non-finite"),
+        (lambda rows: with_row(rows, 3, [np.inf, -np.inf]), "non-finite"),
+        (lambda rows: rows * 2.0, "sum to"),
+        (lambda rows: with_row(rows, 5, [0.5, 0.6]), "sum to"),
+        (lambda rows: rows[:, :1], r"vector\(s\) of 2"),
+        (lambda rows: rows.T, r"vector\(s\) of 2"),
+    ], ids=["non_finite", "opposite_infinities", "bad_sum", "one_row_sums_to_1.1",
+            "one_column", "transposed"])
+    def test_batched_readout_contract(self, bad, message):
         dims = (8, 8, 8)
         grid = pk.make_grid(dims, 4)
         rng = np.random.default_rng(5)
@@ -578,7 +664,7 @@ class TestFeatureSpaceGames:
             def predict_features(self, features):
                 return bad(inner.predict_features(features))
 
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match=message):
             pk.exact_shapley(Broken(), v, list(grid.regions))
 
     @settings(max_examples=40, deadline=None)
@@ -657,6 +743,20 @@ class TestFeatureSpaceGames:
         assert np.allclose(values, loop_reference(readouts), rtol=0, atol=1e-15)
         assert values.tobytes() == per_player_reduction(readouts, n).tobytes()
         assert values[n - 1] == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_reduction_matches_the_blocked_reference(self, n):
+        # Up to 14 players, so the sizes whose rows take more than one block
+        # (13 and 14) are covered as well as the one-block sizes.
+        readouts = np.random.default_rng(100 + n).random(1 << n)
+        values = _shapley_from_readouts(readouts, n)
+        assert values.tobytes() == blocked_reduction(readouts, n).tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        tables = [shapley._pair_masks(8, 0, 8, 0, 128), *shapley._owner_block((3, 2, 1))]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 0
 
     def test_a_twenty_player_reduction_stays_within_twice_the_per_player_memory(self):
         n = shapley.EXACT_SHAPLEY_MAX_REGIONS
