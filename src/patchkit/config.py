@@ -3,10 +3,10 @@
 Defaults describe the desk-scale experiment (64^3 volumes, 8-voxel patch grid,
 100 volumes per class) sized so the full pipeline runs in minutes on a CPU.
 Settings the library defines are read from it: schedule defaults from
-``train.TrainSchedule``, the class count from ``patchnet.PatchNetConfig``, the
-call budget and the rule and key names from ``shapley``. The phantom, net and
-train sections map onto ``phantom.PhantomSpec``, ``PatchNetConfig`` and
-``TrainSchedule`` by field name.
+``train.TrainSchedule``, the call budget and the rule and key names from
+``shapley``. The phantom, net and train sections map onto
+``phantom.PhantomSpec``, ``PatchNetConfig`` and ``TrainSchedule`` by field
+name.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from typing import get_type_hints
 
 from .artifacts import type_mismatch
 from .errors import ConfigError
-from .patchnet import PatchNetConfig
 from .phantom import PhantomSpec
 from .shapley import DEFAULT_CALL_BUDGET, REFINE_RULES, SELECT_KEYS, is_perfect_square
 from .train import TrainSchedule
@@ -93,7 +92,6 @@ class SelectionConfig:
 class NetConfig:
     embed_dim: int = 64
     depth: int = 4
-    class_count: int = PatchNetConfig.class_count
 
 
 @dataclass
@@ -141,12 +139,20 @@ class RunConfig:
 _SECTIONS = {name: cls for name, cls in get_type_hints(RunConfig).items() if is_dataclass(cls)}
 
 
+# Removed fields that older files may still carry, each at its one legal value.
+_RETIRED = {"net.class_count": 2}
+
+
 def _build_section(cls, values: dict, path: str):
     known = {f for f in cls.__dataclass_fields__}
-    for key in values:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}", "unknown field")
-    return cls(**values)
+    kept = {}
+    for key, value in values.items():
+        dotted = f"{path}.{key}"
+        if key in known:
+            kept[key] = value
+        elif dotted not in _RETIRED or value != _RETIRED[dotted]:
+            raise ConfigError(dotted, "unknown field")
+    return cls(**kept)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -270,7 +276,6 @@ def validate_config(cfg: RunConfig) -> None:
     net = cfg.net
     check(net.embed_dim >= 1, "net.embed_dim", "must be >= 1")
     check(net.depth >= 1, "net.depth", "must be >= 1")
-    check(net.class_count == 2, "net.class_count", "only two classes are supported")
     tr = cfg.train
     check(tr.epochs >= 1, "train.epochs", "must be >= 1")
     check(tr.batch_size >= 1, "train.batch_size", "must be >= 1")

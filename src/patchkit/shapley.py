@@ -6,14 +6,16 @@ regions left intact, and every region outside the coalition is zero-filled
 before the predictor is queried. The designated scalar readout is the
 predicted probability of class 1.
 
-A predictor that reads out patch means over its own ``grid`` and whose class
-defines ``predict_features`` (a batched readout over feature rows) is evaluated
-in feature space when every region is a union of whole patches of that grid:
-zero-filling a region zeroes exactly its patches' means, so a game's 2^n
-coalitions become one feature matrix and one readout call. The volume's patch
-means are computed once per map by ``recursive_attribution`` and handed to
-every game; each game copies them into its 2^n rows and zeroes the absent
-members' patches, keeping the rows one C-contiguous float64 array. Any other
+A predictor that reads out patch means over its own ``grid`` with a score
+additive over patches declares it on its class as ``patch_terms`` (each
+patch's term of the score) and ``predict_sums`` (the readout of score sums).
+It is played on summed terms when every region is a union of whole patches of
+that grid: zero-filling a region zeroes exactly its patches' means, whose
+terms are 0, so a coalition's score is the sum of the terms of the patches it
+keeps. A game labels each patch with the bitmask of the members covering it,
+sums the terms per label, takes the 2^n coalition scores as subset sums of
+the label sums and reads them out in one call. ``recursive_attribution``
+computes the volume's patch means and terms once per map. Any other
 predictor or region gets one zero-filled volume per coalition.
 
 Around its readout, a game is a few array operations: one readout check, one
@@ -188,13 +190,13 @@ class SelectionResult:
 
 
 def _feature_grid(predictor: Predictor, volume: Volume) -> PatchGrid | None:
-    """The grid of the predictor's feature readout when it covers ``volume``, else None.
+    """The grid of the predictor's additive readout when it covers ``volume``, else None.
 
     The readout is looked up on the predictor's class: a proxy that overrides
     ``predict`` and forwards other attributes from an inner predictor stays
     opaque, so its own ``predict`` is what gets queried.
     """
-    if getattr(type(predictor), "predict_features", None) is None:
+    if not all(getattr(type(predictor), name, None) for name in ("patch_terms", "predict_sums")):
         return None
     grid = getattr(predictor, "grid", None)
     if not isinstance(grid, PatchGrid) or grid.vol_dims != volume.dims:
@@ -215,60 +217,40 @@ def _patch_box(grid: PatchGrid, r: Region) -> tuple[slice, slice, slice] | None:
     return slice(z0 // p, z1 // p), slice(y0 // p, y1 // p), slice(x0 // p, x1 // p)
 
 
-def _feature_readouts(
-    predictor: Predictor, volume: Volume, members: list[Region], *, features: np.ndarray | None = None
-) -> np.ndarray | None:
-    """Every coalition's readout from one ``predict_features`` call, or None.
-
-    None means the per-volume path must run: the predictor has no feature
-    readout over a grid of this volume (:func:`_feature_grid`), or some region
-    is not a union of whole patches of that grid. ``features`` is the volume's
-    ``patch_means`` over that grid, computed here when None;
-    ``recursive_attribution`` computes it once per map and passes it to every
-    game.
-
-    Row ``mask`` of the feature matrix is ``features`` with the patches of the
-    members whose bit is clear set to 0.0, which are the same bits
-    ``patch_means`` gives for the zero-filled volume (a patch two absent
-    members cover is zeroed twice). The rows are built as one C-contiguous
-    float64 array filled from ``features``, then zeroed member by member
-    through strided views, so the readout sees one memory layout whatever
-    the game.
-    """
-    grid = _feature_grid(predictor, volume)
-    if grid is None:
-        return None
-    if features is None:
-        features = patch_means(volume, grid)
-    elif np.shape(features) != (len(grid),):
-        raise InvalidArgumentError(
-            f"features has shape {np.shape(features)}, expected ({len(grid)},) for the predictor's grid"
+def _patch_terms(predictor: Predictor, grid: PatchGrid, features: np.ndarray) -> np.ndarray:
+    """The predictor's per-patch score terms of ``features``. Coalition scores
+    leave zero-filled patches out, so the terms of all-zero means must be 0.0."""
+    k = len(grid)
+    zero, terms = (np.asarray(type(predictor).patch_terms(predictor, x), dtype=np.float64)
+                   for x in (np.zeros(k), features))
+    if zero.shape != (k,) or terms.shape != (k,) or np.any(zero != 0.0):
+        raise ContractViolationError(
+            f"patch_terms must map {k} patch means to {k} terms, each 0.0 where the mean is 0.0"
         )
-    boxes = [_patch_box(grid, r) for r in members]
-    if any(b is None for b in boxes):
-        return None
-    n = len(members)
-    nx, ny, nz = grid.counts
-    rows = np.empty((1 << n, len(grid)), dtype=np.float64)
-    rows[...] = features
-    for i, (zs, ys, xs) in enumerate(boxes):
-        # Coalition masks as (high bits, bit i, low bits): [:, 0] are those without member i.
-        rows.reshape(-1, 2, 1 << i, nz, ny, nx)[:, 0, :, zs, ys, xs] = 0.0
-    return _checked_readouts(type(predictor).predict_features(predictor, rows), 1 << n)
+    return terms
 
 
-def _coalition_readouts(
-    predictor: Predictor, volume: Volume, members: list[Region], *, features: np.ndarray | None = None
-) -> np.ndarray:
-    """Readout for every coalition bitmask over ``members`` (2^n entries).
+def _term_game(predictor: Predictor, terms: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Shapley values of the n-member game whose patch ``labels`` are the
+    bitmasks of the members covering each patch. A coalition keeps the patches
+    whose label is a subset of it, so its score is the sum of the per-label
+    term sums (one ``bincount``) over those subsets (a zeta transform, one
+    pass per member); the 2^n scores are read out in one ``predict_sums`` call.
+    """
+    scores = np.bincount(labels.reshape(-1), weights=terms, minlength=1 << n)
+    for i in range(n):
+        pairs = scores.reshape(-1, 2, 1 << i)  # [:, 1] are the coalitions holding member i
+        np.add(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    readouts = _checked_readouts(type(predictor).predict_sums(predictor, scores), 1 << n)
+    return _shapley_from_readouts(readouts, n)
+
+
+def _coalition_readouts(predictor: Predictor, volume: Volume, members: list[Region]) -> np.ndarray:
+    """Readout of one zero-filled volume per coalition bitmask over ``members`` (2^n entries).
 
     Bit i set means member i stays intact; the members whose bit is clear are
-    zero-filled, and the rest of the volume is never touched. ``features`` is
-    passed to :func:`_feature_readouts`.
+    zero-filled, and the rest of the volume is never touched.
     """
-    batched = _feature_readouts(predictor, volume, members, features=features)
-    if batched is not None:
-        return batched
     n = len(members)
 
     def evaluate(mask: int) -> float:
@@ -335,10 +317,15 @@ def exact_shapley(
 ) -> np.ndarray:
     """Brute-force Shapley values over ``regions`` with a zero-fill baseline.
 
-    Costs exactly 2^n predictor calls; refused above ``EXACT_SHAPLEY_MAX_REGIONS``.
-    ``features`` optionally gives the volume's patch means over a feature
-    predictor's grid, so a caller playing many games on one volume computes
-    them once; a vector of the wrong length is rejected.
+    Costs exactly 2^n coalition readouts; refused above ``EXACT_SHAPLEY_MAX_REGIONS``.
+    A predictor with an additive readout over a grid of this volume
+    (:func:`_feature_grid`) plays the game by :func:`_term_game` when every
+    region is a union of whole patches of that grid; each region ORs its bit
+    into its patches' labels, so overlapping and duplicate regions stay exact.
+    ``features`` optionally gives the volume's patch means over that grid, so
+    a caller playing many games on one volume computes them once; a vector of
+    the wrong length is rejected. Any other game queries one zero-filled
+    volume per coalition.
     """
     n = len(regions)
     if n == 0:
@@ -351,8 +338,20 @@ def exact_shapley(
     for r in regions:
         if not volume.contains(r):
             raise InvalidArgumentError(f"region {r} outside volume dims {volume.dims}")
-    readouts = _coalition_readouts(predictor, volume, list(regions), features=features)
-    return _shapley_from_readouts(readouts, n)
+    grid = _feature_grid(predictor, volume)
+    if grid is not None:
+        if features is not None and np.shape(features) != (len(grid),):
+            raise InvalidArgumentError(
+                f"features has shape {np.shape(features)}, expected ({len(grid)},) for the predictor's grid"
+            )
+        boxes = [_patch_box(grid, r) for r in regions]
+        if all(b is not None for b in boxes):
+            labels = np.zeros(grid.counts[::-1], dtype=np.intp)
+            for i, box in enumerate(boxes):
+                labels[box] |= 1 << i
+            features = patch_means(volume, grid) if features is None else features
+            return _term_game(predictor, _patch_terms(predictor, grid, features), labels, n)
+    return _shapley_from_readouts(_coalition_readouts(predictor, volume, list(regions)), n)
 
 
 def sibling_shapley(
@@ -389,6 +388,15 @@ def _owner_block(size: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     return owner, flags
 
 
+@functools.lru_cache(maxsize=64)
+def _label_block(size: tuple[int, int, int], scale: int) -> np.ndarray:
+    """(z, y, x) block over a node of ``size`` leaves of ``scale``^3 patches
+    each: every patch's label, 1 << its child index."""
+    block = np.kron(1 << _owner_block(size)[0], np.ones((scale,) * 3, dtype=np.intp))
+    block.setflags(write=False)  # shared by every caller through the cache
+    return block
+
+
 def recursive_attribution(
     predictor: Predictor,
     volume: Volume,
@@ -405,23 +413,24 @@ def recursive_attribution(
     The octree splits the patch grid, not the voxels: a node is a block of
     leaf indices, held as an ``(origin, size)`` tuple of ints and halved per
     axis as ``octree_children`` halves a region, and a sibling Shapley game is
-    played among the voxel regions its children cover (level 1 splits the
-    whole grid). Only those voxel regions are built as ``Region`` objects,
-    one per sibling. A node is split further when it holds more than one leaf,
-    the refinement rule fires on its value and its level is below
-    ``max_depth``. Each leaf inherits the value of the deepest computed node
-    containing it: a game writes its children's values and leaf flags over the
-    node's box through a cached block of child indices (:func:`_owner_block`).
-    A one-leaf grid plays a one-player game on that leaf.
-    Remainder voxels past the last whole patch belong to no node and are never
-    zero-filled.
+    played among its children (level 1 splits the whole grid). A node is
+    split further when it holds more than one leaf, the refinement rule fires
+    on its value and its level is below ``max_depth``. Each leaf inherits the
+    value of the deepest computed node containing it: a game writes its
+    children's values and leaf flags over the node's box through a cached
+    block of child indices (:func:`_owner_block`). A one-leaf grid plays a
+    one-player game on that leaf. Remainder voxels past the last whole patch
+    belong to no node and are never zero-filled.
 
     The tree is walked one level at a time, and a level's games are played in
-    tree order on the calling thread. For a predictor with a feature readout
-    over a grid of this volume, the volume's patch means are computed once,
-    here, and every game builds its coalition rows from them. ``threads`` is
-    accepted for existing callers, is rejected below 1 and otherwise has no
-    effect.
+    tree order on the calling thread. For a predictor with an additive readout
+    over a grid of this volume whose patches tile the leaves, the volume's
+    patch terms are computed once, here, and every game labels the node's
+    patches with one write of a cached block (:func:`_label_block`) and is
+    played by :func:`_term_game`. Any other predictor gets each game's
+    children as voxel ``Region`` objects through :func:`sibling_shapley`.
+    ``threads`` is accepted for existing callers, is rejected below 1 and
+    otherwise has no effect.
 
     ``tau`` may be +/-inf (forcing one rule to always or never fire); NaN is
     rejected. A level whose games would take the map past ``budget`` predictor
@@ -437,6 +446,10 @@ def recursive_attribution(
     grid = make_grid(volume.dims, leaf_edge)
     feature_grid = _feature_grid(predictor, volume)
     features = None if feature_grid is None else patch_means(volume, feature_grid)
+    scale = 0  # feature patches per leaf edge when they tile the leaves
+    if features is not None and leaf_edge % feature_grid.patch_edge == 0:
+        scale = leaf_edge // feature_grid.patch_edge
+        terms = _patch_terms(predictor, feature_grid, features)
     nx, ny, nz = grid.counts
     values = np.empty((nz, ny, nx), dtype=np.float64)
     refined = np.zeros((nz, ny, nx), dtype=bool)
@@ -455,12 +468,18 @@ def recursive_attribution(
         levels += 1
         nodes, frontier = frontier, []
         for ((x0, y0, z0), (sx, sy, sz)), children in zip(nodes, games):
-            siblings = [
-                Region((x * leaf_edge, y * leaf_edge, z * leaf_edge),
-                       (cx * leaf_edge, cy * leaf_edge, cz * leaf_edge))
-                for (x, y, z), (cx, cy, cz) in children
-            ]
-            game = sibling_shapley(predictor, volume, siblings, features=features)
+            if scale:
+                labels = np.zeros(feature_grid.counts[::-1], dtype=np.intp)
+                labels[z0 * scale : (z0 + sz) * scale, y0 * scale : (y0 + sy) * scale,
+                       x0 * scale : (x0 + sx) * scale] = _label_block((sx, sy, sz), scale)
+                game = _term_game(predictor, terms, labels, len(children))
+            else:
+                siblings = [
+                    Region((x * leaf_edge, y * leaf_edge, z * leaf_edge),
+                           (cx * leaf_edge, cy * leaf_edge, cz * leaf_edge))
+                    for (x, y, z), (cx, cy, cz) in children
+                ]
+                game = sibling_shapley(predictor, volume, siblings, features=features)
             owner, flags = _owner_block((sx, sy, sz))
             box = slice(z0, z0 + sz), slice(y0, y0 + sy), slice(x0, x0 + sx)
             values[box], refined[box] = game[owner], flags

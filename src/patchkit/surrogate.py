@@ -40,9 +40,9 @@ class SurrogateParams:
 class SurrogatePredictor:
     """Predictor over volumes: P(class 1) = link(w . patch_means(v) + b).
 
-    ``predict_features`` is the same readout over rows of patch-mean features,
-    so the attribution engines can evaluate many perturbed volumes whose
-    features they already know in one call.
+    The score is additive over patches: ``patch_terms`` gives each patch's
+    term and ``predict_sums`` reads out score sums, so the attribution engines
+    sum the terms of each coalition's patches and read a game out in one call.
     """
 
     def __init__(self, params: SurrogateParams, grid: PatchGrid):
@@ -53,9 +53,13 @@ class SurrogatePredictor:
         self.params = params
         self.grid = grid
 
-    def predict_features(self, features: np.ndarray) -> np.ndarray:
-        """Class probabilities for each row of ``features``: (B, K) -> (B, 2)."""
-        p1 = features @ self.params.weights + self.params.bias
+    def patch_terms(self, features: np.ndarray) -> np.ndarray:
+        """Each patch's contribution to the score: (K,) patch means -> (K,)."""
+        return self.params.weights * features
+
+    def predict_sums(self, sums: np.ndarray) -> np.ndarray:
+        """Class probabilities for each score sum: (B,) -> (B, 2)."""
+        p1 = sums + self.params.bias
         if self.params.link == "logistic":
             p1 = 1.0 / (1.0 + np.exp(-p1))
         probs = np.empty((len(p1), 2))
@@ -63,7 +67,7 @@ class SurrogatePredictor:
         return probs
 
     def predict(self, v: Volume) -> np.ndarray:
-        return self.predict_features(patch_means(v, self.grid)[None])[0]
+        return self.predict_sums(self.patch_terms(patch_means(v, self.grid)).sum(keepdims=True))[0]
 
     def to_json(self) -> dict:
         return {

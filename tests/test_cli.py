@@ -146,6 +146,17 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg), "--set", "grid.nope=3"]) == 2
         assert "grid.nope" in capsys.readouterr().err
 
+    def test_retired_class_count_loads_only_at_two(self, tmp_path, capsys):
+        # Echoes written before net.class_count was removed carry it as 2.
+        echo = tmp_path / "run-gen.json"
+        echo.write_text(json.dumps({"stage": "gen", "config": {"net": {"class_count": 2, "depth": 2}}}))
+        assert load_config(echo).net.depth == 2
+        cfg = write_config(tmp_path, **{"net.class_count": 3})
+        assert main(["gen", "--config", str(cfg)]) == 2
+        assert "net.class_count" in capsys.readouterr().err
+        assert main(["gen", "--set", "net.class_count=3"]) == 2
+        assert "net.class_count" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, path", [
         ("phantom.lesion_delta", 1.5, "phantom.lesion_delta"),
         ("phantom.n_per_class", "abc", "phantom.n_per_class"),
@@ -304,7 +315,7 @@ class TestDefaults:
             '{"compare": {"m_values": [16, 36, 64]}, "eval": {"k": 5, "repeats": 1, "stratified": true}, '
             '"explainer": {"budget": 100000, "max_depth": 3, "max_volumes": 12, "rule": "refine_below", '
             '"tau": 1.0, "use_true_labels": false}, "grid": {"patch_edge": 8}, '
-            '"net": {"class_count": 2, "depth": 4, "embed_dim": 64}, '
+            '"net": {"depth": 4, "embed_dim": 64}, '
             '"paths": {"data_dir": "data", "out_dir": "out"}, '
             '"phantom": {"dims": [64, 64, 64], "lesion_delta": 0.35, '
             '"lesion_regions": [{"origin": [22, 26, 20], "size": [12, 12, 12]}], "n_per_class": 100, '

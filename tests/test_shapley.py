@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,9 +323,12 @@ class TestRecursiveAttribution:
             def predict(self, v):
                 raise AssertionError("aligned games must take the batched path")
 
-            def predict_features(self, features):
+            def patch_terms(self, features):
+                return predictor.patch_terms(features)
+
+            def predict_sums(self, sums):
                 self.threads.append(threading.get_ident())
-                return predictor.predict_features(features)
+                return predictor.predict_sums(sums)
 
         spy = ThreadSpy()
         amap = pk.recursive_attribution(spy, v, 4, tau=math.inf, threads=4)
@@ -436,6 +443,39 @@ class TestRecursiveAttribution:
         assert back.tau == amap.tau and back.rule == amap.rule
 
 
+# A fully refined 16³ map at leaf 2 (8³ leaves, 73 games of 256 coalitions)
+# over a logistic surrogate on the same 2³ patches, played on summed patch
+# terms; prints the SHA-256 of the map's JSON.
+BLAS_THREADS_SCRIPT = """
+import hashlib, json
+import numpy as np
+import patchkit as pk
+from patchkit.surrogate import SurrogateParams, SurrogatePredictor
+rng = np.random.default_rng(3)
+grid = pk.make_grid((16, 16, 16), 2)
+v = pk.Volume((16, 16, 16), rng.random(4096, dtype=np.float32))
+predictor = SurrogatePredictor(SurrogateParams(rng.normal(0, 0.5, len(grid)), 0.1, "logistic"), grid)
+SurrogatePredictor.predict = None  # every game must take the summed-term path
+amap = pk.recursive_attribution(predictor, v, 2, tau=1.0, max_depth=3)
+assert amap.evaluations == 73 * 256 and amap.refined_mask.all()
+print(hashlib.sha256(json.dumps(amap.to_json(), sort_keys=True).encode()).hexdigest())
+"""
+
+
+def test_surrogate_map_bits_do_not_depend_on_blas_threads():
+    src = str(Path(pk.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        hashes.append(run.stdout.split())
+    assert len(hashes[0]) == 1
+    assert hashes[0] == hashes[1]
+
+
 def per_player_reduction(readouts, n):
     """The Shapley reduction as one numpy pass per player: the table viewed as
     (2^(n-1-i), 2, 2^i) pairs every coalition without player i with the same
@@ -526,23 +566,26 @@ def aligned_region(draw, grid):
 
 class GridReadoutSpy:
     """Surrogate front counting per-volume and batched calls and keeping every
-    feature matrix it is given."""
+    vector of score sums it is given."""
 
     def __init__(self, inner):
         self.inner = inner
         self.grid = inner.grid
         self.volume_calls = 0
         self.batch_calls = 0
-        self.rows = []
+        self.sums = []
 
     def predict(self, v):
         self.volume_calls += 1
         return self.inner.predict(v)
 
-    def predict_features(self, features):
+    def patch_terms(self, features):
+        return self.inner.patch_terms(features)
+
+    def predict_sums(self, sums):
         self.batch_calls += 1
-        self.rows.append(features)
-        return self.inner.predict_features(features)
+        self.sums.append(sums.copy())
+        return self.inner.predict_sums(sums)
 
 
 class TestFeatureSpaceGames:
@@ -661,8 +704,11 @@ class TestFeatureSpaceGames:
             def predict(self, _):
                 raise AssertionError("the batched path must not query volumes")
 
-            def predict_features(self, features):
-                return bad(inner.predict_features(features))
+            def patch_terms(self, features):
+                return inner.patch_terms(features)
+
+            def predict_sums(self, sums):
+                return bad(inner.predict_sums(sums))
 
         with pytest.raises(ContractViolationError, match=message):
             pk.exact_shapley(Broken(), v, list(grid.regions))
@@ -670,6 +716,8 @@ class TestFeatureSpaceGames:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_coalition_rows_are_the_zero_filled_volumes_patch_means(self, data):
+        # Each coalition's score sum is the summed terms of the zero-filled
+        # volume's patch means, also when two members cover one patch box.
         edge = data.draw(st.integers(1, 4), label="patch_edge")
         counts = [data.draw(st.integers(1, 4), label="count") for _ in range(3)]
         dims = tuple(c * edge + data.draw(st.integers(0, edge - 1)) for c in counts)
@@ -680,18 +728,20 @@ class TestFeatureSpaceGames:
         if len(members) < 6 and data.draw(st.booleans(), label="duplicate"):
             members.append(members[0])  # one patch box covered by two members
 
-        spy = GridReadoutSpy(surrogate("logistic", grid, rng))
+        predictor = surrogate("logistic", grid, rng)
+        spy = GridReadoutSpy(predictor)
         pk.exact_shapley(spy, v, members)
         pk.exact_shapley(spy, v, members, features=pk.patch_means(v, grid))
         n = len(members)
-        want = np.stack([
-            pk.patch_means(pk.perturb_zero(v, [members[i] for i in range(n) if not (mask >> i) & 1]), grid)
+        want = np.array([
+            predictor.patch_terms(pk.patch_means(
+                pk.perturb_zero(v, [members[i] for i in range(n) if not (mask >> i) & 1]), grid)).sum()
             for mask in range(1 << n)
         ])
         assert (spy.batch_calls, spy.volume_calls) == (2, 0)
-        for rows in spy.rows:
-            assert rows.dtype == np.float64 and rows.flags.c_contiguous
-            assert rows.tobytes() == want.tobytes()
+        for sums in spy.sums:
+            assert sums.dtype == np.float64 and sums.shape == (1 << n,)
+            np.testing.assert_allclose(sums, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("opaque, calls", [(False, 1), (True, 0)], ids=["features", "opaque"])
     def test_patch_means_once_per_map(self, monkeypatch, opaque, calls):
@@ -753,7 +803,8 @@ class TestFeatureSpaceGames:
         assert values.tobytes() == blocked_reduction(readouts, n).tobytes()
 
     def test_cached_tables_are_read_only(self):
-        tables = [shapley._pair_masks(8, 0, 8, 0, 128), *shapley._owner_block((3, 2, 1))]
+        tables = [shapley._pair_masks(8, 0, 8, 0, 128), *shapley._owner_block((3, 2, 1)),
+                  shapley._label_block((3, 2, 1), 2)]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 0
@@ -789,6 +840,55 @@ class TestFeatureSpaceGames:
         assert spy.batch_calls == 1
         assert values[5] == 0.0
         assert np.all(values[np.arange(8) != 5] != 0.0)
+
+    @pytest.mark.parametrize("leaf_edge", [4, 8])
+    def test_zero_weight_patch_is_exactly_zero_in_the_walk(self, leaf_edge):
+        # At leaf 4 the null leaf is one patch of the predictor's grid; at
+        # leaf 8 it is eight, all with zero weight.
+        dims = (16, 16, 16)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(7)
+        v = pk.Volume(dims, rng.random(4096, dtype=np.float32))
+        predictor = surrogate("logistic", grid, rng)
+        leaf = pk.make_grid(dims, leaf_edge)
+        null = leaf.regions[5]
+        for i in grid.indices_intersecting(null):
+            predictor.params.weights[i] = 0.0
+        spy = GridReadoutSpy(predictor)
+        amap = pk.recursive_attribution(spy, v, leaf_edge, tau=math.inf, max_depth=3)
+        assert spy.volume_calls == 0 and np.all(amap.refined_mask)
+        assert amap.values[5] == 0.0
+        assert np.all(amap.values[np.arange(len(leaf)) != 5] != 0.0)
+
+    @pytest.mark.parametrize("bad", [
+        lambda terms: terms + 1e-300,
+        lambda terms: terms + np.nan,
+        lambda terms: terms[:-1],
+    ], ids=["tiny_offset", "nan", "short"])
+    def test_terms_of_zero_features_must_be_zero(self, bad):
+        dims = (8, 8, 8)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(9)
+        v = pk.Volume(dims, rng.random(512, dtype=np.float32))
+        inner = surrogate("logistic", grid, rng)
+
+        class Broken:
+            def __init__(self):
+                self.grid = grid
+
+            def predict(self, _):
+                raise AssertionError("the batched path must not query volumes")
+
+            def patch_terms(self, features):
+                return bad(inner.patch_terms(features))
+
+            def predict_sums(self, sums):
+                return inner.predict_sums(sums)
+
+        with pytest.raises(ContractViolationError, match="patch_terms"):
+            pk.exact_shapley(Broken(), v, list(grid.regions))
+        with pytest.raises(ContractViolationError, match="patch_terms"):
+            pk.recursive_attribution(Broken(), v, 4, tau=math.inf)
 
 
 @pytest.mark.parametrize("key, value, named", [
