@@ -113,8 +113,8 @@ def cmd_surrogate(cfg: RunConfig) -> int:
     out = _out_dir(cfg) / "surrogate.json"
     predictor.save(out)
     _write_run_echo(cfg, "surrogate", {"surrogate": str(out), "training": info})
-    print(f"surrogate: train_acc={info['train_acc']:.3f} "
-          f"({info['iterations']} iterations) -> {out}")
+    print(f"surrogate: train_acc={info['train_acc']:.3f} ({info['iterations']} Newton steps, "
+          f"gradient {info['grad_norm']:.1e}) -> {out}")
     return EXIT_OK
 
 

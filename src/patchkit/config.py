@@ -246,7 +246,7 @@ def validate_config(cfg: RunConfig) -> None:
     ph = cfg.phantom
     check(len(ph.dims) == 3 and all(v >= 1 for v in ph.dims),
           "phantom.dims", "must be three integers >= 1")
-    check(ph.n_per_class >= 1, "phantom.n_per_class", "must be >= 1")
+    check(ph.n_per_class >= 2, "phantom.n_per_class", "must be >= 2 for the surrogate and t-test")
     check(0.0 < ph.lesion_delta <= 1.0, "phantom.lesion_delta", "must be in (0, 1]")
     check(0.0 <= ph.noise_sigma < math.inf, "phantom.noise_sigma", "must be finite and >= 0")
     check(ph.smooth_radius >= 0, "phantom.smooth_radius", "must be >= 0")

@@ -1,26 +1,29 @@
 """Pooled-feature surrogate classifiers used as the attribution black box.
 
 The surrogate sees one feature per grid patch (the patch-mean intensity) and
-is either a logistic regression trained by full-batch gradient descent, or an
-identity-link additive model. The additive form is the analytic probe for the
-Shapley oracle tests: with a zero-fill baseline its exact Shapley value for
-patch i is simply weight_i * patch_mean_i.
+is either a ridge-penalised logistic regression fitted to its optimum by
+Newton steps, or an identity-link additive model. The additive form is the
+analytic probe for the Shapley oracle tests: with a zero-fill baseline its
+exact Shapley value for patch i is simply weight_i * patch_mean_i.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import load_artifact, typed, write_json
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .phantom import DatasetManifest
 from .volume import PatchGrid, Volume, patch_means
 
-logger = logging.getLogger(__name__)
-
 LINKS = ("identity", "logistic")
+# Ridge strength on the weights. The patch means separate the classes, so
+# without a penalty the cross-entropy has no minimiser. A weaker penalty leaves
+# noise patches more weight: AC-04's phantoms localise 20 of 20 at 1e-3 and
+# 1e-2 but 18 of 20 at 1e-4, and 1e-3 is the weakest of these that holds.
+RIDGE = 1e-3
+NEWTON_STEPS = 50  # before a fit counts as failed; measured fits take at most 12
 
 
 @dataclass
@@ -100,62 +103,58 @@ def additive_probe(weights, bias: float, grid: PatchGrid) -> SurrogatePredictor:
     return SurrogatePredictor(SurrogateParams(np.asarray(weights), bias, "identity"), grid)
 
 
-def surrogate_train(
-    manifest: DatasetManifest,
-    grid: PatchGrid,
-    *,
-    max_iter: int = 2000,
-) -> tuple[SurrogatePredictor, dict]:
-    """Fit the surrogate by full-batch gradient descent on mean cross-entropy.
+def _newton_direction(hess, g: np.ndarray) -> np.ndarray:
+    """Solve hess(d) = -g by conjugate gradients to the inexact-Newton residual
+    min(0.5, sqrt|g|) * |g| (Nocedal & Wright, Algorithm 7.1), or after one
+    iteration per unknown."""
+    gg = np.add.reduce(g * g)
+    d, r, p, rr = np.zeros_like(g), -g, -g, gg
+    for _ in range(g.size):
+        if rr <= min(0.25, np.sqrt(gg)) * gg:  # the residual bound, squared
+            break
+        hp = hess(p)
+        alpha = rr / np.add.reduce(p * hp)
+        d, r = d + alpha * p, r - alpha * hp
+        rr, rr_old = np.add.reduce(r * r), rr
+        p = r + (rr / rr_old) * p
+    return d
 
-    Features are mean-centered while fitting (otherwise gradient descent leaks
-    the intercept into bright-but-uninformative patches, which corrupts the
-    attribution maps downstream); the centering is folded back into the bias,
-    so the returned model is a plain sigma(w . x + b). Steps at rate 0.5 and
-    stops when the gradient infinity-norm falls below 1e-6; otherwise warns and
-    returns the best (lowest-loss) iterate seen.
+
+def surrogate_train(manifest: DatasetManifest, grid: PatchGrid) -> tuple[SurrogatePredictor, dict]:
+    """Fit the surrogate: ridge-penalised logistic regression at its optimum.
+
+    Minimises mean cross-entropy + RIDGE/2 * |w|^2, bias unpenalised, on the
+    mean-centred patch means, and folds the centering back into the bias, so
+    the model is a plain sigma(w . x + b). Newton steps, each direction by
+    conjugate gradients on Hessian-vector products, run until the gradient's
+    infinity-norm is at most 1e-10, or raise NumericalFailureError after
+    NEWTON_STEPS. No LAPACK routine runs, so the bits do not depend on the
+    BLAS thread count.
     """
-    lr, tol = 0.5, 1e-6
     x, y = manifest.patch_means(grid), manifest.labels()
     if np.sum(y == 0) < 2 or np.sum(y == 1) < 2:
         raise InvalidArgumentError("need >= 2 samples per class to train the surrogate")
-    n, k = x.shape
-    mu = x.mean(axis=0)
+    (n, k), mu = x.shape, x.mean(axis=0)
     xc = x - mu
-    w = np.zeros(k, dtype=np.float64)
-    b = 0.0
-    best = (np.inf, w.copy(), b)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        z = xc @ w + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        eps = 1e-12
-        loss = -float(np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-        if loss < best[0]:
-            best = (loss, w.copy(), b)
-        residual = p - y
-        gw = xc.T @ residual / n
-        gb = float(residual.mean())
-        if max(np.abs(gw).max(), abs(gb)) < tol:
-            converged = True
+
+    def hess(v):  # the Hessian times v = (weights, bias), at the step's curvature
+        s = curvature * (xc @ v[:k] + v[k])
+        return np.append(xc.T @ s + RIDGE * v[:k], np.add.reduce(s))
+
+    theta = np.zeros(k + 1)  # weights, then bias
+    for steps in range(NEWTON_STEPS + 1):
+        z = xc @ theta[:k] + theta[k]
+        e = np.exp(-np.abs(z))  # sigma(z) and its derivative without overflow
+        residual = np.where(z >= 0, 1.0, e) / (1.0 + e) - y
+        grad = np.append(xc.T @ residual / n + RIDGE * theta[:k], residual.mean())
+        if (grad_norm := float(np.abs(grad).max())) <= 1e-10:
             break
-        w -= lr * gw
-        b -= lr * gb
-    if not converged:
-        logger.warning(
-            "surrogate training hit max_iter=%d (best loss %.4g); returning best iterate",
-            max_iter,
-            best[0],
-        )
-        _, w, b = best
-    bias = float(b - w @ mu)
-    predictor = SurrogatePredictor(SurrogateParams(w, bias, "logistic"), grid)
-    preds = (x @ w + bias) > 0
-    info = {
-        "iterations": iterations,
-        "converged": converged,
-        "loss": float(best[0]),
-        "train_acc": float((preds == y).mean()),
-    }
-    return predictor, info
+        if steps == NEWTON_STEPS:
+            raise NumericalFailureError(f"surrogate fit did not converge: gradient inf-norm "
+                                        f"{grad_norm:.3g} after {NEWTON_STEPS} Newton steps")
+        curvature = e / (1.0 + e) ** 2 / n
+        theta += _newton_direction(hess, grad)
+    w, bias = theta[:k], float(theta[k] - theta[:k] @ mu)
+    info = {"iterations": steps, "loss": float(np.mean(np.logaddexp(0.0, z) - y * z)),
+            "train_acc": float((((x @ w + bias) > 0) == y).mean()), "grad_norm": grad_norm}
+    return SurrogatePredictor(SurrogateParams(w, bias, "logistic"), grid), info

@@ -172,6 +172,7 @@ class TestErrors:
         ("selection.method", "nope", "selection.method"),
         ("compare.m_values", [16, 30], "compare.m_values[1]"),
         ("train.lr_end", 0, "train.lr_end"),
+        ("phantom.n_per_class", 1, "phantom.n_per_class"),
     ])
     def test_invalid_field_value_exits_2_with_path(self, tmp_path, capsys, key, value, path):
         cfg = write_config(tmp_path, **{key: value})

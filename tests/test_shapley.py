@@ -462,18 +462,44 @@ print(hashlib.sha256(json.dumps(amap.to_json(), sort_keys=True).encode()).hexdig
 """
 
 
-def test_surrogate_map_bits_do_not_depend_on_blas_threads():
+# A surrogate fit at K = 512 patches (16³ volumes at patch edge 2), where a
+# LAPACK solve of the (K + 1)-square Hessian gives different bits at 1 and 2
+# BLAS threads; prints the SHA-256 of the fitted surrogate's JSON.
+BLAS_THREADS_FIT_SCRIPT = """
+import hashlib, json, sys
+import patchkit as pk
+dims = (16, 16, 16)
+spec = pk.PhantomSpec(dims=dims, n_per_class=8, lesion_regions=(pk.Region((4, 4, 4), (6, 6, 6)),),
+                      lesion_delta=0.4, noise_sigma=0.02, smooth_radius=1, seed=4242)
+predictor, info = pk.surrogate_train(pk.generate(spec, sys.argv[1]), pk.make_grid(dims, 2))
+assert len(predictor.grid) == 512 and info["grad_norm"] <= 1e-10
+print(hashlib.sha256(json.dumps(predictor.to_json(), sort_keys=True).encode()).hexdigest())
+"""
+
+
+def hashes_at_blas_threads(script, *args):
+    """The script's printed hashes, run once at 1 and once at 2 BLAS threads."""
     src = str(Path(pk.__file__).resolve().parents[1])
     hashes = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+        run = subprocess.run([sys.executable, "-c", script, *args], env=env,
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         hashes.append(run.stdout.split())
     assert len(hashes[0]) == 1
-    assert hashes[0] == hashes[1]
+    return hashes
+
+
+def test_surrogate_map_bits_do_not_depend_on_blas_threads():
+    one, two = hashes_at_blas_threads(BLAS_THREADS_SCRIPT)
+    assert one == two
+
+
+def test_surrogate_fit_bits_do_not_depend_on_blas_threads(tmp_path):
+    one, two = hashes_at_blas_threads(BLAS_THREADS_FIT_SCRIPT, str(tmp_path))
+    assert one == two
 
 
 def per_player_reduction(readouts, n):

@@ -1,11 +1,12 @@
-import logging
 import re
 
 import numpy as np
 import pytest
 
 import patchkit as pk
-from patchkit.errors import InvalidArgumentError
+from patchkit import surrogate
+from patchkit.cli import main
+from patchkit.errors import InvalidArgumentError, NumericalFailureError
 from patchkit.surrogate import SurrogateParams, SurrogatePredictor, surrogate_train
 
 from conftest import DELETE, break_artifact
@@ -75,13 +76,34 @@ def test_load_names_file_and_key(tmp_path, key, value, named):
         SurrogatePredictor.load(path)
 
 
-def test_non_convergence_warns_and_returns_best_iterate(small_phantom, caplog):
+@pytest.mark.parametrize("edge", [4, 2])  # K = 64 and K = 512 > n = 20
+def test_fit_is_a_stationary_point_of_the_ridge_objective(small_phantom, edge):
+    grid = pk.make_grid(small_phantom.spec.dims, edge)
+    predictor, info = surrogate_train(small_phantom, grid)
+    w, b = predictor.params.weights, predictor.params.bias
+    # The gradient of mean cross-entropy + RIDGE/2 |w|^2 (bias unpenalised) at
+    # the returned model, on the uncentred features the fit saw.
+    x, y = small_phantom.patch_means(grid), small_phantom.labels()
+    z = x @ w + b
+    p = 1.0 / (1.0 + np.exp(-z))
+    grad = np.append(x.T @ (p - y) / len(y) + surrogate.RIDGE * w, np.mean(p - y))
+    assert np.abs(grad).max() <= 1e-9
+    assert sorted(info) == ["grad_norm", "iterations", "loss", "train_acc"]
+    assert info["grad_norm"] <= 1e-10 and 1 <= info["iterations"] <= surrogate.NEWTON_STEPS
+    assert info["loss"] == pytest.approx(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)), rel=1e-9)
+
+
+def test_non_convergence_raises_numerical_failure(small_phantom, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(surrogate, "NEWTON_STEPS", 0)
     grid = pk.make_grid(small_phantom.spec.dims, 4)
-    with caplog.at_level(logging.WARNING, logger="patchkit.surrogate"):
-        predictor, info = surrogate_train(small_phantom, grid, max_iter=1)
-    assert not info["converged"]
-    assert any("max_iter" in rec.message for rec in caplog.records)
-    assert np.all(np.isfinite(predictor.params.weights))
+    with pytest.raises(NumericalFailureError, match="surrogate fit did not converge"):
+        surrogate_train(small_phantom, grid)
+    argv = ["surrogate", "--out", str(tmp_path), "--set", f"paths.data_dir={small_phantom.root}"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "surrogate" in err and "Traceback" not in err
+    assert not (tmp_path / "surrogate.json").exists()
 
 
 def test_weight_grid_size_mismatch_rejected():
