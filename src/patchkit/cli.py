@@ -4,7 +4,8 @@ Every command reads one declarative JSON config (plus ``--set`` overrides),
 writes its artifacts under the output directory, and echoes the resolved
 configuration into ``run-<stage>.json`` so a run can be reproduced exactly.
 Exit codes: 0 success, 2 config error, unreadable input artifact, holdout
-split with no test or training sample of a class, or operating system error
+split or eval fold the data cannot fill (no test or training sample of a
+class, or more folds than samples of a class), or operating system error
 (such as an output path that is an existing file), 3 missing stage dependency,
 4 numerical failure, 5 call budget exceeded or predictor contract violated.
 """
@@ -278,14 +279,21 @@ def cmd_eval(cfg: RunConfig) -> int:
     _, _, features, labels = _selected_patches(cfg)
     out = _out_dir(cfg)
     seed = cfg.stage_seed("eval")
-    assignments = kfold_indices(
-        labels, cfg.eval.k, cfg.eval.repeats, seed, stratified=cfg.eval.stratified
-    )
-    fold_reports: list[dict] = []
-    pooled_scores = np.zeros(0)
-    pooled_labels = np.zeros(0, dtype=np.int64)
+    try:
+        assignments = kfold_indices(
+            labels, cfg.eval.k, cfg.eval.repeats, seed, stratified=cfg.eval.stratified
+        )
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"eval.k: {exc}") from None
+    # Every fold's split is made and checked before the first fit.
+    splits = []
     for rep, folds in enumerate(assignments):
         for fold_id, test_idx in enumerate(folds):
+            if np.unique(labels[test_idx]).size < 2:
+                raise InvalidArgumentError(
+                    f"eval.stratified: unstratified folds leave the test part of repeat {rep} "
+                    f"fold {fold_id} with one class, and its ROC needs both"
+                )
             rest = np.setdiff1d(np.arange(len(labels)), test_idx)
             val_idx, train_idx = [rest[p] for p in stratified_split(
                 labels[rest], (cfg.train.val_fraction,), seed + fold_id + 1000 * rep
@@ -294,18 +302,22 @@ def cmd_eval(cfg: RunConfig) -> int:
             if missing.size:
                 raise InvalidArgumentError(f"train.val_fraction: validation share {cfg.train.val_fraction} leaves "
                                            f"no class-{missing[0]} training sample in repeat {rep} fold {fold_id}")
-            fold_seed = seed + 17 * (rep * len(folds) + fold_id + 1)
-            _, scores = _fit_and_score(
-                cfg, features, labels, (train_idx, val_idx, test_idx), fold_seed
-            )
-            rep_metrics = evaluate_scores(labels[test_idx], scores)
-            fold_reports.append({
-                "repeat": rep, "fold": fold_id,
-                "acc": rep_metrics.acc, "sen": rep_metrics.sen,
-                "spe": rep_metrics.spe, "auc": rep_metrics.auc,
-            })
-            pooled_scores = np.concatenate([pooled_scores, scores])
-            pooled_labels = np.concatenate([pooled_labels, labels[test_idx]])
+            splits.append((rep, fold_id, (train_idx, val_idx, test_idx)))
+    fold_reports: list[dict] = []
+    pooled_scores = np.zeros(0)
+    pooled_labels = np.zeros(0, dtype=np.int64)
+    for rep, fold_id, split in splits:
+        fold_seed = seed + 17 * (rep * cfg.eval.k + fold_id + 1)
+        _, scores = _fit_and_score(cfg, features, labels, split, fold_seed)
+        test_labels = labels[split[2]]
+        rep_metrics = evaluate_scores(test_labels, scores)
+        fold_reports.append({
+            "repeat": rep, "fold": fold_id,
+            "acc": rep_metrics.acc, "sen": rep_metrics.sen,
+            "spe": rep_metrics.spe, "auc": rep_metrics.auc,
+        })
+        pooled_scores = np.concatenate([pooled_scores, scores])
+        pooled_labels = np.concatenate([pooled_labels, test_labels])
     report = evaluate_scores(pooled_labels, pooled_scores)
     report.folds = fold_reports
     report.summary = aggregate_folds(fold_reports)

@@ -262,6 +262,13 @@ def validate_config(cfg: RunConfig) -> None:
     check(cfg.grid.patch_edge >= 1, "grid.patch_edge", "must be >= 1")
     check(cfg.grid.patch_edge <= min(ph.dims), "grid.patch_edge",
           "must not exceed the smallest volume dimension")
+    patches = math.prod(d // cfg.grid.patch_edge for d in ph.dims)
+
+    def check_m(m: int, path: str) -> None:
+        check(is_perfect_square(m), path, "M must be a perfect square")
+        check(m <= patches, path, f"M={m} exceeds the {patches} patches of phantom.dims "
+              f"at grid.patch_edge {cfg.grid.patch_edge}")
+
     ex = cfg.explainer
     check(ex.rule in REFINE_RULES, "explainer.rule", f"must be one of {REFINE_RULES}")
     check(ex.tau == ex.tau and abs(ex.tau) != float("inf"), "explainer.tau",
@@ -272,7 +279,7 @@ def validate_config(cfg: RunConfig) -> None:
     sel = cfg.selection
     check(sel.method in SELECT_METHODS, "selection.method", f"must be one of {SELECT_METHODS}")
     check(sel.key in SELECT_KEYS, "selection.key", f"must be one of {SELECT_KEYS}")
-    check(is_perfect_square(sel.m_patches), "selection.m_patches", "M must be a perfect square")
+    check_m(sel.m_patches, "selection.m_patches")
     net = cfg.net
     check(net.embed_dim >= 1, "net.embed_dim", "must be >= 1")
     check(net.depth >= 1, "net.depth", "must be >= 1")
@@ -291,4 +298,4 @@ def validate_config(cfg: RunConfig) -> None:
     cm = cfg.compare
     check(len(cm.m_values) >= 1, "compare.m_values", "must list at least one M")
     for i, m in enumerate(cm.m_values):
-        check(is_perfect_square(m), f"compare.m_values[{i}]", "every M must be a perfect square")
+        check_m(m, f"compare.m_values[{i}]")

@@ -9,14 +9,14 @@ predicted probability of class 1.
 A predictor that reads out patch means over its own ``grid`` with a score
 additive over patches declares it on its class as ``patch_terms`` (each
 patch's term of the score) and ``predict_sums`` (the readout of score sums).
-It is played on summed terms when every region is a union of whole patches of
-that grid: zero-filling a region zeroes exactly its patches' means, whose
-terms are 0, so a coalition's score is the sum of the terms of the patches it
-keeps. A game labels each patch with the bitmask of the members covering it,
-sums the terms per label, takes the 2^n coalition scores as subset sums of
-the label sums and reads them out in one call. ``recursive_attribution``
-computes the volume's patch means and terms once per map. Any other
-predictor or region gets one zero-filled volume per coalition.
+``recursive_attribution`` plays such a predictor on summed terms when that
+grid's patches tile the leaves: zero-filling a node zeroes exactly its
+patches' means, whose terms are 0, so a coalition's score is the sum of the
+terms of the patches it keeps. A game labels each patch with the bitmask of
+the members covering it, sums the terms per label, takes the 2^n coalition
+scores as subset sums of the label sums and reads them out in one call. Every
+other game, and every ``exact_shapley`` game, queries one zero-filled volume
+per coalition.
 
 Around its readout, a game is a few array operations: one readout check, one
 gather over cached coalition masks, and one write over its node's box.
@@ -204,19 +204,6 @@ def _feature_grid(predictor: Predictor, volume: Volume) -> PatchGrid | None:
     return grid
 
 
-def _patch_box(grid: PatchGrid, r: Region) -> tuple[slice, slice, slice] | None:
-    """(z, y, x) slices of the grid patches tiling ``r``; None unless ``r`` is a
-    union of whole patches."""
-    p = grid.patch_edge
-    nx, ny, nz = grid.counts
-    (x0, y0, z0), (x1, y1, z1) = r.origin, r.end
-    if x0 % p or y0 % p or z0 % p or x1 % p or y1 % p or z1 % p:
-        return None
-    if x1 > nx * p or y1 > ny * p or z1 > nz * p:
-        return None
-    return slice(z0 // p, z1 // p), slice(y0 // p, y1 // p), slice(x0 // p, x1 // p)
-
-
 def _patch_terms(predictor: Predictor, grid: PatchGrid, features: np.ndarray) -> np.ndarray:
     """The predictor's per-patch score terms of ``features``. Coalition scores
     leave zero-filled patches out, so the terms of all-zero means must be 0.0."""
@@ -312,20 +299,12 @@ def _shapley_from_readouts(readouts: np.ndarray, n: int) -> np.ndarray:
     return values
 
 
-def exact_shapley(
-    predictor: Predictor, volume: Volume, regions: list[Region], *, features: np.ndarray | None = None
-) -> np.ndarray:
-    """Brute-force Shapley values over ``regions`` with a zero-fill baseline.
+def exact_shapley(predictor: Predictor, volume: Volume, regions: list[Region]) -> np.ndarray:
+    """Brute-force Shapley values over ``regions`` with a zero-fill baseline:
+    the oracle the other engines are checked against.
 
-    Costs exactly 2^n coalition readouts; refused above ``EXACT_SHAPLEY_MAX_REGIONS``.
-    A predictor with an additive readout over a grid of this volume
-    (:func:`_feature_grid`) plays the game by :func:`_term_game` when every
-    region is a union of whole patches of that grid; each region ORs its bit
-    into its patches' labels, so overlapping and duplicate regions stay exact.
-    ``features`` optionally gives the volume's patch means over that grid, so
-    a caller playing many games on one volume computes them once; a vector of
-    the wrong length is rejected. Any other game queries one zero-filled
-    volume per coalition.
+    Costs exactly 2^n readouts, one zero-filled volume per coalition, for
+    every predictor; refused above ``EXACT_SHAPLEY_MAX_REGIONS``.
     """
     n = len(regions)
     if n == 0:
@@ -338,30 +317,15 @@ def exact_shapley(
     for r in regions:
         if not volume.contains(r):
             raise InvalidArgumentError(f"region {r} outside volume dims {volume.dims}")
-    grid = _feature_grid(predictor, volume)
-    if grid is not None:
-        if features is not None and np.shape(features) != (len(grid),):
-            raise InvalidArgumentError(
-                f"features has shape {np.shape(features)}, expected ({len(grid)},) for the predictor's grid"
-            )
-        boxes = [_patch_box(grid, r) for r in regions]
-        if all(b is not None for b in boxes):
-            labels = np.zeros(grid.counts[::-1], dtype=np.intp)
-            for i, box in enumerate(boxes):
-                labels[box] |= 1 << i
-            features = patch_means(volume, grid) if features is None else features
-            return _term_game(predictor, _patch_terms(predictor, grid, features), labels, n)
     return _shapley_from_readouts(_coalition_readouts(predictor, volume, list(regions)), n)
 
 
-def sibling_shapley(
-    predictor: Predictor, volume: Volume, siblings: list[Region], *, features: np.ndarray | None = None
-) -> np.ndarray:
-    """``exact_shapley`` over one octree node's 1..8 children: the sibling game
-    ``recursive_attribution`` plays at each node it splits."""
+def sibling_shapley(predictor: Predictor, volume: Volume, siblings: list[Region]) -> np.ndarray:
+    """``exact_shapley`` over one octree node's 1..8 children: the per-volume
+    sibling game ``recursive_attribution`` plays at each node it splits."""
     if not 1 <= len(siblings) <= 8:
         raise InvalidArgumentError(f"sibling games support 1..8 regions, got {len(siblings)}")
-    return exact_shapley(predictor, volume, siblings, features=features)
+    return exact_shapley(predictor, volume, siblings)
 
 
 REFINE_RULES = ("refine_below", "refine_at_or_above")
@@ -427,8 +391,11 @@ def recursive_attribution(
     over a grid of this volume whose patches tile the leaves, the volume's
     patch terms are computed once, here, and every game labels the node's
     patches with one write of a cached block (:func:`_label_block`) and is
-    played by :func:`_term_game`. Any other predictor gets each game's
-    children as voxel ``Region`` objects through :func:`sibling_shapley`.
+    played on summed terms by :func:`_term_game`, with one ``predict_sums``
+    call and no volume. Every other map, including one over a predictor whose
+    grid does not tile the leaves, gets each game's children as voxel
+    ``Region`` objects through :func:`sibling_shapley`: one zero-filled volume
+    per coalition.
     ``threads`` is accepted for existing callers, is rejected below 1 and
     otherwise has no effect.
 
@@ -445,11 +412,10 @@ def recursive_attribution(
     _rule_fires(rule, 0.0, 0.0)  # validate rule name early
     grid = make_grid(volume.dims, leaf_edge)
     feature_grid = _feature_grid(predictor, volume)
-    features = None if feature_grid is None else patch_means(volume, feature_grid)
     scale = 0  # feature patches per leaf edge when they tile the leaves
-    if features is not None and leaf_edge % feature_grid.patch_edge == 0:
+    if feature_grid is not None and leaf_edge % feature_grid.patch_edge == 0:
         scale = leaf_edge // feature_grid.patch_edge
-        terms = _patch_terms(predictor, feature_grid, features)
+        terms = _patch_terms(predictor, feature_grid, patch_means(volume, feature_grid))
     nx, ny, nz = grid.counts
     values = np.empty((nz, ny, nx), dtype=np.float64)
     refined = np.zeros((nz, ny, nx), dtype=bool)
@@ -479,7 +445,7 @@ def recursive_attribution(
                            (cx * leaf_edge, cy * leaf_edge, cz * leaf_edge))
                     for (x, y, z), (cx, cy, cz) in children
                 ]
-                game = sibling_shapley(predictor, volume, siblings, features=features)
+                game = sibling_shapley(predictor, volume, siblings)
             owner, flags = _owner_block((sx, sy, sz))
             box = slice(z0, z0 + sz), slice(y0, y0 + sy), slice(x0, x0 + sx)
             values[box], refined[box] = game[owner], flags

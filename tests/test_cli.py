@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from patchkit import phantom
+from patchkit import cli, phantom
 from patchkit.artifacts import read_json
 from patchkit.cli import COMMANDS, main
 from patchkit.config import RunConfig, load_config
@@ -173,6 +173,9 @@ class TestErrors:
         ("compare.m_values", [16, 30], "compare.m_values[1]"),
         ("train.lr_end", 0, "train.lr_end"),
         ("phantom.n_per_class", 1, "phantom.n_per_class"),
+        # The 16^3 phantom at patch edge 4 has 64 patches.
+        ("selection.m_patches", 100, "selection.m_patches"),
+        ("compare.m_values", [4, 100], "compare.m_values[1]"),
     ])
     def test_invalid_field_value_exits_2_with_path(self, tmp_path, capsys, key, value, path):
         cfg = write_config(tmp_path, **{key: value})
@@ -251,6 +254,31 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: train.val_fraction: ") and err.count("\n") == 1, err
         assert "training sample in repeat 0 fold 0" in err and "Traceback" not in err
+
+    def test_eval_k_above_the_smallest_class_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"selection.method": "ttest", "eval.k": 9})
+        for stage in ("gen", "select"):
+            assert run(cfg, stage) == 0
+        capsys.readouterr()
+        assert run(cfg, "eval") == 2
+        err = capsys.readouterr().err
+        assert err == "error: eval.k: k=9 exceeds the smallest class size 8\n", err
+
+    def test_unstratified_one_class_test_fold_exits_2_before_any_fit(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # Four volumes in four unstratified folds: every test fold holds one
+        # class, so no fold's ROC is defined.
+        cfg = write_config(tmp_path, **{"phantom.n_per_class": 2, "selection.method": "ttest",
+                                        "eval.k": 4, "eval.stratified": False})
+        for stage in ("gen", "select"):
+            assert run(cfg, stage) == 0
+        fits = []
+        monkeypatch.setattr(cli, "train_patchnet", lambda *args: fits.append(args))
+        capsys.readouterr()
+        assert run(cfg, "eval") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eval.stratified: ") and err.count("\n") == 1, err
+        assert "repeat 0 fold 0 with one class" in err and not fits
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "absent.json")]) == 2

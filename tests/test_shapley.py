@@ -538,10 +538,11 @@ def blocked_reduction(readouts, n, block=1 << 15):
 
 
 def per_child_attribution(predictor, volume, leaf_edge, tau, rule, max_depth):
-    """``recursive_attribution`` with each child's value and leaf flag written
-    into its own box, one child at a time, and no budget."""
+    """``recursive_attribution`` over a predictor on the leaf grid, with each
+    game's patch labels and each child's value and leaf flag written into the
+    child's own box, one child at a time, and no budget."""
     grid = pk.make_grid(volume.dims, leaf_edge)
-    features = pk.patch_means(volume, grid)
+    terms = predictor.patch_terms(pk.patch_means(volume, grid))
     nx, ny, nz = grid.counts
     values = np.empty((nz, ny, nx), dtype=np.float64)
     refined = np.zeros((nz, ny, nx), dtype=bool)
@@ -552,9 +553,10 @@ def per_child_attribution(predictor, volume, leaf_edge, tau, rule, max_depth):
         levels += 1
         frontier = []
         for children in games:
-            siblings = [pk.Region([a * leaf_edge for a in origin], [a * leaf_edge for a in size])
-                        for origin, size in children]
-            game = pk.sibling_shapley(predictor, volume, siblings, features=features)
+            labels = np.zeros((nz, ny, nx), dtype=np.intp)
+            for c, ((x0, y0, z0), (sx, sy, sz)) in enumerate(children):
+                labels[z0 : z0 + sz, y0 : y0 + sy, x0 : x0 + sx] = 1 << c
+            game = shapley._term_game(predictor, terms, labels, len(children))
             evaluations += 1 << len(children)
             for (origin, size), value in zip(children, game):
                 (x0, y0, z0), (sx, sy, sz) = origin, size
@@ -579,15 +581,21 @@ def surrogate(link, grid, rng, scale=0.5):
     return SurrogatePredictor(params, grid)
 
 
-def aligned_region(draw, grid):
-    """A random box of whole patches of ``grid``, in voxels."""
-    lo, hi = [], []
-    for count in grid.counts:
-        a = draw(st.integers(0, count - 1))
-        lo.append(a)
-        hi.append(draw(st.integers(a + 1, count)))
+def aligned_members(draw, grid, n):
+    """``n`` random boxes of whole patches of ``grid``, in voxels, and the
+    (z, y, x) patch labels with bit i set on the patches member i covers."""
     edge = grid.patch_edge
-    return pk.Region([a * edge for a in lo], [(b - a) * edge for a, b in zip(lo, hi)])
+    members = []
+    labels = np.zeros(grid.counts[::-1], dtype=np.intp)
+    for i in range(n):
+        lo, hi = [], []
+        for count in grid.counts:
+            a = draw(st.integers(0, count - 1))
+            lo.append(a)
+            hi.append(draw(st.integers(a + 1, count)))
+        members.append(pk.Region([a * edge for a in lo], [(b - a) * edge for a, b in zip(lo, hi)]))
+        labels[tuple(slice(a, b) for a, b in zip(lo[::-1], hi[::-1]))] |= 1 << i
+    return members, labels
 
 
 class GridReadoutSpy:
@@ -615,7 +623,8 @@ class GridReadoutSpy:
 
 
 class TestFeatureSpaceGames:
-    """Patch-mean surrogates over whole-patch regions are played in feature space."""
+    """Patch-mean surrogates are played on summed patch terms where the walk's
+    leaves are whole patches of their grid, and per volume everywhere else."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -627,15 +636,14 @@ class TestFeatureSpaceGames:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
         predictor = surrogate(data.draw(st.sampled_from(["identity", "logistic"])), grid, rng)
-        members = [aligned_region(data.draw, grid) for _ in range(data.draw(st.integers(1, 6)))]
+        n = data.draw(st.integers(1, 6), label="members")
+        members, labels = aligned_members(data.draw, grid, n)
 
-        oracle = CountingPredictor(predictor)  # exposes predict only
-        batched = pk.sibling_shapley(predictor, v, members)
-        assert np.allclose(batched, pk.sibling_shapley(oracle, v, members),
-                           rtol=0, atol=1e-12)
-        assert oracle.calls == 2 ** len(members)
-        batched = pk.exact_shapley(predictor, v, members)
-        assert np.allclose(batched, pk.exact_shapley(oracle, v, members), rtol=0, atol=1e-12)
+        terms = predictor.patch_terms(pk.patch_means(v, grid))
+        batched = shapley._term_game(predictor, terms, labels, n)
+        spy = GridReadoutSpy(predictor)
+        assert np.allclose(batched, pk.exact_shapley(spy, v, members), rtol=0, atol=1e-12)
+        assert (spy.batch_calls, spy.volume_calls) == (0, 2 ** n)
 
         leaf_edge = edge * data.draw(st.integers(1, 2), label="leaf_factor")
         if leaf_edge <= min(dims):
@@ -645,15 +653,6 @@ class TestFeatureSpaceGames:
             assert np.allclose(amap.values, ref.values, rtol=0, atol=1e-12)
             assert amap.evaluations == ref.evaluations == oracle.calls
             assert np.array_equal(amap.refined_mask, ref.refined_mask)
-
-    def test_aligned_regions_take_one_batched_call(self):
-        dims = (16, 16, 16)
-        grid = pk.make_grid(dims, 4)
-        rng = np.random.default_rng(3)
-        v = pk.Volume(dims, rng.random(4096, dtype=np.float32))
-        spy = GridReadoutSpy(surrogate("logistic", grid, rng))
-        pk.sibling_shapley(spy, v, pk.octree_children(v.bounding_region()))
-        assert (spy.batch_calls, spy.volume_calls) == (1, 0)
 
     def test_unaligned_regions_fall_back_to_per_volume_path(self):
         dims = (16, 16, 16)
@@ -672,16 +671,17 @@ class TestFeatureSpaceGames:
         full = predictor.predict(v)[1]
         empty = predictor.predict(pk.perturb_zero(v, regions))[1]
         assert abs(values.sum() - (full - empty)) < 1e-12
-        # Under a leaf grid finer than the predictor's, the level-1 octants
-        # are whole patches and the level-2 leaves are not.
+        # Under a leaf grid finer than the predictor's, the leaves are not
+        # whole patches, so every game of the walk is played per volume, the
+        # level-1 octants too although they are whole patches.
         v = pk.Volume((8, 8, 8), rng.random(512, dtype=np.float32))
         predictor = surrogate("logistic", pk.make_grid(v.dims, 4), rng)
         spy = GridReadoutSpy(predictor)
         amap = pk.recursive_attribution(spy, v, leaf_edge=2, tau=math.inf, max_depth=2)
-        assert (spy.batch_calls, spy.volume_calls) == (1, 8 * 256)
+        assert (spy.batch_calls, spy.volume_calls) == (0, 9 * 256)
         assert amap.evaluations == 9 * 256 and np.all(amap.refined_mask)
         ref = pk.recursive_attribution(CountingPredictor(predictor), v, 2, tau=math.inf, max_depth=2)
-        assert np.allclose(amap.values, ref.values, rtol=0, atol=1e-12)
+        assert amap.values.tobytes() == ref.values.tobytes()
 
     def test_forwarding_proxy_is_queried_per_volume(self):
         class Proxy:
@@ -704,8 +704,8 @@ class TestFeatureSpaceGames:
         v = pk.Volume(dims, rng.random(512, dtype=np.float32))
         proxy = Proxy(surrogate("logistic", grid, rng))
         assert proxy.grid is grid
-        pk.exact_shapley(proxy, v, list(grid.regions)[:3])
-        assert proxy.calls == 8
+        amap = pk.recursive_attribution(proxy, v, 4, tau=math.inf)
+        assert proxy.calls == amap.evaluations == 256
 
     @pytest.mark.parametrize("bad, message", [
         (lambda rows: np.full_like(rows, np.nan), "non-finite"),
@@ -737,37 +737,39 @@ class TestFeatureSpaceGames:
                 return bad(inner.predict_sums(sums))
 
         with pytest.raises(ContractViolationError, match=message):
-            pk.exact_shapley(Broken(), v, list(grid.regions))
+            pk.recursive_attribution(Broken(), v, 4, tau=math.inf)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_coalition_rows_are_the_zero_filled_volumes_patch_means(self, data):
         # Each coalition's score sum is the summed terms of the zero-filled
-        # volume's patch means, also when two members cover one patch box.
+        # volume's patch means, also where members overlap or two members
+        # cover one patch box: their bits are OR-ed into the patch labels.
         edge = data.draw(st.integers(1, 4), label="patch_edge")
         counts = [data.draw(st.integers(1, 4), label="count") for _ in range(3)]
         dims = tuple(c * edge + data.draw(st.integers(0, edge - 1)) for c in counts)
         grid = pk.make_grid(dims, edge)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
-        members = [aligned_region(data.draw, grid) for _ in range(data.draw(st.integers(1, 6)))]
+        members, labels = aligned_members(data.draw, grid, data.draw(st.integers(1, 6)))
         if len(members) < 6 and data.draw(st.booleans(), label="duplicate"):
-            members.append(members[0])  # one patch box covered by two members
+            # one patch box covered by two members
+            labels |= np.where(labels & 1, 1 << len(members), 0)
+            members.append(members[0])
 
         predictor = surrogate("logistic", grid, rng)
         spy = GridReadoutSpy(predictor)
-        pk.exact_shapley(spy, v, members)
-        pk.exact_shapley(spy, v, members, features=pk.patch_means(v, grid))
         n = len(members)
+        shapley._term_game(spy, predictor.patch_terms(pk.patch_means(v, grid)), labels, n)
         want = np.array([
             predictor.patch_terms(pk.patch_means(
                 pk.perturb_zero(v, [members[i] for i in range(n) if not (mask >> i) & 1]), grid)).sum()
             for mask in range(1 << n)
         ])
-        assert (spy.batch_calls, spy.volume_calls) == (2, 0)
-        for sums in spy.sums:
-            assert sums.dtype == np.float64 and sums.shape == (1 << n,)
-            np.testing.assert_allclose(sums, want, rtol=0, atol=1e-12)
+        assert (spy.batch_calls, spy.volume_calls) == (1, 0)
+        (sums,) = spy.sums
+        assert sums.dtype == np.float64 and sums.shape == (1 << n,)
+        np.testing.assert_allclose(sums, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("opaque, calls", [(False, 1), (True, 0)], ids=["features", "opaque"])
     def test_patch_means_once_per_map(self, monkeypatch, opaque, calls):
@@ -788,16 +790,6 @@ class TestFeatureSpaceGames:
         assert amap.evaluations == 9 * 256
         assert len(seen) == calls
         assert all(volume is v for volume in seen)
-
-    @pytest.mark.parametrize("shape", [(7,), (9,), (8, 1), ()], ids=str)
-    def test_features_of_the_wrong_shape_are_rejected(self, shape):
-        dims = (8, 8, 8)
-        grid = pk.make_grid(dims, 4)
-        rng = np.random.default_rng(13)
-        v = pk.Volume(dims, rng.random(512, dtype=np.float32))
-        predictor = surrogate("logistic", grid, rng)
-        with pytest.raises(InvalidArgumentError, match="features"):
-            pk.sibling_shapley(predictor, v, list(grid.regions), features=np.zeros(shape))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_reduction_matches_the_coalition_loop(self, n):
@@ -863,7 +855,7 @@ class TestFeatureSpaceGames:
         predictor.params.weights[5] = 0.0
         spy = GridReadoutSpy(predictor)
         values = pk.exact_shapley(spy, v, list(grid.regions))
-        assert spy.batch_calls == 1
+        assert (spy.batch_calls, spy.volume_calls) == (0, 256)  # per volume, for every predictor
         assert values[5] == 0.0
         assert np.all(values[np.arange(8) != 5] != 0.0)
 
@@ -882,7 +874,9 @@ class TestFeatureSpaceGames:
             predictor.params.weights[i] = 0.0
         spy = GridReadoutSpy(predictor)
         amap = pk.recursive_attribution(spy, v, leaf_edge, tau=math.inf, max_depth=3)
-        assert spy.volume_calls == 0 and np.all(amap.refined_mask)
+        # One predict_sums call per game of 8 leaves or octants, and no volume.
+        assert (spy.batch_calls * 256, spy.volume_calls) == (amap.evaluations, 0)
+        assert np.all(amap.refined_mask)
         assert amap.values[5] == 0.0
         assert np.all(amap.values[np.arange(len(leaf)) != 5] != 0.0)
 
@@ -911,8 +905,6 @@ class TestFeatureSpaceGames:
             def predict_sums(self, sums):
                 return inner.predict_sums(sums)
 
-        with pytest.raises(ContractViolationError, match="patch_terms"):
-            pk.exact_shapley(Broken(), v, list(grid.regions))
         with pytest.raises(ContractViolationError, match="patch_terms"):
             pk.recursive_attribution(Broken(), v, 4, tau=math.inf)
 
