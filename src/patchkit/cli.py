@@ -181,15 +181,32 @@ def cmd_explain(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _check_m(field: str, m: int, grid, source: str) -> None:
+    """Reject an M above the patch count of the grid a stage ranks, naming
+    the config field: the config's own check reads ``phantom.dims``, which
+    the stages past gen do not use."""
+    if m > len(grid):
+        raise ConfigError(field, f"M={m} exceeds the {len(grid)} patches of {source}")
+
+
+def _dataset_grid(cfg: RunConfig, manifest: DatasetManifest):
+    grid = make_grid(manifest.spec.dims, cfg.grid.patch_edge)
+    return grid, f"the dataset's dims {list(manifest.spec.dims)} at grid.patch_edge {cfg.grid.patch_edge}"
+
+
 def cmd_select(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
+    m = cfg.selection.m_patches
     if cfg.selection.method == "shap":
-        attribution = AttributionMap.load(_require(out / "attribution.json", "explain"))
-        selection = select_top(attribution, cfg.selection.m_patches, key=cfg.selection.key)
+        path = _require(out / "attribution.json", "explain")
+        attribution = AttributionMap.load(path)
+        _check_m("selection.m_patches", m, attribution.grid, str(path))
+        selection = select_top(attribution, m, key=cfg.selection.key)
     else:
         manifest = _load_manifest(cfg)
-        grid = make_grid(manifest.spec.dims, cfg.grid.patch_edge)
-        selection = ttest_select(manifest, grid, cfg.selection.m_patches)
+        grid, source = _dataset_grid(cfg, manifest)
+        _check_m("selection.m_patches", m, grid, source)
+        selection = ttest_select(manifest, grid, m)
     selection.save(out / "selection.json")
     _write_run_echo(cfg, "select", {
         "selection": str(out / "selection.json"),
@@ -337,8 +354,12 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     out = _out_dir(cfg)
-    attribution = AttributionMap.load(_require(out / "attribution.json", "explain"))
-    grid = make_grid(manifest.spec.dims, cfg.grid.patch_edge)
+    path = _require(out / "attribution.json", "explain")
+    attribution = AttributionMap.load(path)
+    grid, source = _dataset_grid(cfg, manifest)
+    for i, m in enumerate(cfg.compare.m_values):
+        _check_m(f"compare.m_values[{i}]", m, grid, source)
+        _check_m(f"compare.m_values[{i}]", m, attribution.grid, str(path))
     lesion_patches = set()
     for lesion in manifest.ground_truth:
         lesion_patches.update(grid.indices_intersecting(lesion))

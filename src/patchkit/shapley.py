@@ -13,13 +13,13 @@ patch's term of the score) and ``predict_sums`` (the readout of score sums).
 grid's patches tile the leaves: zero-filling a node zeroes exactly its
 patches' means, whose terms are 0, so a coalition's score is the sum of the
 terms of the patches it keeps. A game labels each patch with the bitmask of
-the members covering it, sums the terms per label, takes the 2^n coalition
-scores as subset sums of the label sums and reads them out in one call. Every
+the members covering it, and its 2^n coalition scores are subset sums of the
+per-label term sums. The games of one walk level with one player count are
+played together: one ``bincount`` over their labels, one subset-sum pass per
+member, one ``predict_sums`` call, one readout check and one Shapley
+reduction; then each node gets one write of its values and leaf flags. Every
 other game, and every ``exact_shapley`` game, queries one zero-filled volume
-per coalition.
-
-Around its readout, a game is a few array operations: one readout check, one
-gather over cached coalition masks, and one write over its node's box.
+per coalition and goes through the same reduction.
 """
 from __future__ import annotations
 
@@ -44,8 +44,10 @@ from .volume import PatchGrid, Region, Volume, _octree_split, make_grid, patch_m
 logger = logging.getLogger(__name__)
 
 EXACT_SHAPLEY_MAX_REGIONS = 20
-# Coalition entries gathered at once by the Shapley reduction.
+# Shapley terms held at once by the reduction.
 _REDUCTION_BLOCK = 1 << 15
+# Patch labels written at once by a walk level's summed-term games.
+_LABEL_BLOCK = 1 << 14
 DEFAULT_CALL_BUDGET = 100_000
 
 # Stand-in for an infinite t statistic when a patch has zero pooled variance
@@ -217,19 +219,28 @@ def _patch_terms(predictor: Predictor, grid: PatchGrid, features: np.ndarray) ->
     return terms
 
 
-def _term_game(predictor: Predictor, terms: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
-    """Shapley values of the n-member game whose patch ``labels`` are the
-    bitmasks of the members covering each patch. A coalition keeps the patches
-    whose label is a subset of it, so its score is the sum of the per-label
-    term sums (one ``bincount``) over those subsets (a zeta transform, one
-    pass per member); the 2^n scores are read out in one ``predict_sums`` call.
+def _term_games(predictor: Predictor, terms: np.ndarray, label_blocks, n: int) -> np.ndarray:
+    """Shapley values (G, n) of G n-member games on summed ``terms``.
+
+    ``label_blocks`` yields (g, K) blocks of patch labels, one row per game:
+    each patch's label is the bitmask of the members covering it. A coalition
+    keeps the patches whose label is a subset of it, so its score is the sum
+    of the per-label term sums over those subsets. A block's rows are offset
+    in place by ``g << n``, so one ``bincount`` sums the terms per (game,
+    label); the subset sums are one zeta pass per member over all G games,
+    and the G 2^n scores are read out in one ``predict_sums`` call.
     """
-    scores = np.bincount(labels.reshape(-1), weights=terms, minlength=1 << n)
+    scores = []
+    for labels in label_blocks:
+        labels += np.arange(len(labels))[:, None] << n
+        scores.append(np.bincount(labels.reshape(-1), weights=np.tile(terms, len(labels)),
+                                  minlength=len(labels) << n))
+    scores = np.concatenate(scores)
     for i in range(n):
         pairs = scores.reshape(-1, 2, 1 << i)  # [:, 1] are the coalitions holding member i
         np.add(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
-    readouts = _checked_readouts(type(predictor).predict_sums(predictor, scores), 1 << n)
-    return _shapley_from_readouts(readouts, n)
+    readouts = _checked_readouts(type(predictor).predict_sums(predictor, scores), len(scores))
+    return _shapley_from_readouts(readouts.reshape(-1, 1 << n), n)
 
 
 def _coalition_readouts(predictor: Predictor, volume: Volume, members: list[Region]) -> np.ndarray:
@@ -257,45 +268,39 @@ def _coalition_weights(n: int) -> np.ndarray:
     return weights
 
 
-# A map's games have at most three sizes; at 20 players, 4 blocks hold 2 MiB.
-@functools.lru_cache(maxsize=4)
-def _pair_masks(n: int, first: int, rows: int, start: int, cols: int) -> np.ndarray:
-    """Reduction block (2, players, columns) of players ``first``.. and columns
-    ``start``..: each entry's coalition with the player, then without. Entry k
-    of player i is k with a 0 inserted at bit i."""
-    i = np.arange(first, min(first + rows, n))[:, None]
-    k = np.arange(start, start + cols)
-    masks = k + ((k >> i) << i) + (np.array([1, 0])[:, None, None] << i)
-    masks.setflags(write=False)  # shared by every caller through the cache
-    return masks
-
-
 def _shapley_from_readouts(readouts: np.ndarray, n: int) -> np.ndarray:
-    """Exact Shapley values from a full coalition-readout table.
+    """Exact Shapley values (G, n) of G games from their (G, 2^n) coalition readouts.
 
-    Row i of the term table lists player i's weighted marginal differences
-    over the coalitions without i in ascending order, gathered block by
-    block through the cached masks of :func:`_pair_masks`. Inserting a bit
-    keeps the coalition size, so entry k's weight is that of mask k for
-    every player: a block's weights are one slice of ``_coalition_weights``.
-    Each difference is taken before it is weighted, so a null player's value
-    is exactly 0.0, and each row is summed as one contiguous array, so the
-    result is reproducible. A game of up to 12 players is one block (one
-    gather, one subtract, one multiply and one row sum); a 20-player game
-    holds one row of 2^19 terms at a time.
+    Row (g, i) of the term table lists game g's player i's weighted marginal
+    differences over the coalitions without i in ascending order. A game's
+    readouts viewed as (2^(n-1-i), 2, 2^i) pair each coalition without i with
+    the same coalition with i, so a row is one subtraction written into the
+    table. Inserting a bit keeps the coalition size, so entry k's weight is
+    that of mask k for every player: a block is weighted by one multiply with
+    the first half of ``_coalition_weights``. Each difference is taken before
+    it is weighted, so a null player's value is exactly 0.0, and each row is
+    summed as one contiguous array, so a game's values do not depend on the
+    games reduced beside it. A block holds at most ``_REDUCTION_BLOCK`` terms,
+    or one row of a game of more than 16 players.
     """
-    weights = _coalition_weights(n)
     half = 1 << (n - 1)
+    weights = _coalition_weights(n)[:half]
     rows = min(n, max(1, _REDUCTION_BLOCK // half))
-    cols = min(half, _REDUCTION_BLOCK)
-    terms = np.empty((rows, half), dtype=np.float64)
-    values = np.empty(n, dtype=np.float64)
-    for first in range(0, n, rows):
-        block = terms[: min(rows, n - first)]
-        for start in range(0, half, cols):
-            with_, without = readouts[_pair_masks(n, first, rows, start, cols)]
-            np.multiply(weights[start : start + cols], with_ - without, out=block[:, start : start + cols])
-        values[first : first + len(block)] = block.sum(axis=1)
+    games = max(1, _REDUCTION_BLOCK // (rows * half))
+    table = np.empty(min(games, len(readouts)) * rows * half, dtype=np.float64)
+    values = np.empty((len(readouts), n), dtype=np.float64)
+    for g in range(0, len(readouts), games):
+        part = readouts[g : g + games]
+        for first in range(0, n, rows):
+            players = min(rows, n - first)
+            # A C-contiguous prefix of the table, so each row sums as one array.
+            block = table[: len(part) * players * half].reshape(len(part), players, half)
+            for i in range(first, first + players):
+                pairs = part.reshape(len(part), -1, 2, 1 << i)
+                np.subtract(pairs[:, :, 1], pairs[:, :, 0],
+                            out=block[:, i - first].reshape(len(part), -1, 1 << i))
+            block *= weights
+            values[g : g + len(part), first : first + players] = block.sum(axis=2)
     return values
 
 
@@ -317,7 +322,7 @@ def exact_shapley(predictor: Predictor, volume: Volume, regions: list[Region]) -
     for r in regions:
         if not volume.contains(r):
             raise InvalidArgumentError(f"region {r} outside volume dims {volume.dims}")
-    return _shapley_from_readouts(_coalition_readouts(predictor, volume, list(regions)), n)
+    return _shapley_from_readouts(_coalition_readouts(predictor, volume, list(regions))[None], n)[0]
 
 
 def sibling_shapley(predictor: Predictor, volume: Volume, siblings: list[Region]) -> np.ndarray:
@@ -361,6 +366,36 @@ def _label_block(size: tuple[int, int, int], scale: int) -> np.ndarray:
     return block
 
 
+def _term_level(predictor: Predictor, terms: np.ndarray, counts: tuple[int, int, int], scale: int,
+                nodes: list, games: list) -> list[np.ndarray]:
+    """Each game's Shapley values, in tree order, for one walk level of
+    ``nodes`` and their children's ``games`` on summed ``terms`` over a grid
+    of (x, y, z) patch ``counts``, ``scale`` patches per leaf edge. The games
+    of one player count are played together by :func:`_term_games`, their
+    labels written ``_LABEL_BLOCK`` entries at a time: each node's patches
+    take one write of a cached block (:func:`_label_block`), the rest stay 0."""
+    by_size: dict[int, list[int]] = {}
+    for g, children in enumerate(games):
+        by_size.setdefault(len(children), []).append(g)
+    step = max(1, _LABEL_BLOCK // len(terms))
+
+    def label_blocks(ids):
+        for start in range(0, len(ids), step):
+            chunk = ids[start : start + step]
+            labels = np.zeros((len(chunk), *counts[::-1]), dtype=np.intp)
+            for block, g in zip(labels, chunk):
+                (x0, y0, z0), (sx, sy, sz) = nodes[g]
+                block[z0 * scale : (z0 + sz) * scale, y0 * scale : (y0 + sy) * scale,
+                      x0 * scale : (x0 + sx) * scale] = _label_block((sx, sy, sz), scale)
+            yield labels.reshape(len(labels), -1)
+
+    played = [None] * len(games)
+    for n, ids in by_size.items():
+        for g, values in zip(ids, _term_games(predictor, terms, label_blocks(ids), n)):
+            played[g] = values
+    return played
+
+
 def recursive_attribution(
     predictor: Predictor,
     volume: Volume,
@@ -386,16 +421,15 @@ def recursive_attribution(
     one-player game on that leaf. Remainder voxels past the last whole patch
     belong to no node and are never zero-filled.
 
-    The tree is walked one level at a time, and a level's games are played in
-    tree order on the calling thread. For a predictor with an additive readout
-    over a grid of this volume whose patches tile the leaves, the volume's
-    patch terms are computed once, here, and every game labels the node's
-    patches with one write of a cached block (:func:`_label_block`) and is
-    played on summed terms by :func:`_term_game`, with one ``predict_sums``
-    call and no volume. Every other map, including one over a predictor whose
-    grid does not tile the leaves, gets each game's children as voxel
-    ``Region`` objects through :func:`sibling_shapley`: one zero-filled volume
-    per coalition.
+    The tree is walked one level at a time on the calling thread. For a
+    predictor with an additive readout over a grid of this volume whose
+    patches tile the leaves, the volume's patch terms are computed once, here,
+    and each level's games are played on summed terms by :func:`_term_level`:
+    the games of one player count together, with one ``predict_sums`` call
+    and no volume. Every other map, including one over a predictor whose grid
+    does not tile the leaves, plays a level's games in tree order, each with
+    its children as voxel ``Region`` objects through :func:`sibling_shapley`:
+    one zero-filled volume per coalition.
     ``threads`` is accepted for existing callers, is rejected below 1 and
     otherwise has no effect.
 
@@ -433,19 +467,14 @@ def recursive_attribution(
             )
         levels += 1
         nodes, frontier = frontier, []
-        for ((x0, y0, z0), (sx, sy, sz)), children in zip(nodes, games):
-            if scale:
-                labels = np.zeros(feature_grid.counts[::-1], dtype=np.intp)
-                labels[z0 * scale : (z0 + sz) * scale, y0 * scale : (y0 + sy) * scale,
-                       x0 * scale : (x0 + sx) * scale] = _label_block((sx, sy, sz), scale)
-                game = _term_game(predictor, terms, labels, len(children))
-            else:
-                siblings = [
-                    Region((x * leaf_edge, y * leaf_edge, z * leaf_edge),
-                           (cx * leaf_edge, cy * leaf_edge, cz * leaf_edge))
-                    for (x, y, z), (cx, cy, cz) in children
-                ]
-                game = sibling_shapley(predictor, volume, siblings)
+        if scale:
+            played = _term_level(predictor, terms, feature_grid.counts, scale, nodes, games)
+        else:
+            played = [sibling_shapley(predictor, volume, [
+                Region((x * leaf_edge, y * leaf_edge, z * leaf_edge),
+                       (cx * leaf_edge, cy * leaf_edge, cz * leaf_edge))
+                for (x, y, z), (cx, cy, cz) in children]) for children in games]
+        for ((x0, y0, z0), (sx, sy, sz)), children, game in zip(nodes, games, played):
             owner, flags = _owner_block((sx, sy, sz))
             box = slice(z0, z0 + sz), slice(y0, y0 + sy), slice(x0, x0 + sx)
             values[box], refined[box] = game[owner], flags

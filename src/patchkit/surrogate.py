@@ -45,7 +45,8 @@ class SurrogatePredictor:
 
     The score is additive over patches: ``patch_terms`` gives each patch's
     term and ``predict_sums`` reads out score sums, so the attribution engines
-    sum the terms of each coalition's patches and read a game out in one call.
+    sum the terms of each coalition's patches and read out a walk level's
+    games in one call.
     """
 
     def __init__(self, params: SurrogateParams, grid: PatchGrid):

@@ -182,6 +182,23 @@ class TestErrors:
         assert run(cfg, "gen") == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, overrides, path", [
+        ("select", ["selection.method=ttest", "selection.m_patches=100"], "selection.m_patches"),
+        ("select", ["selection.method=shap", "selection.m_patches=100"], "selection.m_patches"),
+        ("compare", ["compare.m_values=[4,100]"], "compare.m_values[1]"),
+    ], ids=["ttest", "shap", "compare"])
+    def test_m_above_the_stage_grid_exits_2_with_path(self, pipeline_dir, capsys, stage,
+                                                       overrides, path):
+        # The pipeline's 16³ data has 64 patches; at phantom.dims 32³ the
+        # config allows 512, so each stage must check M against the grid it
+        # ranks: the dataset's for ttest and compare, the map's for shap.
+        sets = [arg for o in ["phantom.dims=[32,32,32]", *overrides] for arg in ("--set", o)]
+        capsys.readouterr()
+        assert main([stage, "--config", str(pipeline_dir[1]), *sets]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: M=100 exceeds the 64 patches of "), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_os_error_exits_2_without_traceback(self, tmp_path, capsys):
         # A data_dir that is an existing file fails in mkdir with an OSError.
         cfg = write_config(tmp_path)

@@ -332,7 +332,7 @@ class TestRecursiveAttribution:
 
         spy = ThreadSpy()
         amap = pk.recursive_attribution(spy, v, 4, tau=math.inf, threads=4)
-        assert len(spy.threads) == 9  # one game at level 1, eight at level 2
+        assert len(spy.threads) == 2  # one call for level 1's game, one for level 2's eight
         assert set(spy.threads) == {threading.get_ident()}
         assert amap.evaluations == 256 + 8 * 256
 
@@ -396,24 +396,26 @@ class TestRecursiveAttribution:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_walk_matches_the_per_child_reference(self, data):
-        # Non-dyadic leaf counts, remainder voxels, both rules, finite and
-        # infinite tau and every depth: the map equals the one written child
-        # by child.
-        edge = data.draw(st.integers(1, 3), label="leaf_edge")
-        dims = tuple(data.draw(st.integers(edge, 9 * edge), label="dim") for _ in range(3))
-        grid = pk.make_grid(dims, edge)
+        # Non-dyadic leaf counts (so one level can mix games of 1, 2, 4 and 8
+        # players), leaves of one or two patch edges, remainder voxels, both
+        # rules, finite and infinite tau and every depth: the map equals the
+        # one played game by game and written child by child.
+        patch = data.draw(st.integers(1, 3), label="patch_edge")
+        edge = patch * data.draw(st.sampled_from([1, 2]), label="scale")
+        counts = [data.draw(st.integers(1, 9), label="leaf_count") for _ in range(3)]
+        dims = tuple(c * edge + data.draw(st.integers(0, edge - 1), label="remainder") for c in counts)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
-        predictor = surrogate("logistic", grid, rng)
+        predictor = surrogate("logistic", pk.make_grid(dims, patch), rng)
         rule = data.draw(st.sampled_from(shapley.REFINE_RULES), label="rule")
         tau = data.draw(st.sampled_from([-math.inf, math.inf]) | st.floats(-0.05, 0.05), label="tau")
         depth = data.draw(st.integers(1, 5), label="max_depth")
         amap = pk.recursive_attribution(predictor, v, edge, tau, rule, max_depth=depth)
-        values, refined, evaluations, levels = per_child_attribution(
+        values, refined, evaluations, sizes = per_child_attribution(
             predictor, v, edge, tau, rule, depth)
         assert amap.values.tobytes() == values.tobytes()
         assert np.array_equal(amap.refined_mask, refined)
-        assert (amap.evaluations, amap.levels) == (evaluations, levels)
+        assert (amap.evaluations, amap.levels) == (evaluations, len(sizes))
 
     def test_infinite_tau_survives_json_round_trip(self, tmp_path):
         dims = (8, 8, 8)
@@ -537,36 +539,54 @@ def blocked_reduction(readouts, n, block=1 << 15):
     return values
 
 
+def one_term_game(predictor, terms, labels, n):
+    """Shapley values of one n-member game on summed terms: the term sums per
+    patch label by ``bincount``, each coalition's score as the subset sum of
+    those label sums (one zeta pass per member), one ``predict_sums`` readout
+    and the blocked reduction."""
+    scores = np.bincount(labels.reshape(-1), weights=terms, minlength=1 << n)
+    for i in range(n):
+        pairs = scores.reshape(-1, 2, 1 << i)  # [:, 1] are the coalitions holding member i
+        np.add(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    return blocked_reduction(predictor.predict_sums(scores)[:, 1], n)
+
+
 def per_child_attribution(predictor, volume, leaf_edge, tau, rule, max_depth):
-    """``recursive_attribution`` over a predictor on the leaf grid, with each
-    game's patch labels and each child's value and leaf flag written into the
-    child's own box, one child at a time, and no budget."""
+    """``recursive_attribution`` over a patch-mean predictor whose patches tile
+    the leaves, with each game's patch labels written child by child, each
+    game played on its own by :func:`one_term_game`, each child's value and
+    leaf flag written into the child's own box, and no budget. Returns the
+    values, the leaf flags, the evaluations and each level's player counts
+    in tree order."""
     grid = pk.make_grid(volume.dims, leaf_edge)
-    terms = predictor.patch_terms(pk.patch_means(volume, grid))
+    scale = leaf_edge // predictor.grid.patch_edge
+    terms = predictor.patch_terms(pk.patch_means(volume, predictor.grid))
     nx, ny, nz = grid.counts
     values = np.empty((nz, ny, nx), dtype=np.float64)
     refined = np.zeros((nz, ny, nx), dtype=bool)
-    evaluations = levels = 0
+    evaluations = 0
+    sizes = []
     frontier = [((0, 0, 0), grid.counts)]
     while frontier:
         games = [_octree_split(origin, size) for origin, size in frontier]
-        levels += 1
+        sizes.append([len(children) for children in games])
         frontier = []
         for children in games:
-            labels = np.zeros((nz, ny, nx), dtype=np.intp)
+            labels = np.zeros(predictor.grid.counts[::-1], dtype=np.intp)
             for c, ((x0, y0, z0), (sx, sy, sz)) in enumerate(children):
-                labels[z0 : z0 + sz, y0 : y0 + sy, x0 : x0 + sx] = 1 << c
-            game = shapley._term_game(predictor, terms, labels, len(children))
+                labels[z0 * scale : (z0 + sz) * scale, y0 * scale : (y0 + sy) * scale,
+                       x0 * scale : (x0 + sx) * scale] = 1 << c
+            game = one_term_game(predictor, terms, labels, len(children))
             evaluations += 1 << len(children)
             for (origin, size), value in zip(children, game):
                 (x0, y0, z0), (sx, sy, sz) = origin, size
                 box = slice(z0, z0 + sz), slice(y0, y0 + sy), slice(x0, x0 + sx)
                 values[box] = value
                 refined[box] = size == (1, 1, 1)
-                if (size != (1, 1, 1) and levels < max_depth
+                if (size != (1, 1, 1) and len(sizes) < max_depth
                         and shapley._rule_fires(rule, value, tau)):
                     frontier.append((origin, size))
-    return values.reshape(-1), refined.reshape(-1), evaluations, levels
+    return values.reshape(-1), refined.reshape(-1), evaluations, sizes
 
 
 def with_row(rows, i, readout):
@@ -640,7 +660,7 @@ class TestFeatureSpaceGames:
         members, labels = aligned_members(data.draw, grid, n)
 
         terms = predictor.patch_terms(pk.patch_means(v, grid))
-        batched = shapley._term_game(predictor, terms, labels, n)
+        (batched,) = shapley._term_games(predictor, terms, [labels.reshape(1, -1)], n)
         spy = GridReadoutSpy(predictor)
         assert np.allclose(batched, pk.exact_shapley(spy, v, members), rtol=0, atol=1e-12)
         assert (spy.batch_calls, spy.volume_calls) == (0, 2 ** n)
@@ -760,7 +780,7 @@ class TestFeatureSpaceGames:
         predictor = surrogate("logistic", grid, rng)
         spy = GridReadoutSpy(predictor)
         n = len(members)
-        shapley._term_game(spy, predictor.patch_terms(pk.patch_means(v, grid)), labels, n)
+        shapley._term_games(spy, predictor.patch_terms(pk.patch_means(v, grid)), [labels.reshape(1, -1)], n)
         want = np.array([
             predictor.patch_terms(pk.patch_means(
                 pk.perturb_zero(v, [members[i] for i in range(n) if not (mask >> i) & 1]), grid)).sum()
@@ -807,7 +827,7 @@ class TestFeatureSpaceGames:
         rng = np.random.default_rng(n)
         readouts = rng.random(1 << n)
         readouts[1 << (n - 1):] = readouts[:1 << (n - 1)]  # the last player is null
-        values = _shapley_from_readouts(readouts, n)
+        (values,) = _shapley_from_readouts(readouts[None], n)
         assert np.allclose(values, loop_reference(readouts), rtol=0, atol=1e-15)
         assert values.tobytes() == per_player_reduction(readouts, n).tobytes()
         assert values[n - 1] == 0.0
@@ -817,11 +837,11 @@ class TestFeatureSpaceGames:
         # Up to 14 players, so the sizes whose rows take more than one block
         # (13 and 14) are covered as well as the one-block sizes.
         readouts = np.random.default_rng(100 + n).random(1 << n)
-        values = _shapley_from_readouts(readouts, n)
+        (values,) = _shapley_from_readouts(readouts[None], n)
         assert values.tobytes() == blocked_reduction(readouts, n).tobytes()
 
     def test_cached_tables_are_read_only(self):
-        tables = [shapley._pair_masks(8, 0, 8, 0, 128), *shapley._owner_block((3, 2, 1)),
+        tables = [shapley._coalition_weights(8), *shapley._owner_block((3, 2, 1)),
                   shapley._label_block((3, 2, 1), 2)]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
@@ -841,7 +861,7 @@ class TestFeatureSpaceGames:
                 tracemalloc.stop()
 
         reference, reference_peak = peak(per_player_reduction)
-        values, values_peak = peak(_shapley_from_readouts)
+        values, values_peak = peak(lambda readouts, n: _shapley_from_readouts(readouts[None], n)[0])
         assert values.tobytes() == reference.tobytes()
         assert values_peak <= 2 * reference_peak
 
@@ -874,11 +894,80 @@ class TestFeatureSpaceGames:
             predictor.params.weights[i] = 0.0
         spy = GridReadoutSpy(predictor)
         amap = pk.recursive_attribution(spy, v, leaf_edge, tau=math.inf, max_depth=3)
-        # One predict_sums call per game of 8 leaves or octants, and no volume.
-        assert (spy.batch_calls * 256, spy.volume_calls) == (amap.evaluations, 0)
+        # One predict_sums call per level (every game has 8 players): two
+        # levels over 4³ leaves, one over 2³; no volume.
+        assert (spy.batch_calls, spy.volume_calls) == ({4: 2, 8: 1}[leaf_edge], 0)
+        assert sum(len(sums) for sums in spy.sums) == amap.evaluations
         assert np.all(amap.refined_mask)
         assert amap.values[5] == 0.0
         assert np.all(amap.values[np.arange(len(leaf)) != 5] != 0.0)
+
+    def test_one_readout_per_level_and_player_count(self):
+        # 5 x 6 x 3 leaves of two 2³ patches each: levels mix games of 2, 4
+        # and 8 players, and each (level, player count) is one predict_sums
+        # call over all its games' coalitions.
+        dims = (20, 25, 13)
+        rng = np.random.default_rng(17)
+        v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
+        spy = GridReadoutSpy(surrogate("logistic", pk.make_grid(dims, 2), rng))
+        amap = pk.recursive_attribution(spy, v, 4, tau=math.inf, max_depth=4)
+        values, _, evaluations, sizes = per_child_attribution(spy.inner, v, 4, math.inf,
+                                                              "refine_below", 4)
+        assert any(len(set(level)) > 1 for level in sizes)
+        want = sorted(level.count(n) << n for level in sizes for n in set(level))
+        assert sorted(len(sums) for sums in spy.sums) == want
+        assert (spy.batch_calls, spy.volume_calls) == (len(want), 0)
+        assert sum(len(sums) for sums in spy.sums) == amap.evaluations == evaluations
+        assert amap.values.tobytes() == values.tobytes()
+
+    def test_a_level_over_budget_raises_before_its_readout(self):
+        dims = (16, 16, 16)
+        rng = np.random.default_rng(19)
+        v = pk.Volume(dims, rng.random(4096, dtype=np.float32))
+        spy = GridReadoutSpy(surrogate("logistic", pk.make_grid(dims, 4), rng))
+        with pytest.raises(BudgetExceededError):
+            pk.recursive_attribution(spy, v, 4, tau=math.inf, budget=256 + 8 * 256 - 1)
+        assert [len(sums) for sums in spy.sums] == [256]  # level 1 only
+        amap = pk.recursive_attribution(spy, v, 4, tau=math.inf, budget=256 + 8 * 256)
+        assert amap.evaluations == 256 + 8 * 256
+
+    @pytest.mark.parametrize("block", [shapley._REDUCTION_BLOCK, 1 << 6], ids=["default", "small"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_games_reduced_together_equal_one_game_reductions(self, monkeypatch, n, block):
+        # 67 games span several blocks at 8 players by default and at every
+        # size under the small block, which also splits each 8-player row
+        # over two column blocks. Each row must equal both the one-game
+        # reduction and the blocked reference of its own game.
+        readouts = np.random.default_rng(200 + n).random((67, 1 << n))
+        readouts[:, 1 << (n - 1):] = readouts[:, :1 << (n - 1)]  # the last player is null
+        one_by_one = np.concatenate([_shapley_from_readouts(row[None], n) for row in readouts])
+        reference = np.stack([blocked_reduction(row, n) for row in readouts])
+        monkeypatch.setattr(shapley, "_REDUCTION_BLOCK", block)
+        together = _shapley_from_readouts(readouts, n)
+        assert together.shape == (67, n)
+        assert together.tobytes() == one_by_one.tobytes() == reference.tobytes()
+        assert np.all(together[:, n - 1] == 0.0)
+
+    def test_a_512_game_level_stays_within_8_mib(self):
+        # The last level of a fully refined 64³ map at patch and leaf 4:
+        # 512 games of 8 players over K = 4,096 patches. Its labels and its
+        # Shapley terms are written a block at a time.
+        dims = (64, 64, 64)
+        grid = pk.make_grid(dims, 4)
+        rng = np.random.default_rng(23)
+        predictor = surrogate("logistic", grid, rng)
+        terms = predictor.patch_terms(pk.patch_means(pk.Volume(dims, rng.random(64**3, dtype=np.float32)), grid))
+        nodes = [((x, y, z), (2, 2, 2)) for z in range(0, 16, 2) for y in range(0, 16, 2) for x in range(0, 16, 2)]
+        games = [_octree_split(origin, size) for origin, size in nodes]
+        shapley._term_level(predictor, terms, grid.counts, 1, nodes[:1], games[:1])  # warm the caches
+        tracemalloc.start()
+        try:
+            played = shapley._term_level(predictor, terms, grid.counts, 1, nodes, games)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(played) == 512 and all(values.shape == (8,) for values in played)
+        assert peak < 8 << 20
 
     @pytest.mark.parametrize("bad", [
         lambda terms: terms + 1e-300,
