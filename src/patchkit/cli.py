@@ -88,7 +88,14 @@ def _require(path: Path, produced_by: str) -> Path:
 
 
 def _load_manifest(cfg: RunConfig) -> DatasetManifest:
-    return DatasetManifest.load(_require(_manifest_path(cfg), "gen"))
+    """The dataset gen wrote, refused unless its dims are the config's
+    ``phantom.dims``, against which the config checked every M."""
+    path = _require(_manifest_path(cfg), "gen")
+    manifest = DatasetManifest.load(path)
+    if tuple(cfg.phantom.dims) != tuple(manifest.spec.dims):
+        raise ConfigError("phantom.dims", f"{list(cfg.phantom.dims)} differ from the dims "
+                          f"{list(manifest.spec.dims)} of the dataset in {path}")
+    return manifest
 
 
 def _write_run_echo(cfg: RunConfig, stage: str, artifacts: dict) -> None:
@@ -181,17 +188,12 @@ def cmd_explain(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_m(field: str, m: int, grid, source: str) -> None:
-    """Reject an M above the patch count of the grid a stage ranks, naming
-    the config field: the config's own check reads ``phantom.dims``, which
-    the stages past gen do not use."""
-    if m > len(grid):
-        raise ConfigError(field, f"M={m} exceeds the {len(grid)} patches of {source}")
-
-
-def _dataset_grid(cfg: RunConfig, manifest: DatasetManifest):
-    grid = make_grid(manifest.spec.dims, cfg.grid.patch_edge)
-    return grid, f"the dataset's dims {list(manifest.spec.dims)} at grid.patch_edge {cfg.grid.patch_edge}"
+def _check_m(field: str, m: int, attribution: AttributionMap, path: Path) -> None:
+    """Reject an M above the leaf count of the attribution map a stage ranks,
+    naming the config field: the config's own check reads ``phantom.dims``
+    and ``grid.patch_edge``, not the map's grid."""
+    if m > len(attribution.grid):
+        raise ConfigError(field, f"M={m} exceeds the {len(attribution.grid)} patches of {path}")
 
 
 def cmd_select(cfg: RunConfig) -> int:
@@ -200,13 +202,11 @@ def cmd_select(cfg: RunConfig) -> int:
     if cfg.selection.method == "shap":
         path = _require(out / "attribution.json", "explain")
         attribution = AttributionMap.load(path)
-        _check_m("selection.m_patches", m, attribution.grid, str(path))
+        _check_m("selection.m_patches", m, attribution, path)
         selection = select_top(attribution, m, key=cfg.selection.key)
     else:
         manifest = _load_manifest(cfg)
-        grid, source = _dataset_grid(cfg, manifest)
-        _check_m("selection.m_patches", m, grid, source)
-        selection = ttest_select(manifest, grid, m)
+        selection = ttest_select(manifest, make_grid(manifest.spec.dims, cfg.grid.patch_edge), m)
     selection.save(out / "selection.json")
     _write_run_echo(cfg, "select", {
         "selection": str(out / "selection.json"),
@@ -356,10 +356,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     path = _require(out / "attribution.json", "explain")
     attribution = AttributionMap.load(path)
-    grid, source = _dataset_grid(cfg, manifest)
+    grid = make_grid(manifest.spec.dims, cfg.grid.patch_edge)
     for i, m in enumerate(cfg.compare.m_values):
-        _check_m(f"compare.m_values[{i}]", m, grid, source)
-        _check_m(f"compare.m_values[{i}]", m, attribution.grid, str(path))
+        _check_m(f"compare.m_values[{i}]", m, attribution, path)
     lesion_patches = set()
     for lesion in manifest.ground_truth:
         lesion_patches.update(grid.indices_intersecting(lesion))

@@ -12,14 +12,12 @@ patch's term of the score) and ``predict_sums`` (the readout of score sums).
 ``recursive_attribution`` plays such a predictor on summed terms when that
 grid's patches tile the leaves: zero-filling a node zeroes exactly its
 patches' means, whose terms are 0, so a coalition's score is the sum of the
-terms of the patches it keeps. A game labels each patch with the bitmask of
-the members covering it, and its 2^n coalition scores are subset sums of the
-per-label term sums. The games of one walk level with one player count are
-played together: one ``bincount`` over their labels, one subset-sum pass per
-member, one ``predict_sums`` call, one readout check and one Shapley
-reduction; then each node gets one write of its values and leaf flags. Every
-other game, and every ``exact_shapley`` game, queries one zero-filled volume
-per coalition and goes through the same reduction.
+terms of the patches it keeps. One labelling of the patches per walk level
+gives every child's term sum in one ``bincount``; the games of one player
+count are then scored together, read out in one ``predict_sums`` call and
+reduced together. Every other game, and every ``exact_shapley`` game,
+queries one zero-filled volume per coalition and goes through the same
+reduction.
 """
 from __future__ import annotations
 
@@ -44,10 +42,6 @@ from .volume import PatchGrid, Region, Volume, _octree_split, make_grid, patch_m
 logger = logging.getLogger(__name__)
 
 EXACT_SHAPLEY_MAX_REGIONS = 20
-# Shapley terms held at once by the reduction.
-_REDUCTION_BLOCK = 1 << 15
-# Patch labels written at once by a walk level's summed-term games.
-_LABEL_BLOCK = 1 << 14
 DEFAULT_CALL_BUDGET = 100_000
 
 # Stand-in for an infinite t statistic when a patch has zero pooled variance
@@ -219,28 +213,23 @@ def _patch_terms(predictor: Predictor, grid: PatchGrid, features: np.ndarray) ->
     return terms
 
 
-def _term_games(predictor: Predictor, terms: np.ndarray, label_blocks, n: int) -> np.ndarray:
-    """Shapley values (G, n) of G n-member games on summed ``terms``.
+def _term_games(predictor: Predictor, base: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Shapley values (G, n) of G n-member games on summed terms.
 
-    ``label_blocks`` yields (g, K) blocks of patch labels, one row per game:
-    each patch's label is the bitmask of the members covering it. A coalition
-    keeps the patches whose label is a subset of it, so its score is the sum
-    of the per-label term sums over those subsets. A block's rows are offset
-    in place by ``g << n``, so one ``bincount`` sums the terms per (game,
-    label); the subset sums are one zeta pass per member over all G games,
-    and the G 2^n scores are read out in one ``predict_sums`` call.
+    ``parts[g, i]`` is the term sum of game g's member i, the members being
+    disjoint, and ``base[g]`` that of the patches no member covers. A
+    coalition keeps its members' patches, so its score is ``base`` plus its
+    members' parts: the scores are built one member at a time, each doubling
+    the coalitions already scored, and the G 2^n scores are read out in one
+    ``predict_sums`` call.
     """
-    scores = []
-    for labels in label_blocks:
-        labels += np.arange(len(labels))[:, None] << n
-        scores.append(np.bincount(labels.reshape(-1), weights=np.tile(terms, len(labels)),
-                                  minlength=len(labels) << n))
-    scores = np.concatenate(scores)
+    games, n = parts.shape
+    scores = np.empty((games, 1 << n), dtype=np.float64)
+    scores[:, 0] = base
     for i in range(n):
-        pairs = scores.reshape(-1, 2, 1 << i)  # [:, 1] are the coalitions holding member i
-        np.add(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
-    readouts = _checked_readouts(type(predictor).predict_sums(predictor, scores), len(scores))
-    return _shapley_from_readouts(readouts.reshape(-1, 1 << n), n)
+        np.add(scores[:, : 1 << i], parts[:, i, None], out=scores[:, 1 << i : 2 << i])
+    readouts = _checked_readouts(type(predictor).predict_sums(predictor, scores.reshape(-1)), scores.size)
+    return _shapley_from_readouts(readouts.reshape(games, 1 << n), n)
 
 
 def _coalition_readouts(predictor: Predictor, volume: Volume, members: list[Region]) -> np.ndarray:
@@ -271,36 +260,27 @@ def _coalition_weights(n: int) -> np.ndarray:
 def _shapley_from_readouts(readouts: np.ndarray, n: int) -> np.ndarray:
     """Exact Shapley values (G, n) of G games from their (G, 2^n) coalition readouts.
 
-    Row (g, i) of the term table lists game g's player i's weighted marginal
-    differences over the coalitions without i in ascending order. A game's
-    readouts viewed as (2^(n-1-i), 2, 2^i) pair each coalition without i with
-    the same coalition with i, so a row is one subtraction written into the
-    table. Inserting a bit keeps the coalition size, so entry k's weight is
-    that of mask k for every player: a block is weighted by one multiply with
-    the first half of ``_coalition_weights``. Each difference is taken before
-    it is weighted, so a null player's value is exactly 0.0, and each row is
-    summed as one contiguous array, so a game's values do not depend on the
-    games reduced beside it. A block holds at most ``_REDUCTION_BLOCK`` terms,
-    or one row of a game of more than 16 players.
+    Player i's row lists each game's weighted marginal differences over the
+    coalitions without i in ascending order. A game's readouts viewed as
+    (2^(n-1-i), 2, 2^i) pair each coalition without i with the same
+    coalition with i, so a row is one subtraction over all G games written
+    into a C-contiguous (G, 2^(n-1)) buffer. Inserting a bit keeps the
+    coalition size, so entry k's weight is that of mask k for every player:
+    the row is weighted by one multiply with the first half of
+    ``_coalition_weights``. Each difference is taken before it is weighted,
+    so a null player's value is exactly 0.0, and each game's row is summed
+    as one contiguous array, so its values do not depend on the games
+    reduced beside it.
     """
-    half = 1 << (n - 1)
+    games, half = len(readouts), 1 << (n - 1)
     weights = _coalition_weights(n)[:half]
-    rows = min(n, max(1, _REDUCTION_BLOCK // half))
-    games = max(1, _REDUCTION_BLOCK // (rows * half))
-    table = np.empty(min(games, len(readouts)) * rows * half, dtype=np.float64)
-    values = np.empty((len(readouts), n), dtype=np.float64)
-    for g in range(0, len(readouts), games):
-        part = readouts[g : g + games]
-        for first in range(0, n, rows):
-            players = min(rows, n - first)
-            # A C-contiguous prefix of the table, so each row sums as one array.
-            block = table[: len(part) * players * half].reshape(len(part), players, half)
-            for i in range(first, first + players):
-                pairs = part.reshape(len(part), -1, 2, 1 << i)
-                np.subtract(pairs[:, :, 1], pairs[:, :, 0],
-                            out=block[:, i - first].reshape(len(part), -1, 1 << i))
-            block *= weights
-            values[g : g + len(part), first : first + players] = block.sum(axis=2)
+    row = np.empty((games, half), dtype=np.float64)
+    values = np.empty((games, n), dtype=np.float64)
+    for i in range(n):
+        pairs = readouts.reshape(games, -1, 2, 1 << i)
+        np.subtract(pairs[:, :, 1], pairs[:, :, 0], out=row.reshape(games, -1, 1 << i))
+        row *= weights
+        values[:, i] = row.sum(axis=1)
     return values
 
 
@@ -345,55 +325,13 @@ def _rule_fires(rule: str, value: float, tau: float) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _owner_block(size: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(z, y, x) blocks over a node of ``size`` leaves: each leaf's child index and leaf flag."""
-    children = _octree_split((0, 0, 0), size)
+def _owner_block(size: tuple[int, int, int]) -> np.ndarray:
+    """(z, y, x) block over a node of ``size`` leaves: each leaf's child index."""
     owner = np.empty(size[::-1], dtype=np.intp)
-    for c, ((x0, y0, z0), (cx, cy, cz)) in enumerate(children):
+    for c, ((x0, y0, z0), (cx, cy, cz)) in enumerate(_octree_split((0, 0, 0), size)):
         owner[z0 : z0 + cz, y0 : y0 + cy, x0 : x0 + cx] = c
-    flags = np.array([child == (1, 1, 1) for _, child in children])[owner]
     owner.setflags(write=False)  # shared by every caller through the cache
-    flags.setflags(write=False)
-    return owner, flags
-
-
-@functools.lru_cache(maxsize=64)
-def _label_block(size: tuple[int, int, int], scale: int) -> np.ndarray:
-    """(z, y, x) block over a node of ``size`` leaves of ``scale``^3 patches
-    each: every patch's label, 1 << its child index."""
-    block = np.kron(1 << _owner_block(size)[0], np.ones((scale,) * 3, dtype=np.intp))
-    block.setflags(write=False)  # shared by every caller through the cache
-    return block
-
-
-def _term_level(predictor: Predictor, terms: np.ndarray, counts: tuple[int, int, int], scale: int,
-                nodes: list, games: list) -> list[np.ndarray]:
-    """Each game's Shapley values, in tree order, for one walk level of
-    ``nodes`` and their children's ``games`` on summed ``terms`` over a grid
-    of (x, y, z) patch ``counts``, ``scale`` patches per leaf edge. The games
-    of one player count are played together by :func:`_term_games`, their
-    labels written ``_LABEL_BLOCK`` entries at a time: each node's patches
-    take one write of a cached block (:func:`_label_block`), the rest stay 0."""
-    by_size: dict[int, list[int]] = {}
-    for g, children in enumerate(games):
-        by_size.setdefault(len(children), []).append(g)
-    step = max(1, _LABEL_BLOCK // len(terms))
-
-    def label_blocks(ids):
-        for start in range(0, len(ids), step):
-            chunk = ids[start : start + step]
-            labels = np.zeros((len(chunk), *counts[::-1]), dtype=np.intp)
-            for block, g in zip(labels, chunk):
-                (x0, y0, z0), (sx, sy, sz) = nodes[g]
-                block[z0 * scale : (z0 + sz) * scale, y0 * scale : (y0 + sy) * scale,
-                      x0 * scale : (x0 + sx) * scale] = _label_block((sx, sy, sz), scale)
-            yield labels.reshape(len(labels), -1)
-
-    played = [None] * len(games)
-    for n, ids in by_size.items():
-        for g, values in zip(ids, _term_games(predictor, terms, label_blocks(ids), n)):
-            played[g] = values
-    return played
+    return owner
 
 
 def recursive_attribution(
@@ -415,21 +353,23 @@ def recursive_attribution(
     played among its children (level 1 splits the whole grid). A node is
     split further when it holds more than one leaf, the refinement rule fires
     on its value and its level is below ``max_depth``. Each leaf inherits the
-    value of the deepest computed node containing it: a game writes its
-    children's values and leaf flags over the node's box through a cached
-    block of child indices (:func:`_owner_block`). A one-leaf grid plays a
+    value of the deepest computed node containing it. A one-leaf grid plays a
     one-player game on that leaf. Remainder voxels past the last whole patch
     belong to no node and are never zero-filled.
 
-    The tree is walked one level at a time on the calling thread. For a
-    predictor with an additive readout over a grid of this volume whose
-    patches tile the leaves, the volume's patch terms are computed once, here,
-    and each level's games are played on summed terms by :func:`_term_level`:
-    the games of one player count together, with one ``predict_sums`` call
-    and no volume. Every other map, including one over a predictor whose grid
-    does not tile the leaves, plays a level's games in tree order, each with
-    its children as voxel ``Region`` objects through :func:`sibling_shapley`:
-    one zero-filled volume per coalition.
+    The tree is walked one level at a time on the calling thread. The nodes
+    of one level are disjoint, so one labelling of the leaves carries every
+    game of the level: ``8 g + c`` on child c of node g (one write of the
+    cached :func:`_owner_block` per node), ``8 G`` on the leaves of no node.
+    The level's values and leaf flags are written by one gather through it
+    from a (G, 8) table. For a predictor with an additive readout over a grid
+    of this volume whose patches tile the leaves, the volume's patch terms are
+    computed once, here; the labelling, repeated onto that grid, sums them per
+    child in one ``bincount``, and the games of one player count are played
+    together on summed terms by :func:`_term_games`, with one ``predict_sums``
+    call and no volume. Every other map plays a level's games in tree order,
+    each with its children as voxel ``Region`` objects through
+    :func:`sibling_shapley`: one zero-filled volume per coalition.
     ``threads`` is accepted for existing callers, is rejected below 1 and
     otherwise has no effect.
 
@@ -450,6 +390,7 @@ def recursive_attribution(
     if feature_grid is not None and leaf_edge % feature_grid.patch_edge == 0:
         scale = leaf_edge // feature_grid.patch_edge
         terms = _patch_terms(predictor, feature_grid, patch_means(volume, feature_grid))
+        total = terms.sum()
     nx, ny, nz = grid.counts
     values = np.empty((nz, ny, nx), dtype=np.float64)
     refined = np.zeros((nz, ny, nx), dtype=bool)
@@ -467,20 +408,37 @@ def recursive_attribution(
             )
         levels += 1
         nodes, frontier = frontier, []
+        unowned = 8 * len(nodes)
+        owner = np.full((nz, ny, nx), unowned, dtype=np.intp)
+        for g, ((x0, y0, z0), (sx, sy, sz)) in enumerate(nodes):
+            owner[z0 : z0 + sz, y0 : y0 + sy, x0 : x0 + sx] = _owner_block((sx, sy, sz)) + 8 * g
+        played = np.zeros((len(nodes), 8), dtype=np.float64)
         if scale:
-            played = _term_level(predictor, terms, feature_grid.counts, scale, nodes, games)
+            labels = np.full(feature_grid.counts[::-1], unowned, dtype=np.intp)
+            labels[: nz * scale, : ny * scale, : nx * scale] = (
+                owner.repeat(scale, 0).repeat(scale, 1).repeat(scale, 2))
+            parts = np.bincount(labels.reshape(-1), weights=terms,
+                                minlength=unowned + 1)[:unowned].reshape(-1, 8)
+            sizes = np.array([len(children) for children in games])
+            for n in np.unique(sizes).tolist():
+                ids = np.flatnonzero(sizes == n)
+                own = parts[ids, :n]
+                played[ids, :n] = _term_games(predictor, total - own.sum(axis=1), own)
         else:
-            played = [sibling_shapley(predictor, volume, [
-                Region((x * leaf_edge, y * leaf_edge, z * leaf_edge),
-                       (cx * leaf_edge, cy * leaf_edge, cz * leaf_edge))
-                for (x, y, z), (cx, cy, cz) in children]) for children in games]
-        for ((x0, y0, z0), (sx, sy, sz)), children, game in zip(nodes, games, played):
-            owner, flags = _owner_block((sx, sy, sz))
-            box = slice(z0, z0 + sz), slice(y0, y0 + sy), slice(x0, x0 + sx)
-            values[box], refined[box] = game[owner], flags
+            for g, children in enumerate(games):
+                played[g, : len(children)] = sibling_shapley(predictor, volume, [
+                    Region((x * leaf_edge, y * leaf_edge, z * leaf_edge),
+                           (cx * leaf_edge, cy * leaf_edge, cz * leaf_edge))
+                    for (x, y, z), (cx, cy, cz) in children])
+        leaf = np.zeros((len(nodes), 8), dtype=bool)
+        for g, children in enumerate(games):
+            leaf[g, : len(children)] = [size == (1, 1, 1) for _, size in children]
             if levels < max_depth:
-                frontier += [child for child, value in zip(children, game.tolist())
+                frontier += [child for child, value in zip(children, played[g].tolist())
                              if child[1] != (1, 1, 1) and _rule_fires(rule, value, tau)]
+        written = owner < unowned
+        child = owner[written]
+        values[written], refined[written] = played.reshape(-1)[child], leaf.reshape(-1)[child]
         evaluations += cost
     return AttributionMap(
         grid=grid,

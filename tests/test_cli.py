@@ -182,22 +182,41 @@ class TestErrors:
         assert run(cfg, "gen") == 2
         assert path in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stage, overrides, path", [
-        ("select", ["selection.method=ttest", "selection.m_patches=100"], "selection.m_patches"),
-        ("select", ["selection.method=shap", "selection.m_patches=100"], "selection.m_patches"),
-        ("compare", ["compare.m_values=[4,100]"], "compare.m_values[1]"),
+    @pytest.mark.parametrize("stage, overrides, want", [
+        ("select", ["selection.method=ttest", "selection.m_patches=100"],
+         "phantom.dims: [32, 32, 32] differ from the dims [16, 16, 16] of the dataset in "),
+        ("select", ["selection.method=shap", "selection.m_patches=100"],
+         "selection.m_patches: M=100 exceeds the 64 patches of "),
+        ("compare", ["compare.m_values=[4,100]"],
+         "phantom.dims: [32, 32, 32] differ from the dims [16, 16, 16] of the dataset in "),
     ], ids=["ttest", "shap", "compare"])
     def test_m_above_the_stage_grid_exits_2_with_path(self, pipeline_dir, capsys, stage,
-                                                       overrides, path):
+                                                       overrides, want):
         # The pipeline's 16³ data has 64 patches; at phantom.dims 32³ the
-        # config allows 512, so each stage must check M against the grid it
-        # ranks: the dataset's for ttest and compare, the map's for shap.
+        # config allows 512. A stage that reads the dataset (ttest, compare)
+        # refuses dims that differ from the dataset's; shap ranks the map's
+        # grid and checks M against it.
         sets = [arg for o in ["phantom.dims=[32,32,32]", *overrides] for arg in ("--set", o)]
         capsys.readouterr()
         assert main([stage, "--config", str(pipeline_dir[1]), *sets]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: M=100 exceeds the 64 patches of "), err
+        assert err.startswith(f"error: {want}"), err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["surrogate", "explain", "select", "train", "eval", "compare"])
+    def test_dims_other_than_the_datasets_exit_2(self, pipeline_dir, capsys, stage):
+        # Every stage that reads the 16³ dataset refuses phantom.dims 32³,
+        # also at an M that both grids allow, before it writes anything.
+        out = pipeline_dir[0] / "out"
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        sets = ["--set", "phantom.dims=[32,32,32]", "--set", "selection.method=ttest"]
+        capsys.readouterr()
+        assert main([stage, "--config", str(pipeline_dir[1]), *sets]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: phantom.dims: [32, 32, 32] differ from the dims [16, 16, 16] "
+                              f"of the dataset in {pipeline_dir[0] / 'data' / 'manifest.json'}"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_os_error_exits_2_without_traceback(self, tmp_path, capsys):
         # A data_dir that is an existing file fails in mkdir with an OSError.

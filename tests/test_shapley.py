@@ -539,25 +539,43 @@ def blocked_reduction(readouts, n, block=1 << 15):
     return values
 
 
-def one_term_game(predictor, terms, labels, n):
-    """Shapley values of one n-member game on summed terms: the term sums per
-    patch label by ``bincount``, each coalition's score as the subset sum of
-    those label sums (one zeta pass per member), one ``predict_sums`` readout
-    and the blocked reduction."""
-    scores = np.bincount(labels.reshape(-1), weights=terms, minlength=1 << n)
-    for i in range(n):
-        pairs = scores.reshape(-1, 2, 1 << i)  # [:, 1] are the coalitions holding member i
-        np.add(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
-    return blocked_reduction(predictor.predict_sums(scores)[:, 1], n)
+def child_term_sums(terms, counts, children, scale=1):
+    """The term sum of the patches outside ``children`` and each child's term
+    sum, from one ``bincount`` over a labelling of a grid of (x, y, z) patch
+    ``counts``: the ``scale``^3 patches of each leaf of child c labelled c,
+    every other patch n."""
+    n = len(children)
+    labels = np.full(counts[::-1], n, dtype=np.intp)
+    for c, ((x0, y0, z0), (sx, sy, sz)) in enumerate(children):
+        labels[z0 * scale : (z0 + sz) * scale, y0 * scale : (y0 + sy) * scale,
+               x0 * scale : (x0 + sx) * scale] = c
+    parts = np.bincount(labels.reshape(-1), weights=terms, minlength=n + 1)[:n]
+    return terms.sum() - parts.sum(), parts
+
+
+def one_term_game(predictor, base, parts):
+    """Shapley values of one game on summed terms: each coalition's score is
+    ``base`` plus its members' ``parts`` in ascending member order, added one
+    Python float at a time; one ``predict_sums`` readout and the blocked
+    reduction."""
+    n = len(parts)
+    scores = []
+    for mask in range(1 << n):
+        score = float(base)
+        for i in range(n):
+            if (mask >> i) & 1:
+                score += float(parts[i])
+        scores.append(score)
+    return blocked_reduction(predictor.predict_sums(np.array(scores))[:, 1], n)
 
 
 def per_child_attribution(predictor, volume, leaf_edge, tau, rule, max_depth):
     """``recursive_attribution`` over a patch-mean predictor whose patches tile
-    the leaves, with each game's patch labels written child by child, each
-    game played on its own by :func:`one_term_game`, each child's value and
-    leaf flag written into the child's own box, and no budget. Returns the
-    values, the leaf flags, the evaluations and each level's player counts
-    in tree order."""
+    the leaves, with each game's child term sums taken by its own
+    :func:`child_term_sums`, each game played on its own by
+    :func:`one_term_game`, each child's value and leaf flag written into the
+    child's own box, and no budget. Returns the values, the leaf flags, the
+    evaluations and each level's player counts in tree order."""
     grid = pk.make_grid(volume.dims, leaf_edge)
     scale = leaf_edge // predictor.grid.patch_edge
     terms = predictor.patch_terms(pk.patch_means(volume, predictor.grid))
@@ -572,11 +590,8 @@ def per_child_attribution(predictor, volume, leaf_edge, tau, rule, max_depth):
         sizes.append([len(children) for children in games])
         frontier = []
         for children in games:
-            labels = np.zeros(predictor.grid.counts[::-1], dtype=np.intp)
-            for c, ((x0, y0, z0), (sx, sy, sz)) in enumerate(children):
-                labels[z0 * scale : (z0 + sz) * scale, y0 * scale : (y0 + sy) * scale,
-                       x0 * scale : (x0 + sx) * scale] = 1 << c
-            game = one_term_game(predictor, terms, labels, len(children))
+            game = one_term_game(predictor, *child_term_sums(
+                terms, predictor.grid.counts, children, scale))
             evaluations += 1 << len(children)
             for (origin, size), value in zip(children, game):
                 (x0, y0, z0), (sx, sy, sz) = origin, size
@@ -601,21 +616,31 @@ def surrogate(link, grid, rng, scale=0.5):
     return SurrogatePredictor(params, grid)
 
 
-def aligned_members(draw, grid, n):
-    """``n`` random boxes of whole patches of ``grid``, in voxels, and the
-    (z, y, x) patch labels with bit i set on the patches member i covers."""
+def drawn_node(draw, grid, terms):
+    """A random box of whole patches of ``grid`` split into its 1..8 octree
+    children: the children as voxel regions, and the term sums of the patches
+    outside the box and of each child."""
+    origin = [draw(st.integers(0, count - 1), label="origin") for count in grid.counts]
+    size = [draw(st.integers(1, count - a), label="size") for a, count in zip(origin, grid.counts)]
+    children = _octree_split(tuple(origin), tuple(size))
     edge = grid.patch_edge
-    members = []
-    labels = np.zeros(grid.counts[::-1], dtype=np.intp)
-    for i in range(n):
-        lo, hi = [], []
-        for count in grid.counts:
-            a = draw(st.integers(0, count - 1))
-            lo.append(a)
-            hi.append(draw(st.integers(a + 1, count)))
-        members.append(pk.Region([a * edge for a in lo], [(b - a) * edge for a, b in zip(lo, hi)]))
-        labels[tuple(slice(a, b) for a, b in zip(lo[::-1], hi[::-1]))] |= 1 << i
-    return members, labels
+    members = [pk.Region([a * edge for a in o], [s * edge for s in sz]) for o, sz in children]
+    return members, *child_term_sums(terms, grid.counts, children)
+
+
+class ForwardingProxy:
+    """Own predict, every other attribute forwarded from an inner predictor."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def predict(self, v):
+        self.calls += 1
+        return self.inner.predict(v)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 class GridReadoutSpy:
@@ -656,11 +681,11 @@ class TestFeatureSpaceGames:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
         predictor = surrogate(data.draw(st.sampled_from(["identity", "logistic"])), grid, rng)
-        n = data.draw(st.integers(1, 6), label="members")
-        members, labels = aligned_members(data.draw, grid, n)
-
         terms = predictor.patch_terms(pk.patch_means(v, grid))
-        (batched,) = shapley._term_games(predictor, terms, [labels.reshape(1, -1)], n)
+        members, base, parts = drawn_node(data.draw, grid, terms)
+        n = len(members)
+
+        (batched,) = shapley._term_games(predictor, np.array([base]), parts[None])
         spy = GridReadoutSpy(predictor)
         assert np.allclose(batched, pk.exact_shapley(spy, v, members), rtol=0, atol=1e-12)
         assert (spy.batch_calls, spy.volume_calls) == (0, 2 ** n)
@@ -673,6 +698,34 @@ class TestFeatureSpaceGames:
             assert np.allclose(amap.values, ref.values, rtol=0, atol=1e-12)
             assert amap.evaluations == ref.evaluations == oracle.calls
             assert np.array_equal(amap.refined_mask, ref.refined_mask)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_summed_term_walk_matches_the_per_volume_walk_at_depth(self, data):
+        # A summed-term game scores the patches outside its node as the total
+        # of the terms less the node's child sums; the same walk through an
+        # opaque proxy zero-fills voxels. Every node refines, on non-dyadic
+        # leaf counts of 9, 12 or 17 along one axis (four or five levels) and
+        # at most 96 leaves, leaves of one or two patch edges and remainder
+        # voxels.
+        patch = data.draw(st.integers(1, 2), label="patch_edge")
+        edge = patch * data.draw(st.sampled_from([1, 2]), label="scale")
+        counts = [data.draw(st.sampled_from([17, 12, 9]), label="long_count")]
+        for _ in range(2):
+            counts.append(data.draw(st.integers(1, 96 // math.prod(counts)), label="leaf_count"))
+        counts = data.draw(st.permutations(counts), label="axes")
+        dims = tuple(c * edge + data.draw(st.integers(0, edge - 1), label="remainder") for c in counts)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
+        predictor = surrogate("logistic", pk.make_grid(dims, patch), rng)
+        depth = data.draw(st.integers(1, 5), label="max_depth")
+        amap = pk.recursive_attribution(predictor, v, edge, math.inf, max_depth=depth)
+        proxy = ForwardingProxy(predictor)
+        ref = pk.recursive_attribution(proxy, v, edge, math.inf, max_depth=depth)
+        assert proxy.calls == ref.evaluations
+        np.testing.assert_allclose(amap.values, ref.values, rtol=0, atol=1e-12)
+        assert np.array_equal(amap.refined_mask, ref.refined_mask)
+        assert (amap.evaluations, amap.levels) == (ref.evaluations, ref.levels)
 
     def test_unaligned_regions_fall_back_to_per_volume_path(self):
         dims = (16, 16, 16)
@@ -704,25 +757,11 @@ class TestFeatureSpaceGames:
         assert amap.values.tobytes() == ref.values.tobytes()
 
     def test_forwarding_proxy_is_queried_per_volume(self):
-        class Proxy:
-            """Own predict, every other attribute forwarded from the surrogate."""
-
-            def __init__(self, inner):
-                self.inner = inner
-                self.calls = 0
-
-            def predict(self, v):
-                self.calls += 1
-                return self.inner.predict(v)
-
-            def __getattr__(self, name):
-                return getattr(self.inner, name)
-
         dims = (8, 8, 8)
         grid = pk.make_grid(dims, 4)
         rng = np.random.default_rng(8)
         v = pk.Volume(dims, rng.random(512, dtype=np.float32))
-        proxy = Proxy(surrogate("logistic", grid, rng))
+        proxy = ForwardingProxy(surrogate("logistic", grid, rng))
         assert proxy.grid is grid
         amap = pk.recursive_attribution(proxy, v, 4, tau=math.inf)
         assert proxy.calls == amap.evaluations == 256
@@ -763,24 +802,18 @@ class TestFeatureSpaceGames:
     @given(data=st.data())
     def test_coalition_rows_are_the_zero_filled_volumes_patch_means(self, data):
         # Each coalition's score sum is the summed terms of the zero-filled
-        # volume's patch means, also where members overlap or two members
-        # cover one patch box: their bits are OR-ed into the patch labels.
+        # volume's patch means, for the 1..8 children of any box of patches.
         edge = data.draw(st.integers(1, 4), label="patch_edge")
         counts = [data.draw(st.integers(1, 4), label="count") for _ in range(3)]
         dims = tuple(c * edge + data.draw(st.integers(0, edge - 1)) for c in counts)
         grid = pk.make_grid(dims, edge)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         v = pk.Volume(dims, rng.random(math.prod(dims), dtype=np.float32))
-        members, labels = aligned_members(data.draw, grid, data.draw(st.integers(1, 6)))
-        if len(members) < 6 and data.draw(st.booleans(), label="duplicate"):
-            # one patch box covered by two members
-            labels |= np.where(labels & 1, 1 << len(members), 0)
-            members.append(members[0])
-
         predictor = surrogate("logistic", grid, rng)
+        members, base, parts = drawn_node(data.draw, grid, predictor.patch_terms(pk.patch_means(v, grid)))
         spy = GridReadoutSpy(predictor)
         n = len(members)
-        shapley._term_games(spy, predictor.patch_terms(pk.patch_means(v, grid)), [labels.reshape(1, -1)], n)
+        shapley._term_games(spy, np.array([base]), parts[None])
         want = np.array([
             predictor.patch_terms(pk.patch_means(
                 pk.perturb_zero(v, [members[i] for i in range(n) if not (mask >> i) & 1]), grid)).sum()
@@ -841,8 +874,7 @@ class TestFeatureSpaceGames:
         assert values.tobytes() == blocked_reduction(readouts, n).tobytes()
 
     def test_cached_tables_are_read_only(self):
-        tables = [shapley._coalition_weights(8), *shapley._owner_block((3, 2, 1)),
-                  shapley._label_block((3, 2, 1), 2)]
+        tables = [shapley._coalition_weights(8), shapley._owner_block((3, 2, 1))]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 0
@@ -931,42 +963,48 @@ class TestFeatureSpaceGames:
         amap = pk.recursive_attribution(spy, v, 4, tau=math.inf, budget=256 + 8 * 256)
         assert amap.evaluations == 256 + 8 * 256
 
-    @pytest.mark.parametrize("block", [shapley._REDUCTION_BLOCK, 1 << 6], ids=["default", "small"])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_games_reduced_together_equal_one_game_reductions(self, monkeypatch, n, block):
-        # 67 games span several blocks at 8 players by default and at every
-        # size under the small block, which also splits each 8-player row
-        # over two column blocks. Each row must equal both the one-game
-        # reduction and the blocked reference of its own game.
+    def test_games_reduced_together_equal_one_game_reductions(self, n, layout):
+        # Each of 67 games reduced together must equal both the one-game
+        # reduction and the blocked reference of its own game, from C-order
+        # rows (as exact_shapley passes them) and from the class-1 column of
+        # (67·2ⁿ, 2) probabilities (the strided view a walk level passes).
         readouts = np.random.default_rng(200 + n).random((67, 1 << n))
         readouts[:, 1 << (n - 1):] = readouts[:, :1 << (n - 1)]  # the last player is null
         one_by_one = np.concatenate([_shapley_from_readouts(row[None], n) for row in readouts])
         reference = np.stack([blocked_reduction(row, n) for row in readouts])
-        monkeypatch.setattr(shapley, "_REDUCTION_BLOCK", block)
+        if layout == "strided":
+            readouts = np.stack([1.0 - readouts.reshape(-1), readouts.reshape(-1)], axis=1)[:, 1]
+            readouts = readouts.reshape(67, 1 << n)
+            assert not readouts.flags.c_contiguous
         together = _shapley_from_readouts(readouts, n)
         assert together.shape == (67, n)
         assert together.tobytes() == one_by_one.tobytes() == reference.tobytes()
         assert np.all(together[:, n - 1] == 0.0)
 
     def test_a_512_game_level_stays_within_8_mib(self):
-        # The last level of a fully refined 64³ map at patch and leaf 4:
-        # 512 games of 8 players over K = 4,096 patches. Its labels and its
-        # Shapley terms are written a block at a time.
+        # A fully refined 64³ map at patch and leaf 4: levels of 1, 8, 64 and
+        # 512 eight-player games over K = 4,096 patches, 585 games and
+        # 149,760 readouts, all within 8 MiB.
         dims = (64, 64, 64)
         grid = pk.make_grid(dims, 4)
         rng = np.random.default_rng(23)
         predictor = surrogate("logistic", grid, rng)
-        terms = predictor.patch_terms(pk.patch_means(pk.Volume(dims, rng.random(64**3, dtype=np.float32)), grid))
-        nodes = [((x, y, z), (2, 2, 2)) for z in range(0, 16, 2) for y in range(0, 16, 2) for x in range(0, 16, 2)]
-        games = [_octree_split(origin, size) for origin, size in nodes]
-        shapley._term_level(predictor, terms, grid.counts, 1, nodes[:1], games[:1])  # warm the caches
+        v = pk.Volume(dims, rng.random(64**3, dtype=np.float32))
+        readouts = 585 * 256
+
+        def full_map():
+            return pk.recursive_attribution(predictor, v, 4, math.inf, max_depth=4, budget=readouts)
+
+        full_map()  # warm the caches
         tracemalloc.start()
         try:
-            played = shapley._term_level(predictor, terms, grid.counts, 1, nodes, games)
+            amap = full_map()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(played) == 512 and all(values.shape == (8,) for values in played)
+        assert amap.evaluations == readouts and amap.levels == 4 and amap.refined_mask.all()
         assert peak < 8 << 20
 
     @pytest.mark.parametrize("bad", [

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -98,7 +99,13 @@ def test_non_convergence_raises_numerical_failure(small_phantom, tmp_path, monke
     grid = pk.make_grid(small_phantom.spec.dims, 4)
     with pytest.raises(NumericalFailureError, match="surrogate fit did not converge"):
         surrogate_train(small_phantom, grid)
-    argv = ["surrogate", "--out", str(tmp_path), "--set", f"paths.data_dir={small_phantom.root}"]
+    # The CLI config describes the 16³ phantom: a stage refuses a
+    # phantom.dims other than its dataset's.
+    spec = small_phantom.spec
+    regions = [r.to_json() for r in spec.lesion_regions]
+    argv = ["surrogate", "--out", str(tmp_path), "--set", f"paths.data_dir={small_phantom.root}",
+            "--set", f"phantom.dims={json.dumps(list(spec.dims))}",
+            "--set", f"phantom.lesion_regions={json.dumps(regions)}", "--set", "grid.patch_edge=4"]
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
