@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -126,11 +125,6 @@ def cmd_surrogate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _render_square(m_patches: int, leaf_count: int) -> int:
-    side = math.isqrt(min(m_patches, leaf_count))
-    return side * side
-
-
 def cmd_explain(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     predictor = SurrogatePredictor.load(_require(_out_dir(cfg) / "surrogate.json", "surrogate"))
@@ -167,8 +161,7 @@ def cmd_explain(cfg: RunConfig) -> int:
     cohort = cohort_average(maps)
     out = _out_dir(cfg)
     cohort.save(out / "attribution.json")
-    m_render = _render_square(cfg.selection.m_patches, len(cohort.grid))
-    selection = select_top(cohort, m_render, key=cfg.selection.key)
+    selection = select_top(cohort, cfg.selection.m_patches, key=cfg.selection.key)
     slices_dir = out / "slices"
     slices_dir.mkdir(exist_ok=True)
     images = render_slices(first_volume, [cohort.grid.regions[i] for i in selection.chosen])
@@ -265,7 +258,7 @@ def cmd_train(cfg: RunConfig) -> int:
     report = evaluate_scores(labels[test_idx], scores)
     ckpt = out / "checkpoint.pnc"
     save_checkpoint(ckpt, result.params, extra={
-        "selection": selection.to_json(),
+        "selection": {"chosen": selection.chosen, "method": selection.method},
         "grid": grid.to_json(),
     })
     with open(out / "train_log.jsonl", "w") as fh:

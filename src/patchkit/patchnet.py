@@ -202,18 +202,16 @@ def _check_mode(mode: str, tape: list | None = None) -> None:
 
 
 def _patch_batch(patches, dtype=None) -> np.ndarray:
-    """``patches`` as a nonempty (B, M, p^3) array: one (M, p^3) stack gains
-    a batch axis, and any rank other than 2 or 3 is rejected."""
+    """``patches`` as a nonempty (B, M, p^3) array; any other rank, one
+    (M, p^3) stack included, is rejected."""
     patches = np.asarray(patches, dtype=dtype)
-    if patches.ndim not in (2, 3):
+    if patches.ndim != 3:
         raise InvalidArgumentError(
-            f"patches must be one (M, p^3) stack or a (B, M, p^3) batch, "
-            f"got an array of shape {patches.shape}"
+            f"patches must be a (B, M, p^3) batch, got an array of shape {patches.shape}"
         )
-    batch = patches[None] if patches.ndim == 2 else patches
-    if batch.shape[0] == 0:
+    if patches.shape[0] == 0:
         raise InvalidArgumentError("batch must be nonempty")
-    return batch
+    return patches
 
 
 def _batch_norm(rows: np.ndarray, t: dict, bn: str, mode: str, tape: list | None) -> T._Norm:
@@ -233,17 +231,17 @@ def _batch_norm(rows: np.ndarray, t: dict, bn: str, mode: str, tape: list | None
 def embed_patches(patches, cfg: PatchNetConfig, t: dict, *, tape: list | None = None) -> np.ndarray:
     """Project flattened patches and add position embeddings (tensors by name).
 
-    One stack of patches (M, p^3) gives channels-first activations (d, m, m),
-    and a batch (B, M, p^3) gives (d, B, m, m): patch i of sample b lands at
-    spatial site (i // m, i % m) of plane b in every channel. NaN or infinite
-    voxels are rejected: nothing downstream could give them a meaningful
-    output. With a ``tape`` it appends the backward of the projection and
-    the position embeddings; the patches get no gradient.
+    A batch (B, M, p^3) gives channels-first activations (d, B, m, m): patch
+    i of sample b lands at spatial site (i // m, i % m) of plane b in every
+    channel. Any other shape, one (M, p^3) stack included, is rejected, and
+    so are NaN or infinite voxels: nothing downstream could give them a
+    meaningful output. With a ``tape`` it appends the backward of the
+    projection and the position embeddings; the patches get no gradient.
     """
     x = np.asarray(patches)
-    if x.shape[-2:] != (cfg.patch_count, cfg.patch_len):
+    if x.ndim != 3 or x.shape[1:] != (cfg.patch_count, cfg.patch_len):
         raise InvalidArgumentError(
-            f"expected {cfg.patch_count} patches of length {cfg.patch_len}, "
+            f"expected a (B, {cfg.patch_count}, {cfg.patch_len}) batch of patches, "
             f"got an array of shape {x.shape}"
         )
     if not np.isfinite(x).all():
@@ -260,7 +258,7 @@ def embed_patches(patches, cfg: PatchNetConfig, t: dict, *, tape: list | None = 
             np.add.reduce(g.reshape(d, -1, M), axis=1, out=grads["pos_embed"].T)
 
         tape.append(backward)
-    return planes.reshape((d,) + x.shape[:-2] + (cfg.side, cfg.side))
+    return planes.reshape(d, len(x), cfg.side, cfg.side)
 
 
 def gsi_block(x: np.ndarray, t: dict, i: int, mode: str, *, tape: list | None = None) -> np.ndarray:
@@ -319,6 +317,8 @@ def pool_head(x: np.ndarray, t: dict, *, tape: list | None = None) -> np.ndarray
     """Average pool over the m x m sites and the affine classifier:
     (d, B, m, m) activations in, (B, C) logits out. With a ``tape`` it
     appends the head's backward."""
+    if x.ndim != 4:
+        raise InvalidArgumentError(f"activations must be (d, B, m, m), got an array of shape {x.shape}")
     weight = t["classifier_w"]
     sites = x.reshape(x.shape[0], x.shape[1], -1)
     pooled = np.add.reduce(sites, axis=2) / sites.shape[2]  # (d, B)
@@ -343,8 +343,8 @@ def _logits(batch: np.ndarray, cfg: PatchNetConfig, t: dict, mode: str, tape: li
 
 
 def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.ndarray, np.ndarray]:
-    """Logits and softmax probabilities for one selected-patch stack
-    (M, p^3) or a batch of them (B, M, p^3), as plain array code: no tape.
+    """(B, C) logits and softmax probabilities for a (B, M, p^3) batch of
+    selected-patch stacks, as plain array code: no tape.
 
     Eval mode reads the stored statistics and leaves ``params`` unchanged.
     Train mode normalises each layer by its batch statistics, stores them
@@ -352,18 +352,13 @@ def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.nda
     left as they were.
     """
     _check_mode(mode)
-    patches = np.asarray(patches)
-    single = patches.ndim == 2
     batch = _patch_batch(patches)
     if mode == "eval" and params.stats.size and not params.ready:
         raise InvalidStateError("batch norm statistics are uninitialized; train first")
     logits = _logits(batch, params.config, params.named_arrays(), mode)
     if mode == "train":
         params.ready = True
-    probs = T.softmax(logits)
-    if single:
-        return logits[0], probs[0]
-    return logits, probs
+    return logits, T.softmax(logits)
 
 
 def loss_and_grad(patches, labels, params: PatchNetParams, dtype=np.float32,

@@ -162,10 +162,6 @@ class SelectionResult:
         if self.scores.size != len(self.chosen):
             raise InvalidArgumentError("scores length must match chosen length")
 
-    @property
-    def side(self) -> int:
-        return math.isqrt(len(self.chosen))
-
     def to_json(self) -> dict:
         return {"chosen": self.chosen, "method": self.method, "scores": self.scores.tolist()}
 

@@ -194,6 +194,8 @@ class _Conv:
     """
 
     def __init__(self, x: np.ndarray, kernel: np.ndarray):
+        if x.ndim != 4:
+            raise InvalidArgumentError(f"activations must be (C, B, H, W), got an array of shape {x.shape}")
         C, B, H, W = x.shape
         kc, kh, kw = kernel.shape
         if kc != C:

@@ -66,12 +66,6 @@ class Region:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "end", (x0 + sx, y0 + sy, z0 + sz))
 
-    def contains(self, other: "Region") -> bool:
-        return all(
-            self.origin[a] <= other.origin[a] and other.end[a] <= self.end[a]
-            for a in range(3)
-        )
-
     def intersects(self, other: "Region") -> bool:
         return all(
             self.origin[a] < other.end[a] and other.origin[a] < self.end[a]
@@ -127,9 +121,6 @@ class Volume:
     def as_array(self) -> np.ndarray:
         """Read-only (D, H, W) view of the voxel buffer (index order [z, y, x])."""
         return self.voxels.reshape(self.D, self.H, self.W)
-
-    def bounding_region(self) -> Region:
-        return Region((0, 0, 0), self.dims)
 
     def contains(self, r: Region) -> bool:
         """Whether ``r`` lies inside the volume (region origins are nonnegative)."""

@@ -1,15 +1,22 @@
 import json
+import math
+import shutil
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchkit import cli, phantom
-from patchkit.artifacts import read_json
+from patchkit.artifacts import read_json, write_json
 from patchkit.cli import COMMANDS, main
-from patchkit.config import RunConfig, load_config
-from patchkit.patchnet import load_checkpoint
-from patchkit.shapley import AttributionMap, SelectionResult
+from patchkit.config import SELECT_METHODS, RunConfig, load_config
+from patchkit.patchnet import PatchNetConfig, load_checkpoint
+from patchkit.shapley import REFINE_RULES, SELECT_KEYS, AttributionMap, SelectionResult
 from patchkit.surrogate import SurrogatePredictor
+from patchkit.train import TrainSchedule
+from patchkit.volume import make_grid
 
 TINY = {
     "phantom": {
@@ -419,6 +426,67 @@ class TestDefaults:
                 assert getattr(getattr(echoed, section), field) == value
 
 
+TINY_FLOAT = 5e-324  # the smallest positive double
+
+
+@st.composite
+def boundary_overrides(draw):
+    """``--set`` overrides at the validator's boundary values: every field at
+    or next to the edge of what ``load_config`` accepts."""
+    dims = [draw(st.integers(1, 9), label="dim") for _ in range(3)]
+    edge = draw(st.sampled_from([1, min(dims)]), label="patch_edge")
+    side = math.isqrt(math.prod(d // edge for d in dims))
+    m_values = sorted({1, side * side})
+    val = draw(st.sampled_from([0.0, 0.5]), label="val_fraction")
+    corner = {"origin": [d - 1 for d in dims], "size": [1, 1, 1]}
+    return {
+        "phantom.dims": dims,
+        "phantom.n_per_class": 2,
+        "phantom.lesion_regions": [draw(st.sampled_from([{"origin": [0, 0, 0], "size": dims}, corner]))],
+        "phantom.lesion_delta": draw(st.sampled_from([TINY_FLOAT, 1.0])),
+        "phantom.noise_sigma": 0.0,
+        "phantom.smooth_radius": 0,
+        "phantom.seed": draw(st.sampled_from([None, 0])),
+        "grid.patch_edge": edge,
+        "explainer.rule": draw(st.sampled_from(REFINE_RULES)),
+        "explainer.tau": draw(st.sampled_from([-1e308, 0.0, 1e308])),
+        "explainer.budget": 1,
+        "explainer.max_depth": 1,
+        "explainer.max_volumes": 1,
+        "selection.method": draw(st.sampled_from(SELECT_METHODS)),
+        "selection.key": draw(st.sampled_from(SELECT_KEYS)),
+        "selection.m_patches": draw(st.sampled_from(m_values)),
+        "net.embed_dim": 1,
+        "net.depth": 1,
+        "train.epochs": 1,
+        "train.batch_size": 1,
+        "train.lr_start": TINY_FLOAT,
+        "train.lr_end": TINY_FLOAT,
+        "train.val_fraction": val,
+        "train.test_fraction": draw(st.sampled_from([TINY_FLOAT, (1.0 - val) / 2])),
+        "eval.k": 2,
+        "eval.stratified": draw(st.booleans()),
+        "compare.m_values": m_values,
+        "seed": draw(st.sampled_from([0, 2**40])),
+    }
+
+
+class TestValidatorDrift:
+    @settings(max_examples=60, deadline=None)
+    @given(overrides=boundary_overrides())
+    def test_accepted_boundary_configs_build_every_library_object(self, overrides):
+        # Whatever the validator accepts, the library types a stage builds
+        # from it accept too: no stage can fail later on a config that
+        # passed its check.
+        cfg = load_config(overrides=[f"{key}={json.dumps(value)}" for key, value in overrides.items()])
+        spec = cfg.phantom.to_spec(cfg.stage_seed("gen"))
+        grid = make_grid(spec.dims, cfg.grid.patch_edge)
+        for m in {cfg.selection.m_patches, *cfg.compare.m_values}:
+            assert m <= len(grid)
+            PatchNetConfig(cfg.grid.patch_edge, m, seed=cfg.stage_seed("train"), **asdict(cfg.net))
+        TrainSchedule(**{f.name: getattr(cfg.train, f.name) for f in fields(TrainSchedule)})
+
+
 class TestIdempotence:
     def test_gen_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -439,6 +507,27 @@ class TestIdempotence:
             assert run(cfg, "compare") == 0
             runs.append({name: (out / name).read_bytes() for name in names})
         assert runs[0] == runs[1]
+
+    def test_checkpoint_does_not_depend_on_selection_scores(self, pipeline_dir, tmp_path):
+        # Training reads the selection's chosen patches only; the checkpoint
+        # keeps them with the method and grid, so halving every score leaves
+        # checkpoint.pnc byte-identical.
+        src, _ = pipeline_dir
+        shutil.copytree(src / "data", tmp_path / "data")
+        (tmp_path / "out").mkdir()
+        cfg = write_config(tmp_path)
+        selection = read_json(src / "out" / "selection.json")
+        assert any(score != 0 for score in selection["scores"])
+        checkpoints = []
+        for scale in (1.0, 0.5):
+            scores = [score * scale for score in selection["scores"]]
+            write_json(tmp_path / "out" / "selection.json", selection | {"scores": scores})
+            assert run(cfg, "train") == 0
+            checkpoints.append((tmp_path / "out" / "checkpoint.pnc").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+        _, extra = load_checkpoint(tmp_path / "out" / "checkpoint.pnc")
+        assert extra["selection"] == {"chosen": selection["chosen"], "method": selection["method"]}
+        assert set(extra) == {"selection", "grid"}
 
     def test_run_echo_reproduces_the_run(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -25,6 +25,7 @@ from patchkit.patchnet import (
     loss_and_grad,
     lpi_block,
     op_count_report,
+    pool_head,
     save_checkpoint,
     tensor_layout,
     tensor_shapes,
@@ -64,17 +65,17 @@ class TestEmbedPatches:
         t["pos_embed"][...] = 0.0
         rng = np.random.default_rng(0)
         patches = rng.normal(0, 1, (4, 8)).astype(np.float32)
-        out = embed_patches(patches, cfg, t)
-        assert out.shape == (8, 2, 2)
+        out = embed_patches(patches[None], cfg, t)
+        assert out.shape == (8, 1, 2, 2)
         for i in range(4):
-            assert np.allclose(out[:, i // 2, i % 2], patches[i])
+            assert np.allclose(out[:, 0, i // 2, i % 2], patches[i])
 
     def test_zero_patches_give_position_embedding(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1, seed=1)
         t = init_params(cfg).named_arrays()
-        out = embed_patches(np.zeros((4, 8), np.float32), cfg, t)
+        out = embed_patches(np.zeros((1, 4, 8), np.float32), cfg, t)
         for i in range(4):
-            assert np.allclose(out[:, i // 2, i % 2], t["pos_embed"][i])
+            assert np.allclose(out[:, 0, i // 2, i % 2], t["pos_embed"][i])
 
     def test_shape_mismatch_rejected(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1)
@@ -89,7 +90,7 @@ class TestEmbedPatches:
         batch = rng.normal(0, 1, (3, 4, 8)).astype(np.float32)
         stacked = embed_patches(batch, cfg, t)
         for b in range(3):
-            assert np.allclose(stacked[:, b], embed_patches(batch[b], cfg, t))
+            assert np.allclose(stacked[:, b], embed_patches(batch[b:b + 1], cfg, t)[:, 0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("call", ["eval", "train", "loss_and_grad"])
@@ -237,8 +238,8 @@ class TestForward:
         t = params.named_arrays()
         t["classifier_w"][:, 1] = t["classifier_w"][:, 0]
         t["classifier_b"][...] = 0.0
-        _, probs = forward(np.zeros((4, 8), np.float32), params, mode="train")
-        assert np.allclose(probs, [0.5, 0.5])
+        _, probs = forward(np.zeros((1, 4, 8), np.float32), params, mode="train")
+        assert np.allclose(probs, [[0.5, 0.5]])
 
     def test_unknown_mode_rejected_without_batch_norm(self):
         # A depth-0 network has no batch norm to check the mode on the way.
@@ -267,8 +268,8 @@ class TestForward:
         batch = rng.normal(0, 1, (8, 4, 8))
         _, batched = forward(batch, params, mode="eval")
         for i in range(8):
-            _, single = forward(batch[i], params, mode="eval")
-            assert np.allclose(batched[i], single, atol=1e-6)
+            _, single = forward(batch[i:i + 1], params, mode="eval")
+            assert np.allclose(batched[i], single[0], atol=1e-6)
 
     def test_eval_mode_is_pure(self):
         cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1, seed=14)
@@ -383,7 +384,7 @@ class TestEvalForward:
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         forward(x, params, mode="eval")
-        forward(x[0], params)
+        forward(x[:1], params)
         class_scores(params, x)
         accuracy(params, x, np.array([0, 1, 0]))
         assert built == []
@@ -458,7 +459,7 @@ class TestTrainForward:
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         forward(x, params, mode="train")
-        forward(x[0], params, mode="train")
+        forward(x[:1], params, mode="train")
         assert built == []
         assert params.ready
 
@@ -593,6 +594,46 @@ class TestLossAndGrad:
         loss_and_grad(rng.normal(0, 1, (8, 36, 8)), np.arange(8) % 2, params)
         assert taped == [2 * cfg.depth + 3] == [11]
         assert left == [0]
+
+
+class TestWrongRank:
+    """A single (M, p^3) stack, or activations that are not (d, B, m, m), get
+    an InvalidArgumentError at every entry point: neither a raw ValueError
+    nor a result read along the wrong axis."""
+
+    def test_forward_rejects_a_single_stack(self):
+        params = trained_net(depth=1)
+        for mode in ("eval", "train"):
+            with pytest.raises(InvalidArgumentError, match=re.escape("(B, M, p^3) batch")):
+                forward(np.zeros((4, 8)), params, mode=mode)
+
+    def test_loss_and_grad_rejects_a_single_stack(self):
+        params = trained_net(depth=1)
+        with pytest.raises(InvalidArgumentError, match=re.escape("(B, M, p^3) batch")):
+            loss_and_grad(np.zeros((4, 8)), np.zeros(1, dtype=np.int64), params)
+
+    def test_embed_patches_rejects_a_single_stack(self):
+        cfg = PatchNetConfig(patch_edge=2, patch_count=4, embed_dim=6, depth=1)
+        t = init_params(cfg).named_arrays()
+        for tape in (None, []):
+            with pytest.raises(InvalidArgumentError, match=re.escape("(B, 4, 8) batch")):
+                embed_patches(np.zeros((4, 8), np.float32), cfg, t, tape=tape)
+
+    @pytest.mark.parametrize("shape", [(6, 2, 2), (6, 1, 1, 2, 2)])
+    def test_conv_and_gsi_block_reject_activations_of_other_rank(self, shape):
+        t = make_block(6, 2)
+        x = np.zeros(shape, np.float32)
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"shape {shape}")):
+            T._Conv(x, t["blocks.0.gsi_kernel"])
+        for mode, tape in (("eval", None), ("train", None), ("train", [])):
+            with pytest.raises(InvalidArgumentError, match=re.escape(f"shape {shape}")):
+                gsi_block(x, t, 0, mode, tape=tape)
+
+    @pytest.mark.parametrize("shape", [(6, 2, 2), (6, 1, 1, 2, 2)])
+    def test_pool_head_rejects_activations_of_other_rank(self, shape):
+        t = make_block(6, 2)
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"shape {shape}")):
+            pool_head(np.zeros(shape, np.float32), t)
 
 
 class TestParamsCopy:

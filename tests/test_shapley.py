@@ -237,8 +237,10 @@ class TestRecursiveAttribution:
         assert not np.any(amap.refined_mask)
         assert len(np.unique(amap.values)) <= 8
         # Each octant's leaves share one inherited value.
-        octant = pk.octree_children(v.bounding_region())[0]
-        leaf_ids = [i for i, r in enumerate(grid.regions) if octant.contains(r)]
+        octant = pk.octree_children(pk.Region((0, 0, 0), v.dims))[0]
+        leaf_ids = [i for i, r in enumerate(grid.regions)
+                    if all(octant.origin[a] <= r.origin[a] and r.end[a] <= octant.end[a] for a in range(3))]
+        assert len(leaf_ids) == 8
         assert len(set(amap.values[leaf_ids])) == 1
 
     def test_rules_refine_opposite_sides_of_tau(self):
@@ -361,7 +363,7 @@ class TestRecursiveAttribution:
         amap = pk.recursive_attribution(
             probe, v, leaf_edge=4, tau=math.inf, rule="refine_below"
         )
-        parent = pk.octree_children(v.bounding_region())[3]
+        parent = pk.octree_children(pk.Region((0, 0, 0), v.dims))[3]
         children = pk.octree_children(parent)
         direct = pk.sibling_shapley(probe, v, children)
         for child, expected in zip(children, direct):
