@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, validate_config
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -432,11 +432,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The config file and ``--set`` overrides, then the ``--seed`` and
+    ``--out`` flags, validated again once the flags are applied."""
     cfg = load_config(args.config, args.overrides)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.paths.out_dir = args.out
+    validate_config(cfg)
     return cfg
 
 

@@ -243,7 +243,9 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(path, message)
 
     _check_types(cfg)
+    check(cfg.seed >= 0, "seed", "must be >= 0")
     ph = cfg.phantom
+    check(ph.seed is None or ph.seed >= 0, "phantom.seed", "must be null or >= 0")
     check(len(ph.dims) == 3 and all(v >= 1 for v in ph.dims),
           "phantom.dims", "must be three integers >= 1")
     check(ph.n_per_class >= 2, "phantom.n_per_class", "must be >= 2 for the surrogate and t-test")

@@ -80,6 +80,8 @@ class PatchNetConfig:
             raise InvalidArgumentError("patch_edge/embed_dim must be >= 1 and depth >= 0")
         if self.class_count < 2:
             raise InvalidArgumentError("class_count must be >= 2")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def side(self) -> int:
@@ -131,8 +133,9 @@ class PatchNetParams:
 
     Each named tensor is a view into one of the vectors, made once per
     parameter set: an update of a vector in place (as ``adam_step`` makes)
-    is an update of its tensors, and a kernel view keeps its identity, which
-    the conv-map cache keys on.
+    is an update of its tensors. The set also keeps each block kernel's dense
+    conv maps (:meth:`_kernel_maps`) for the forward, so repeated readouts of
+    an unchanged network gather them once; a copy starts without them.
     """
 
     config: PatchNetConfig
@@ -140,9 +143,10 @@ class PatchNetParams:
     stats: np.ndarray
     ready: bool
     _tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+    _maps: dict[str, tuple[bytes, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._tensors = {}
+        self._tensors, self._maps = {}, {}
         start = {False: 0, True: 0}
         for name, shape, init in tensor_layout(self.config):
             stat = init in STATISTIC_TAGS
@@ -158,6 +162,16 @@ class PatchNetParams:
         """The views into ``learnable``, by name, in the vector's order."""
         return {name: self._tensors[name] for name, _, init in tensor_layout(self.config)
                 if init not in STATISTIC_TAGS}
+
+    def _kernel_maps(self, name: str) -> np.ndarray:
+        """The ``tensor._conv_maps`` of kernel ``name`` over the m x m plane,
+        gathered again only when the kernel's bytes have changed."""
+        kernel, m = self._tensors[name], self.config.side
+        data = kernel.tobytes()
+        entry = self._maps.get(name)
+        if entry is None or entry[0] != data:
+            entry = self._maps[name] = (data, T._conv_maps(kernel, m, m))
+        return entry[1]
 
     def copy(self) -> "PatchNetParams":
         return PatchNetParams(self.config, self.learnable.copy(), self.stats.copy(), self.ready)
@@ -265,12 +279,14 @@ def gsi_block(x: np.ndarray, t: dict, i: int, mode: str, *, tape: list | None = 
     """Block i's depthwise spatial convolution + bias + BN + residual (no
     activation): (d, B, m, m) in and out.
 
-    Train mode stores the batch statistics of the branch conv(x) + bias;
-    with a ``tape`` it stores nothing and appends the block's backward.
+    The kernel's dense maps are ``t[p + "maps"]`` when present, else
+    gathered here. Train mode stores the batch statistics of the branch
+    conv(x) + bias; with a ``tape`` it stores nothing and appends the
+    block's backward.
     """
     p = f"blocks.{i}.gsi_"
     _check_mode(mode, tape)
-    conv = T._Conv(x, t[p + "kernel"])
+    conv = T._Conv(x, t[p + "kernel"], t.get(p + "maps"))
     norm = _batch_norm(conv.out.reshape(len(x), -1) + t[p + "bias"][:, None], t, p + "bn.", mode, tape)
     out = x + norm.out.reshape(x.shape)
     if tape is not None:
@@ -346,16 +362,20 @@ def forward(patches, params: PatchNetParams, mode: str = "eval") -> tuple[np.nda
     """(B, C) logits and softmax probabilities for a (B, M, p^3) batch of
     selected-patch stacks, as plain array code: no tape.
 
-    Eval mode reads the stored statistics and leaves ``params`` unchanged.
-    Train mode normalises each layer by its batch statistics, stores them
-    as the layer's statistics and sets ``ready``; the learnable tensors are
-    left as they were.
+    Eval mode reads the stored statistics and leaves the tensors of
+    ``params`` unchanged. Train mode normalises each layer by its batch
+    statistics, stores them as the layer's statistics and sets ``ready``;
+    the learnable tensors are left as they were. Either mode runs each
+    block on the conv maps ``params`` keeps for its kernel.
     """
     _check_mode(mode)
     batch = _patch_batch(patches)
     if mode == "eval" and params.stats.size and not params.ready:
         raise InvalidStateError("batch norm statistics are uninitialized; train first")
-    logits = _logits(batch, params.config, params.named_arrays(), mode)
+    t = params.named_arrays()
+    for i in range(params.config.depth):
+        t[f"blocks.{i}.gsi_maps"] = params._kernel_maps(f"blocks.{i}.gsi_kernel")
+    logits = _logits(batch, params.config, t, mode)
     if mode == "train":
         params.ready = True
     return logits, T.softmax(logits)
@@ -369,7 +389,8 @@ def loss_and_grad(patches, labels, params: PatchNetParams, dtype=np.float32,
     The learnable tensors in ``dtype`` run each stage on batch statistics,
     and each stage and the loss append their analytic backward to one tape,
     2·D + 3 closures at depth D, which ``Tensor.backward`` replays into the
-    gradient views. The call reads no stored statistic and writes nothing to
+    gradient views. The call reads no stored statistic and no kept conv map,
+    gathering each block's maps from its kernel, and writes nothing to
     ``params``; ``out``, a vector laid out as ``params.learnable``, is new by
     default. Pass ``dtype=np.float64`` for the high-precision checking mode
     used by the finite-difference tests.

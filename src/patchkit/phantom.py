@@ -60,6 +60,8 @@ class PhantomSpec:
             raise InvalidArgumentError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.smooth_radius < 0:
             raise InvalidArgumentError("smooth_radius must be >= 0")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         if not self.lesion_regions:
             raise InvalidArgumentError("at least one lesion region is required")
         for r in self.lesion_regions:
@@ -261,12 +263,3 @@ def generate(spec: PhantomSpec, out_dir) -> DatasetManifest:
     )
     manifest.save(out_dir / "manifest.json")
     return manifest
-
-
-def class_separability(manifest: DatasetManifest, grid: PatchGrid) -> np.ndarray:
-    """Per-patch difference of class-mean patch intensities (class 1 - class 0)."""
-    labels = manifest.labels()
-    if not (np.any(labels == 0) and np.any(labels == 1)):
-        raise InvalidArgumentError("both classes must be present")
-    features = manifest.patch_means(grid)
-    return features[labels == 1].mean(axis=0) - features[labels == 0].mean(axis=0)

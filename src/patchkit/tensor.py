@@ -13,17 +13,16 @@ so numpy hands it to BLAS; no sum is a product: the batch-norm sums run
 each tap's (input site, output site) entries runs numpy's ``add.reduceat`` in
 one fixed order (:func:`_tap_segments`), because a BLAS product's summation
 order, and so its bits, follows the thread count.
-A convolution's dense per-channel maps are gathered once per kernel state
-(:func:`_conv_maps`), so repeated readouts of an unchanged network pay only
-for their products.
+A convolution's dense per-channel maps are one gather from its kernel
+(:func:`_conv_maps`); a caller that reads out an unchanged kernel many times,
+as ``patchnet.forward`` does through ``PatchNetParams``, keeps its maps and
+passes them in, so those readouts pay only for their products.
 Gradients come out in the dtype of the forward data, so a float64 step gives
 a high-precision checking mode.
 """
 from __future__ import annotations
 
 import functools
-import threading
-import weakref
 
 import numpy as np
 
@@ -149,34 +148,15 @@ def _tap_segments(h: int, w: int, kh: int, kw: int) -> tuple[np.ndarray, np.ndar
     return order, starts, taps
 
 
-_maps_lock = threading.Lock()
-_maps_by_kernel: dict[int, tuple[tuple, bytes, np.ndarray]] = {}
-
-
 def _conv_maps(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
     """Read-only (C, H·W, H·W) dense maps of a (C, kh, kw) kernel over H×W
     planes: channel c's entry [input site, output site] is its tap joining
-    the two sites (:func:`_tap_index`), or 0.
-
-    Each live kernel array keeps at most one entry, valid while the kernel's
-    bytes, shape and dtype and the plane size are unchanged: an in-place
-    update (as ``adam_step`` makes) replaces it, and freeing the array drops
-    it. Training and repeated readouts therefore share one set of maps.
-    """
-    key = (h, w, kernel.shape, kernel.dtype.str)
-    data = kernel.tobytes()
-    entry = _maps_by_kernel.get(id(kernel))
-    if entry is not None and entry[0] == key and entry[1] == data:
-        return entry[2]
+    the two sites (:func:`_tap_index`), or 0."""
     C, kh, kw = kernel.shape
     padded = np.zeros((C, kh * kw + 1), kernel.dtype)
     padded[:, :-1] = kernel.reshape(C, kh * kw)
     maps = np.take(padded, _tap_index(h, w, kh, kw), axis=1)
     maps.setflags(write=False)
-    with _maps_lock:
-        if id(kernel) not in _maps_by_kernel:
-            weakref.finalize(kernel, _maps_by_kernel.pop, id(kernel), None).atexit = False
-        _maps_by_kernel[id(kernel)] = (key, data, maps)
     return maps
 
 
@@ -185,15 +165,15 @@ class _Conv:
     with a (C, kh, kw) kernel: the patch network's spatial stage. Each channel
     is correlated with its own kernel and the output keeps the input shape.
 
-    Channel c is one dense (H·W × H·W) map over the sites, gathered from its
-    kernel once per kernel state by :func:`_conv_maps`, and the planes are
-    read as (C, B, H·W) site rows, so the forward pass, the input gradient
-    and the kernel gradient's per-map product are stacked products that numpy
-    hands to BLAS. The kernel gradient then sums each tap's map entries with
-    :func:`_tap_segments`.
+    Channel c is one dense (H·W × H·W) map over the sites: ``maps`` when
+    given, the kernel's :func:`_conv_maps` over these planes, else gathered
+    here. The planes are read as (C, B, H·W) site rows, so the forward pass,
+    the input gradient and the kernel gradient's per-map product are stacked
+    products that numpy hands to BLAS. The kernel gradient then sums each
+    tap's map entries with :func:`_tap_segments`.
     """
 
-    def __init__(self, x: np.ndarray, kernel: np.ndarray):
+    def __init__(self, x: np.ndarray, kernel: np.ndarray, maps: np.ndarray | None = None):
         if x.ndim != 4:
             raise InvalidArgumentError(f"activations must be (C, B, H, W), got an array of shape {x.shape}")
         C, B, H, W = x.shape
@@ -202,7 +182,7 @@ class _Conv:
             raise InvalidArgumentError(f"kernel has {kc} channels, input has {C}")
         if kh > 2 * H or kw > 2 * W:
             raise InvalidArgumentError("kernel larger than padded input")
-        self.maps = _conv_maps(kernel, H, W)  # (C, in site, out site)
+        self.maps = _conv_maps(kernel, H, W) if maps is None else maps  # (C, in site, out site)
         self.sites = x.reshape(C, B, H * W)
         self.kernel_shape = kernel.shape
         self.out = np.matmul(self.sites, self.maps).reshape(x.shape)

@@ -46,7 +46,10 @@ def write_config(tmp_path, **extra):
     }
     for key, value in extra.items():
         section, _, field = key.partition(".")
-        cfg.setdefault(section, {})[field] = value
+        if field:
+            cfg.setdefault(section, {})[field] = value
+        else:
+            cfg[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -183,6 +186,8 @@ class TestErrors:
         # The 16^3 phantom at patch edge 4 has 64 patches.
         ("selection.m_patches", 100, "selection.m_patches"),
         ("compare.m_values", [4, 100], "compare.m_values[1]"),
+        ("seed", -1, "seed"),
+        ("phantom.seed", -5, "phantom.seed"),
     ])
     def test_invalid_field_value_exits_2_with_path(self, tmp_path, capsys, key, value, path):
         cfg = write_config(tmp_path, **{key: value})
@@ -224,6 +229,15 @@ class TestErrors:
                               f"of the dataset in {pipeline_dir[0] / 'data' / 'manifest.json'}"), err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_negative_seed_flag_exits_2_naming_seed(self, tmp_path, capsys):
+        # The flag is applied after the config file is read, and is checked too.
+        cfg = write_config(tmp_path)
+        assert main(["gen", "--config", str(cfg), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "data").exists()
 
     def test_os_error_exits_2_without_traceback(self, tmp_path, capsys):
         # A data_dir that is an existing file fails in mkdir with an OSError.

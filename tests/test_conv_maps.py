@@ -1,16 +1,18 @@
-"""The per-kernel cache of dense convolution maps (``tensor._conv_maps``):
-reuse while a kernel is unchanged, replacement after an in-place update, no
-entry left behind by a freed kernel, and thread-safe concurrent use."""
+"""The dense convolution maps (``tensor._conv_maps``) a ``PatchNetParams``
+keeps per block kernel: reuse while a kernel is unchanged, replacement after
+an in-place update, maps freed with their parameters, none read or kept by a
+training step, and concurrent forwards."""
 import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from patchkit import tensor as T
 from patchkit.optim import adam_init, adam_step
-from patchkit.patchnet import PatchNetConfig, forward, init_params
+from patchkit.patchnet import PatchNetConfig, forward, init_params, loss_and_grad
 from patchkit.train import TrainSchedule, train_patchnet
 
 
@@ -34,20 +36,38 @@ def patches(seed=1, batch=3):
     return np.random.default_rng(seed).standard_normal((batch, 9, 8)).astype(np.float32)
 
 
-def cached_kernel_ids() -> set[int]:
-    return set(T._maps_by_kernel)
+def forward_maps(monkeypatch, params, x) -> list[np.ndarray]:
+    """The maps each block's convolution ran on in one eval forward."""
+    seen, real = [], T._Conv
+
+    def conv(x, kernel, maps=None):
+        seen.append(maps)
+        return real(x, kernel, maps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "_Conv", conv)
+        forward(x, params, mode="eval")
+    return seen
 
 
 class TestMapReuse:
-    def test_unchanged_kernel_reuses_its_read_only_maps(self):
-        kernel = np.random.default_rng(0).standard_normal((4, 3, 3)).astype(np.float32)
-        first = T._conv_maps(kernel, 3, 3)
-        assert T._conv_maps(kernel, 3, 3) is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0, 0, 0] = 1.0
-        assert T._conv_maps(kernel, 4, 3) is not first  # another plane size is another map
-        assert T._conv_maps(kernel, 4, 3).shape == (4, 12, 12)
+    def test_unchanged_kernel_reuses_its_read_only_maps(self, monkeypatch):
+        params, x = ready_params(), patches()
+        first = forward_maps(monkeypatch, params, x)
+        second = forward_maps(monkeypatch, params, x)
+        assert len(first) == len(second) == params.config.depth
+        for a, b in zip(first, second):
+            assert b is a
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 1.0
+        copied = forward_maps(monkeypatch, params.copy(), x)
+        for a, c in zip(first, copied):
+            assert c is not a  # a copy gathers its own
+            assert np.array_equal(c, a)
+        kernel = params.named_arrays()["blocks.0.gsi_kernel"]
+        assert np.array_equal(first[0], T._conv_maps(kernel, 3, 3))
+        assert T._conv_maps(kernel, 4, 3).shape == (8, 12, 12)  # any plane size gathers
 
     def test_in_place_kernel_update_invalidates_the_maps(self):
         params, x = ready_params(), patches()
@@ -89,28 +109,44 @@ class TestMapMemory:
         x = patches(batch=12)
         y = np.arange(12) % 2
         cfg = PatchNetConfig(patch_edge=2, patch_count=9, embed_dim=8, depth=2, seed=3)
-        gc.collect()
-        before = cached_kernel_ids()
         result = train_patchnet(x, y, x[:4], y[:4], cfg, TrainSchedule(epochs=3, batch_size=4), 3)
-        gc.collect()
-        assert cached_kernel_ids() <= before  # the training arrays are gone with their entries
         forward(x, result.params, mode="eval")
-        kernel_ids = {id(arr) for name, arr in result.params.named_arrays().items()
-                      if name.endswith("gsi_kernel")}
-        assert kernel_ids <= cached_kernel_ids()
+        refs = [weakref.ref(maps) for _, maps in result.params._maps.values()]
+        assert len(refs) == cfg.depth
         del result
         gc.collect()
-        assert cached_kernel_ids() <= before
+        assert [ref() for ref in refs] == [None] * cfg.depth
 
     def test_an_updated_kernel_keeps_one_entry(self):
-        kernel = np.ones((2, 3, 3), dtype=np.float32)
-        count = len(T._maps_by_kernel)
+        params, x = ready_params(), patches()
+        t = params.named_arrays()
+        kernels = {name: t[name] for name in t if name.endswith("gsi_kernel")}
         for _ in range(5):
-            kernel *= 0.5
-            T._conv_maps(kernel, 3, 3)
-            assert len(T._maps_by_kernel) == count + 1
-        del kernel
-        assert len(T._maps_by_kernel) == count
+            for kernel in kernels.values():
+                kernel *= 0.5
+            forward(x, params, mode="eval")
+            assert sorted(params._maps) == sorted(kernels)
+            for name, (data, maps) in params._maps.items():
+                assert data == kernels[name].tobytes()
+                assert np.array_equal(maps, T._conv_maps(kernels[name], 3, 3))
+
+    def test_a_training_step_neither_reads_nor_keeps_maps(self):
+        params, x = ready_params(), patches()
+        y = np.arange(len(x)) % 2
+        expected = loss_and_grad(x, y, params.copy())
+        assert params._maps == {}
+        loss_and_grad(x, y, params)
+        assert params._maps == {}  # nothing written
+        # Entries that match every kernel's bytes but hold wrong maps: a step
+        # that read them would change its loss and gradients.
+        wrong = {name: (kernel.tobytes(), np.zeros((8, 9, 9), np.float32))
+                 for name, kernel in params.named_arrays().items() if name.endswith("gsi_kernel")}
+        params._maps.update(wrong)
+        loss, grads = loss_and_grad(x, y, params)
+        assert loss == expected[0]
+        for name, grad in grads.items():
+            assert np.array_equal(grad, expected[1][name]), name
+        assert params._maps == wrong
 
 
 class TestMapThreads:

@@ -680,6 +680,10 @@ class TestParamsStorage:
         assert params.learnable.size == op_count_report(cfg).total_params
         assert params.stats.size == 2 * 2 * cfg.embed_dim * depth
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
+            PatchNetConfig(patch_edge=2, patch_count=9, embed_dim=4, depth=2, seed=-1)
+
     def test_benchmark_scale_parameter_count(self):
         cfg = PatchNetConfig(patch_edge=8, patch_count=36, embed_dim=64, depth=4)
         assert init_params(cfg).learnable.size == op_count_report(cfg).total_params == 62_338

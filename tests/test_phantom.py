@@ -71,6 +71,11 @@ def test_non_real_fields_rejected_by_name(field, value):
         small_spec(**{field: value})
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
+        small_spec(seed=-1)
+
+
 def test_real_fields_are_stored_as_floats():
     spec = small_spec(lesion_delta=np.float32(0.5), noise_sigma=0)
     assert type(spec.lesion_delta) is float and spec.lesion_delta == 0.5
@@ -284,12 +289,18 @@ def test_manifest_schema_keys(tmp_path):
     assert len({e["path"] for e in obj["entries"]}) == len(obj["entries"])
 
 
+def class_mean_difference(manifest, grid):
+    """Per-patch class-mean patch intensity, class 1 minus class 0."""
+    features, labels = manifest.patch_means(grid), manifest.labels()
+    return features[labels == 1].mean(axis=0) - features[labels == 0].mean(axis=0)
+
+
 class TestClassSeparability:
     def test_noise_free_nonzero_exactly_at_lesion_patches(self, tmp_path):
         spec = small_spec(noise_sigma=0.0, smooth_radius=0, n_per_class=2)
         manifest = pk.generate(spec, tmp_path)
         grid = pk.make_grid(spec.dims, 4)
-        table = pk.class_separability(manifest, grid)
+        table = class_mean_difference(manifest, grid)
         lesion_patches = set(grid.indices_intersecting(spec.lesion_regions[0]))
         for i in range(len(grid)):
             if i in lesion_patches:
@@ -308,8 +319,8 @@ class TestClassSeparability:
             root=manifest.root,
         )
         assert np.allclose(
-            pk.class_separability(manifest, grid),
-            pk.class_separability(doubled, grid),
+            class_mean_difference(manifest, grid),
+            class_mean_difference(doubled, grid),
             atol=1e-12,
         )
 
@@ -317,7 +328,7 @@ class TestClassSeparability:
         spec = small_spec(n_per_class=100, noise_sigma=0.05, smooth_radius=0)
         manifest = pk.generate(spec, tmp_path)
         grid = pk.make_grid(spec.dims, 8)
-        true_table = pk.class_separability(manifest, grid)
+        true_table = class_mean_difference(manifest, grid)
         rng = np.random.default_rng(7)
         labels = manifest.labels()
         shuffled_entries = [
@@ -328,7 +339,7 @@ class TestClassSeparability:
             spec=spec, ground_truth=manifest.ground_truth,
             entries=shuffled_entries, root=manifest.root,
         )
-        table = pk.class_separability(shuffled, grid)
+        table = class_mean_difference(shuffled, grid)
         # Per-patch z-bound: the mean difference of two random n/2 groups has
         # std sigma_j * sqrt(1/n1 + 1/n0); 5 sigma covers all 8 patches.
         feats = np.stack(
@@ -342,4 +353,4 @@ class TestClassSeparability:
     def test_dims_mismatch(self, tmp_path):
         manifest = pk.generate(small_spec(), tmp_path)
         with pytest.raises(InvalidArgumentError):
-            pk.class_separability(manifest, pk.make_grid((8, 8, 8), 4))
+            manifest.patch_means(pk.make_grid((8, 8, 8), 4))
